@@ -1,9 +1,11 @@
 """Closed-form concurrence predictions, channel classification, and
 oracle-vs-formula verification sweeps.
 
-The closed forms are evaluated exactly as printed, with no clamping: where a
-printed formula disagrees with the simulation oracle (the Werner case does,
-see ``predicted_concurrence_werner``), the sweep reports both values and a
+Sweeps pair the batched branch engine of ``protocol`` with the closed forms,
+both evaluated over the whole grid as arrays.  The closed forms are
+evaluated exactly as printed, with no clamping: where a printed formula
+disagrees with the simulation oracle (the Werner case does, see
+``predicted_concurrence_werner``), the sweep reports both values and a
 DISCREPANT verdict rather than guessing which side is right.
 """
 from __future__ import annotations
@@ -16,10 +18,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .protocol import (
+    BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
-    run_protocol_mixed,
-    run_protocol_pure,
+    _check_alpha,
+    _check_alpha_sq,
+    _check_n,
+    _check_p,
+    pure_branches,
+    werner_branches,
 )
 from .states import InvalidInput, NumericalFailure
 
@@ -82,34 +89,6 @@ class VerificationRow:
     verdict: str
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
-
-
-def _check_n(n: float) -> float:
-    n = float(n)
-    if not np.isfinite(n) or n <= 0.0:
-        raise InvalidInput(f"channel parameter n must be positive, got {n}")
-    return n
-
-
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise InvalidInput(f"mixing weight p must lie in [0, 1], got {p}")
-    return p
-
-
-def _check_alpha_sq(alpha_sq: float) -> float:
-    alpha_sq = float(alpha_sq)
-    if not np.isfinite(alpha_sq) or not 0.0 <= alpha_sq <= 1.0:
-        raise InvalidInput(f"alpha^2 must lie in [0, 1], got {alpha_sq}")
-    return alpha_sq
-
-
 def input_concurrence(alpha: float) -> float:
     """Concurrence 2 alpha sqrt(1 - alpha^2) of the input pair."""
     alpha = _check_alpha(alpha)
@@ -119,9 +98,7 @@ def input_concurrence(alpha: float) -> float:
 def efficiency_ratio(alpha_sq: float, n: float) -> float:
     """Final-to-initial concurrence ratio sqrt(n) / ((n-1) alpha^2 + 1)."""
     n = _check_n(n)
-    alpha_sq = float(alpha_sq)
-    if not 0.0 <= alpha_sq <= 1.0:
-        raise InvalidInput(f"alpha^2 must lie in [0, 1], got {alpha_sq}")
+    alpha_sq = _check_alpha_sq(alpha_sq)
     return sqrt(n) / ((n - 1.0) * alpha_sq + 1.0)
 
 
@@ -130,17 +107,12 @@ def predicted_concurrence_phi(alpha: float, n: float) -> float:
 
     Applies to Alice outcome Phi+/Phi- with Bob outcome 0.
     """
-    alpha = _check_alpha(alpha)
-    n = _check_n(n)
-    return 2.0 * alpha * sqrt(n * (1.0 - alpha * alpha)) / ((n - 1.0) * alpha * alpha + 1.0)
+    return float(_finite(_phi_form(_check_alpha(alpha), _check_n(n))))
 
 
 def predicted_concurrence_psi(alpha: float, n: float) -> float:
     """Mirror closed form for Psi+/Psi- with Bob outcome 0: alpha^2 -> beta^2."""
-    alpha = _check_alpha(alpha)
-    n = _check_n(n)
-    beta_sq = 1.0 - alpha * alpha
-    return 2.0 * sqrt(beta_sq) * sqrt(n * (1.0 - beta_sq)) / ((n - 1.0) * beta_sq + 1.0)
+    return float(_finite(_psi_form(_check_alpha(alpha), _check_n(n))))
 
 
 def predicted_concurrence_werner(p: float, n: float) -> float:
@@ -150,11 +122,35 @@ def predicted_concurrence_werner(p: float, n: float) -> float:
     to 2.0 while the branch-map oracle gives 1.0.  The sweep exists to expose
     exactly that kind of mismatch, so this evaluator must not mask it.
     """
-    p = _check_p(p)
-    n = _check_n(n)
-    if p <= 1.0 / 3.0:
-        return 0.0
-    return 4.0 * sqrt(n) * (3.0 * p - 1.0) / ((n + 1.0) ** 2)
+    return float(_finite(_werner_form(_check_p(p), _check_n(n))))
+
+
+# The closed forms, elementwise over arrays of validated parameters.  A 0/0
+# (the Phi form at alpha = 1 and n below about 1e-17) gives NaN here, which
+# ``_finite`` turns into a NumericalFailure.
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _phi_form(alpha, n):
+    return 2.0 * alpha * np.sqrt(n * (1.0 - alpha * alpha)) / ((n - 1.0) * alpha * alpha + 1.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _psi_form(alpha, n):
+    beta_sq = 1.0 - alpha * alpha
+    return 2.0 * np.sqrt(beta_sq) * np.sqrt(n * (1.0 - beta_sq)) / ((n - 1.0) * beta_sq + 1.0)
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _werner_form(p, n):
+    return np.where(p <= 1.0 / 3.0, 0.0, 4.0 * np.sqrt(n) * (3.0 * p - 1.0) / ((n + 1.0) ** 2))
+
+
+def _finite(values, what: str = "closed form"):
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalFailure(f"{what} is not finite ({np.count_nonzero(bad)} values)")
+    return values
 
 
 def predicted_branch_matrix_phi(p: float, n: float, sign: int = 1) -> np.ndarray:
@@ -271,16 +267,122 @@ def quartic_roots() -> QuarticReport:
     return QuarticReport(QUARTIC_COEFFICIENTS, (r1, r2), regions)
 
 
-def _formula_for_branch(
-    mode: str, bell: BellOutcome, bob: BobOutcome, alpha: float, p: float, n: float
-) -> float:
-    if bob is BobOutcome.ONE:
-        return 0.0
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """A sweep in columns: one entry per grid point, or per (point, branch).
+
+    ``n`` and the mode's own parameter (``alpha_sq`` or ``p``; the other is
+    None) have shape (points,).  The branch columns have shape (points, 8),
+    branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.
+    """
+
+    mode: str
+    n: np.ndarray
+    alpha_sq: np.ndarray | None
+    p: np.ndarray | None
+    probability: np.ndarray
+    oracle: np.ndarray
+    formula: np.ndarray
+    abs_diff: np.ndarray
+    match: np.ndarray
+
+    def __len__(self) -> int:
+        return self.probability.size
+
+    def records(self, points: slice = slice(None), branches=BRANCH_ORDER) -> list[tuple]:
+        """The rows of the grid points in ``points`` as tuples of the
+        ``VerificationRow`` fields, in sweep order.  ``branches`` holds the
+        (bell, bob) pair written for each branch column."""
+        n = self.n[points].tolist()
+        absent = [None] * len(n)
+        return [
+            (self.mode, x, a, q, bell, bob, prob, oracle, formula, diff,
+             "MATCH" if match else "DISCREPANT")
+            for x, a, q, *columns in zip(
+                n,
+                absent if self.alpha_sq is None else self.alpha_sq[points].tolist(),
+                absent if self.p is None else self.p[points].tolist(),
+                self.probability[points].tolist(),
+                self.oracle[points].tolist(),
+                self.formula[points].tolist(),
+                self.abs_diff[points].tolist(),
+                self.match[points].tolist(),
+            )
+            for (bell, bob), prob, oracle, formula, diff, match in zip(branches, *columns)
+        ]
+
+    def rows(self) -> list[VerificationRow]:
+        """The table as ``VerificationRow`` objects, in sweep order."""
+        return [VerificationRow(*record) for record in self.records()]
+
+
+def _columns(bells: tuple[BellOutcome, ...], bob: BobOutcome) -> tuple[int, ...]:
+    """Positions in ``BRANCH_ORDER`` of the branches with these outcomes."""
+    return tuple(i for i, (b, o) in enumerate(BRANCH_ORDER) if b in bells and o is bob)
+
+
+# Branch columns whose Bob-0 closed form is the Phi or Psi one, and the dead Bob-1 branches.
+PHI_ZERO_COLUMNS = _columns((BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS), BobOutcome.ZERO)
+PSI_ZERO_COLUMNS = _columns((BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS), BobOutcome.ZERO)
+BOB_ONE_COLUMNS = _columns(tuple(BellOutcome), BobOutcome.ONE)
+
+
+def sweep_table(
+    mode: str,
+    n_values: Sequence[float] | None = None,
+    alpha_sq_values: Sequence[float] | None = None,
+    p_values: Sequence[float] | None = None,
+) -> SweepTable:
+    """Pair the batched branch engine with the closed forms over a parameter grid.
+
+    Grid points are ordered lexicographically in the grid coordinates (n
+    outermost).  Verdict is MATCH when |oracle - formula| <= 1e-8.  A
+    non-finite oracle or closed-form value raises ``NumericalFailure``.
+    """
+    mode = str(mode).lower()
+    if mode not in ("pure", "werner"):
+        raise InvalidInput(f"mode must be 'pure' or 'werner', got {mode!r}")
+    n_grid = np.asarray(DEFAULT_N_GRID if n_values is None else n_values, dtype=float)
+    if not n_grid.size:
+        raise InvalidInput("empty n grid")
+
     if mode == "pure":
-        if bell in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS):
-            return predicted_concurrence_phi(alpha, n)
-        return predicted_concurrence_psi(alpha, n)
-    return predicted_concurrence_werner(p, n)
+        if p_values is not None:
+            raise InvalidInput("p grid does not apply to a pure sweep")
+        second = DEFAULT_ALPHA_SQ_GRID if alpha_sq_values is None else alpha_sq_values
+        second = np.atleast_1d(_check_alpha_sq(second))
+    else:
+        if alpha_sq_values is not None:
+            raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
+        second = np.atleast_1d(_check_p(DEFAULT_P_GRID if p_values is None else p_values))
+    if not second.size:
+        raise InvalidInput("empty parameter grid")
+
+    n = np.repeat(_check_n(n_grid), len(second))
+    value = np.tile(second, len(n_grid))
+    formula = np.zeros((len(n), len(BRANCH_ORDER)))
+    if mode == "pure":
+        alpha = np.sqrt(value)
+        probability, oracle = pure_branches(alpha, n)
+        formula[:, PHI_ZERO_COLUMNS] = _phi_form(alpha, n)[:, None]
+        formula[:, PSI_ZERO_COLUMNS] = _psi_form(alpha, n)[:, None]
+    else:
+        probability, oracle = werner_branches(value, n)
+        formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]
+    _finite(formula)
+    _finite(oracle, "oracle concurrence")
+    abs_diff = np.abs(oracle - formula)
+    return SweepTable(
+        mode=mode,
+        n=n,
+        alpha_sq=value if mode == "pure" else None,
+        p=value if mode == "werner" else None,
+        probability=probability,
+        oracle=oracle,
+        formula=formula,
+        abs_diff=abs_diff,
+        match=abs_diff <= MATCH_TOL,
+    )
 
 
 def sweep(
@@ -289,61 +391,5 @@ def sweep(
     alpha_sq_values: Sequence[float] | None = None,
     p_values: Sequence[float] | None = None,
 ) -> list[VerificationRow]:
-    """Pair the enumeration oracle with the closed forms over a parameter grid.
-
-    One row per grid point and branch, ordered lexicographically in the grid
-    coordinates (n outermost) and then in the fixed branch order.  Verdict is
-    MATCH when |oracle - formula| <= 1e-8.
-    """
-    mode = str(mode).lower()
-    if mode not in ("pure", "werner"):
-        raise InvalidInput(f"mode must be 'pure' or 'werner', got {mode!r}")
-    n_grid = tuple(float(v) for v in (DEFAULT_N_GRID if n_values is None else n_values))
-    if not n_grid:
-        raise InvalidInput("empty n grid")
-
-    if mode == "pure":
-        if p_values is not None:
-            raise InvalidInput("p grid does not apply to a pure sweep")
-        second = tuple(
-            float(v) for v in (DEFAULT_ALPHA_SQ_GRID if alpha_sq_values is None else alpha_sq_values)
-        )
-    else:
-        if alpha_sq_values is not None:
-            raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
-        second = tuple(float(v) for v in (DEFAULT_P_GRID if p_values is None else p_values))
-    if not second:
-        raise InvalidInput("empty parameter grid")
-
-    rows: list[VerificationRow] = []
-    for n in n_grid:
-        for value in second:
-            if mode == "pure":
-                alpha = sqrt(_check_alpha_sq(value))
-                result = run_protocol_pure(alpha, n)
-                alpha_sq, p = value, None
-            else:
-                alpha = 0.0
-                result = run_protocol_mixed(value, n)
-                alpha_sq, p = None, value
-            for branch in result.branches:
-                formula = _formula_for_branch(
-                    mode, branch.bell, branch.bob, alpha, value if mode == "werner" else 0.0, n
-                )
-                diff = abs(branch.concurrence - formula)
-                rows.append(
-                    VerificationRow(
-                        mode=mode,
-                        n=n,
-                        alpha_sq=alpha_sq,
-                        p=p,
-                        bell=branch.bell,
-                        bob=branch.bob,
-                        probability=branch.probability,
-                        oracle_concurrence=branch.concurrence,
-                        formula_concurrence=formula,
-                        abs_diff=diff,
-                        verdict="MATCH" if diff <= MATCH_TOL else "DISCREPANT",
-                    )
-                )
-    return rows
+    """``sweep_table`` as rows: one per grid point and branch, in the fixed branch order."""
+    return sweep_table(mode, n_values, alpha_sq_values, p_values).rows()

@@ -11,26 +11,34 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 from math import sqrt
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .analysis import (
+    BOB_ONE_COLUMNS,
     DEFAULT_ALPHA_SQ_GRID,
-    VerificationRow,
+    DEFAULT_P_GRID,
+    PHI_ZERO_COLUMNS,
+    PSI_ZERO_COLUMNS,
+    SweepTable,
     input_concurrence,
     quartic,
     quartic_roots,
-    sweep,
+    sweep_table,
 )
 from .protocol import (
+    BLOCK_POINTS,
+    BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
     Branch,
     ProtocolResult,
+    _check_alpha_sq,
     run_protocol_mixed,
     run_protocol_pure,
 )
@@ -57,10 +65,6 @@ DEADNESS_TOL = 1e-12
 def _full(x: float) -> str:
     """Shortest decimal that round-trips the double exactly."""
     return repr(float(x))
-
-
-def _opt(x: float | None) -> str:
-    return "" if x is None else _full(x)
 
 
 def _sig6(x: float) -> str:
@@ -113,12 +117,16 @@ def _state_json(post: StateVector | DensityMatrix):
     return [[[float(v.real), float(v.imag)] for v in row] for row in post.entries]
 
 
-def _write_output(text: str, path: str | None) -> None:
+def _write_chunks(chunks: Iterable[str], path: str | None) -> None:
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+
+
+def _write_output(text: str, path: str | None) -> None:
+    _write_chunks((text,), path)
 
 
 def _parse_values(text: str, name: str) -> tuple[tuple[float, ...], bool]:
@@ -166,62 +174,59 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
     return config
 
 
-def _row_dict(row: VerificationRow) -> dict:
-    return {
-        "mode": row.mode,
-        "n": row.n,
-        "alpha_sq": row.alpha_sq,
-        "p": row.p,
-        "bell": row.bell.value,
-        "bob": row.bob.value,
-        "probability": row.probability,
-        "oracle_concurrence": row.oracle_concurrence,
-        "formula_concurrence": row.formula_concurrence,
-        "abs_diff": row.abs_diff,
-        "verdict": row.verdict,
-    }
+# Rendering of sweep tables.  Rows are written straight from the table's
+# columns, one block of grid points at a time, never as VerificationRow objects.
+
+_BRANCH_LABELS = tuple((bell.value, bob.value) for bell, bob in BRANCH_ORDER)
 
 
-def _rows_csv(rows: Sequence[VerificationRow], comment: str) -> str:
-    buffer = io.StringIO()
-    buffer.write(f"# {comment}\n")
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.mode,
-                _full(row.n),
-                _opt(row.alpha_sq),
-                _opt(row.p),
-                row.bell.value,
-                row.bob.value,
-                _full(row.probability),
-                _full(row.oracle_concurrence),
-                _full(row.formula_concurrence),
-                _full(row.abs_diff),
-                row.verdict,
-            ]
+def _record_blocks(tables: Sequence[SweepTable]) -> Iterator[list[tuple]]:
+    """The tables' rows as tuples of SWEEP_CSV_COLUMNS values, one list per block of grid points."""
+    for table in tables:
+        for start in range(0, len(table.n), BLOCK_POINTS):
+            yield table.records(slice(start, start + BLOCK_POINTS), _BRANCH_LABELS)
+
+
+def _csv_chunks(tables: Sequence[SweepTable], comment: str) -> Iterator[str]:
+    """Sweep rows as CSV: the bytes ``csv.writer`` writes, since no field needs quoting."""
+    yield f"# {comment}\n" + ",".join(SWEEP_CSV_COLUMNS) + "\n"
+    for records in _record_blocks(tables):
+        yield "".join(
+            f"{mode},{n!r},{'' if a is None else repr(a)},{'' if p is None else repr(p)},"
+            f"{bell},{bob},{prob!r},{oracle!r},{formula!r},{diff!r},{verdict}\n"
+            for mode, n, a, p, bell, bob, prob, oracle, formula, diff, verdict in records
         )
-    return buffer.getvalue()
 
 
-def _rows_table(rows: Sequence[VerificationRow]) -> str:
+def _json_chunks(config: dict, tables: Sequence[SweepTable], summary: dict) -> Iterator[str]:
+    """``json.dumps({"config", "rows", "summary"}, indent=2) + "\\n"``, with the rows
+    serialised one block at a time and spliced in at their indentation."""
+
+    def nested(value) -> str:
+        return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+    yield '{\n  "config": ' + nested(config) + ',\n  "rows": ['
+    separator = ""
+    for records in _record_blocks(tables):
+        rows = [dict(zip(SWEEP_CSV_COLUMNS, record)) for record in records]
+        yield separator + nested(rows)[1:-len("\n  ]")]
+        separator = ","
+    yield ("\n  ]" if separator else "]") + ',\n  "summary": ' + nested(summary) + "\n}\n"
+
+
+def _table_chunks(tables: Sequence[SweepTable]) -> Iterator[str]:
     header = (
         f"{'mode':<6} {'n':>8} {'alpha_sq':>9} {'p':>6} {'bell':<8} {'bob':<4} "
         f"{'prob':>10} {'oracle':>10} {'formula':>10} {'abs_diff':>10} verdict"
     )
-    lines = [header, "-" * len(header)]
-    for row in rows:
-        lines.append(
-            f"{row.mode:<6} {_sig6(row.n):>8} "
-            f"{_sig6(row.alpha_sq) if row.alpha_sq is not None else '-':>9} "
-            f"{_sig6(row.p) if row.p is not None else '-':>6} "
-            f"{row.bell.value:<8} {row.bob.value:<4} "
-            f"{_sig6(row.probability):>10} {_sig6(row.oracle_concurrence):>10} "
-            f"{_sig6(row.formula_concurrence):>10} {row.abs_diff:>10.3e} {row.verdict}"
+    yield header + "\n" + "-" * len(header) + "\n"
+    for records in _record_blocks(tables):
+        yield "".join(
+            f"{mode:<6} {n:>8.6g} {'-' if a is None else _sig6(a):>9} "
+            f"{'-' if p is None else _sig6(p):>6} {bell:<8} {bob:<4} {prob:>10.6g} "
+            f"{oracle:>10.6g} {formula:>10.6g} {diff:>10.3e} {verdict}\n"
+            for mode, n, a, p, bell, bob, prob, oracle, formula, diff, verdict in records
         )
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------- run
@@ -250,9 +255,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     value = values[0]
 
     if args.mode == "pure":
-        if not 0.0 <= value <= 1.0:
-            raise InvalidInput(f"alpha^2 must lie in [0, 1], got {value}")
-        result = run_protocol_pure(sqrt(value), n)
+        result = run_protocol_pure(sqrt(_check_alpha_sq(value)), n)
         param_echo = f"alpha_sq={_full(value)}"
     else:
         result = run_protocol_mixed(value, n)
@@ -326,56 +329,66 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
 
     if args.mode == "pure":
-        rows = sweep("pure", n_values=n_values, alpha_sq_values=values)
+        table = sweep_table("pure", n_values=n_values, alpha_sq_values=values)
         span = f"alpha_sq={args.alpha_sq}"
     else:
-        rows = sweep("werner", n_values=n_values, p_values=values)
+        table = sweep_table("werner", n_values=n_values, p_values=values)
         span = f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
 
     if args.format == "json":
-        match = sum(1 for r in rows if r.verdict == "MATCH")
+        match = int(table.match.sum())
         config = _config_dict(args, mode=args.mode, n=args.n, alpha_sq=args.alpha_sq, p=args.p)
-        payload = {
-            "config": config,
-            "rows": [_row_dict(r) for r in rows],
-            "summary": {"rows": len(rows), "match": match, "discrepant": len(rows) - match},
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        summary = {"rows": len(table), "match": match, "discrepant": len(table) - match}
+        _write_chunks(_json_chunks(config, [table], summary), args.output)
     elif args.format == "csv":
-        _write_output(_rows_csv(rows, comment), args.output)
+        _write_chunks(_csv_chunks([table], comment), args.output)
     else:
-        _write_output(comment + "\n" + _rows_table(rows), args.output)
+        _write_chunks(itertools.chain([comment + "\n"], _table_chunks([table])), args.output)
     return 0
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _family(row: VerificationRow) -> str:
-    if row.bob is BobOutcome.ONE:
-        return "bob_one"
-    if row.bell in (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS):
-        return "phi_zero"
-    return "psi_zero"
+_FAMILIES = (
+    ("phi_zero", PHI_ZERO_COLUMNS, "Phi+/Phi- with Bob 0"),
+    ("psi_zero", PSI_ZERO_COLUMNS, "Psi+/Psi- with Bob 0"),
+    ("bob_one", BOB_ONE_COLUMNS, "any Bell with Bob 1 "),
+)
 
 
-def _family_counts(rows: Sequence[VerificationRow]) -> dict[str, dict[str, int]]:
-    counts = {f: {"match": 0, "discrepant": 0} for f in ("phi_zero", "psi_zero", "bob_one")}
-    for row in rows:
-        counts[_family(row)]["match" if row.verdict == "MATCH" else "discrepant"] += 1
+def _family_counts(table: SweepTable | None) -> dict[str, dict[str, int]]:
+    counts = {}
+    for family, columns, _ in _FAMILIES:
+        match = table.match[:, columns] if table is not None else np.zeros(0, dtype=bool)
+        counts[family] = {"match": int(match.sum()), "discrepant": int((~match).sum())}
     return counts
 
 
-def _spot_checks() -> list[dict]:
-    """Concurrence-preservation checks at the state-independent points."""
-    checks = []
+def _engine_error(result: ProtocolResult, table: SweepTable, point: int) -> float:
+    """Largest probability or concurrence gap between enumeration and engine at one point."""
+    probability = [b.probability for b in result.branches]
+    concurrence = [b.concurrence for b in result.branches]
+    return max(
+        float(np.abs(table.probability[point] - probability).max()),
+        float(np.abs(table.oracle[point] - concurrence).max()),
+    )
 
-    worst = 0.0
+
+def _spot_checks(pure: SweepTable, werner: SweepTable | None) -> list[dict]:
+    """Concurrence preservation at the state-independent points, and the sweep
+    engine against the scalar enumeration wherever the two are both run."""
+    checks = []
+    pure_points = {key: i for i, key in enumerate(zip(pure.n.tolist(), pure.alpha_sq.tolist()))}
+
+    worst = engine_worst = 0.0
     for alpha_sq in DEFAULT_ALPHA_SQ_GRID:
         alpha = sqrt(alpha_sq)
-        branch = run_protocol_pure(alpha, 1.0).branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
+        result = run_protocol_pure(alpha, 1.0)
+        branch = result.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
         worst = max(worst, abs(branch.concurrence - input_concurrence(alpha)))
+        engine_worst = max(engine_worst, _engine_error(result, pure, pure_points[1.0, alpha_sq]))
     checks.append(
         {
             "name": "n=1 preserves concurrence for every grid input",
@@ -386,7 +399,8 @@ def _spot_checks() -> list[dict]:
 
     for n, alpha_sq in ((4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)):
         alpha = sqrt(alpha_sq)
-        branch = run_protocol_pure(alpha, n).branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
+        result = run_protocol_pure(alpha, n)
+        branch = result.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
         error = abs(branch.concurrence - input_concurrence(alpha))
         checks.append(
             {
@@ -395,30 +409,42 @@ def _spot_checks() -> list[dict]:
                 "passed": error <= SPOT_CHECK_TOL,
             }
         )
+        point = sweep_table("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
+        engine_worst = max(engine_worst, _engine_error(result, point, 0))
+
+    if werner is not None:
+        werner_points = {key: i for i, key in enumerate(zip(werner.n.tolist(), werner.p.tolist()))}
+        for p in DEFAULT_P_GRID:
+            result = run_protocol_mixed(p, 1.0)
+            engine_worst = max(engine_worst, _engine_error(result, werner, werner_points[1.0, p]))
+    checks.append(
+        {
+            "name": "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)",
+            "max_error": engine_worst,
+            "passed": engine_worst <= SPOT_CHECK_TOL,
+        }
+    )
     return checks
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pure_rows = sweep("pure")
-    pure_discrepant = [r for r in pure_rows if r.verdict == "DISCREPANT"]
-    spot_checks = _spot_checks()
-    pure_failed = bool(pure_discrepant) or not all(c["passed"] for c in spot_checks)
-
-    werner_rows: list[VerificationRow] = []
-    werner_failure: str | None = None
+    pure = sweep_table("pure")
+    werner: SweepTable | None = None
+    werner_failure: NumericalFailure | None = None
     try:
-        werner_rows = sweep("werner")
+        werner = sweep_table("werner")
     except NumericalFailure as exc:
-        # A pure-side failure outranks a numerical failure in the werner
-        # phase: a corrupted oracle should report as a verification failure.
-        if not pure_failed:
-            raise
-        werner_failure = str(exc)
+        werner_failure = exc
+    spot_checks = _spot_checks(pure, werner)
+    pure_discrepant = int((~pure.match).sum())
+    pure_failed = bool(pure_discrepant) or not all(c["passed"] for c in spot_checks)
+    # A pure-side failure outranks a numerical failure in the werner phase: a
+    # corrupted oracle should report as a verification failure.
+    if werner_failure is not None and not pure_failed:
+        raise werner_failure
 
-    all_rows = pure_rows + werner_rows
-    dead_worst = max(
-        (r.oracle_concurrence for r in all_rows if r.bob is BobOutcome.ONE), default=0.0
-    )
+    tables = [pure] if werner is None else [pure, werner]
+    dead_worst = max(float(t.oracle[:, BOB_ONE_COLUMNS].max()) for t in tables)
     dead_ok = dead_worst <= DEADNESS_TOL
     if not dead_ok:
         pure_failed = True
@@ -426,26 +452,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # The werner closed form disagrees with the oracle wherever p > 1/3 (its
     # value can even exceed 1); that mismatch is a reproducible property of
     # the closed form itself, so it is reported but never fails the run.
-    werner_examples = [
-        r
-        for r in werner_rows
-        if r.p == 1.0 and r.bell is BellOutcome.PHI_PLUS and r.bob is BobOutcome.ZERO
-    ]
+    werner_examples = [] if werner is None else np.flatnonzero(werner.p == 1.0).tolist()
 
     exit_code = 1 if pure_failed else 0
+    werner_rows = 0 if werner is None else len(werner)
+    werner_match = 0 if werner is None else int(werner.match.sum())
     summary = {
         "pure": {
-            "rows": len(pure_rows),
-            "match": len(pure_rows) - len(pure_discrepant),
-            "discrepant": len(pure_discrepant),
-            "families": _family_counts(pure_rows),
+            "rows": len(pure),
+            "match": len(pure) - pure_discrepant,
+            "discrepant": pure_discrepant,
+            "families": _family_counts(pure),
         },
         "werner": {
-            "rows": len(werner_rows),
-            "match": sum(1 for r in werner_rows if r.verdict == "MATCH"),
-            "discrepant": sum(1 for r in werner_rows if r.verdict == "DISCREPANT"),
-            "families": _family_counts(werner_rows),
-            "numerical_failure": werner_failure,
+            "rows": werner_rows,
+            "match": werner_match,
+            "discrepant": werner_rows - werner_match,
+            "families": _family_counts(werner),
+            "numerical_failure": None if werner_failure is None else str(werner_failure),
         },
         "spot_checks": spot_checks,
         "bob_one_max_concurrence": dead_worst,
@@ -454,24 +478,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
 
     if args.format == "json":
-        payload = {
-            "config": _config_dict(args),
-            "rows": [_row_dict(r) for r in all_rows],
-            "summary": summary,
-        }
-        _write_output(json.dumps(payload, indent=2) + "\n", args.output)
+        _write_chunks(_json_chunks(_config_dict(args), tables, summary), args.output)
     elif args.format == "csv":
-        _write_output(_rows_csv(all_rows, "wteleport verify (pure + werner default grids)"), args.output)
+        _write_chunks(
+            _csv_chunks(tables, "wteleport verify (pure + werner default grids)"), args.output
+        )
     else:
         lines = ["wteleport verify", "================"]
-        for mode, rows in (("pure", pure_rows), ("werner", werner_rows)):
-            families = _family_counts(rows)
-            lines.append(f"{mode} sweep: {len(rows)} rows")
-            for family, label in (
-                ("phi_zero", "Phi+/Phi- with Bob 0"),
-                ("psi_zero", "Psi+/Psi- with Bob 0"),
-                ("bob_one", "any Bell with Bob 1 "),
-            ):
+        for mode, table in (("pure", pure), ("werner", werner)):
+            families = _family_counts(table)
+            lines.append(f"{mode} sweep: {0 if table is None else len(table)} rows")
+            for family, _, label in _FAMILIES:
                 c = families[family]
                 lines.append(
                     f"  {label}: {c['match']} MATCH, {c['discrepant']} DISCREPANT"
@@ -491,11 +508,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "werner closed form vs oracle at p=1 "
                 "(documented mismatch, does not affect the exit code):"
             )
-            for r in werner_examples:
+            k = BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))
+            bell, bob = _BRANCH_LABELS[k]
+            for i in werner_examples:
+                formula, oracle = werner.formula[i, k], werner.oracle[i, k]
                 lines.append(
-                    f"  n={_sig6(r.n)} p={_sig6(r.p)} {r.bell.value}/{r.bob.value}: "
-                    f"formula={_sig6(r.formula_concurrence)} "
-                    f"oracle={_sig6(r.oracle_concurrence)} {r.verdict}"
+                    f"  n={_sig6(werner.n[i])} p={_sig6(werner.p[i])} {bell}/{bob}: "
+                    f"formula={_sig6(formula)} oracle={_sig6(oracle)} "
+                    f"{'MATCH' if werner.match[i, k] else 'DISCREPANT'}"
                 )
         lines.append(f"result: {'FAIL' if exit_code else 'PASS'} (exit {exit_code})")
         _write_output("\n".join(lines) + "\n", args.output)

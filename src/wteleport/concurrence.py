@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import DensityMatrix, InvalidInput, NumericalFailure, StateVector
+from .states import NORM_TOL, DensityMatrix, InvalidInput, NumericalFailure, StateVector
 
 # |11><00| - |01><10| - |10><01| + |00><11| in the computational basis.
 SIGMA_YY = np.array(
@@ -49,13 +49,24 @@ def spin_flip_pure(state: StateVector) -> StateVector:
 def concurrence_pure(state: StateVector) -> float:
     """Spin-flip overlap |<eta|eta~>|, in [0, 1]."""
     _require_two_qubits(state.labels)
-    if not state.is_normalized():
-        raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
-    flipped = SIGMA_YY @ state.amplitudes.conj()
-    value = float(abs(np.vdot(state.amplitudes, flipped)))
-    if value > 1.0 + EIGENVALUE_CLIP:
-        raise NumericalFailure(f"concurrence {value} exceeds 1")
-    return min(value, 1.0)
+    return float(concurrence_pure_batch(state.amplitudes[np.newaxis])[0])
+
+
+def concurrence_pure_batch(amplitudes: np.ndarray) -> np.ndarray:
+    """Spin-flip overlaps of a stack of normalized two-qubit states, shape (k, 4)."""
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails too
+    if off.any():
+        raise InvalidInput(f"state must be normalized, norm is {norms[off][0]}")
+    flipped = amplitudes.conj() @ SIGMA_YY.T
+    value = np.abs(np.sum(amplitudes.conj() * flipped, axis=-1))
+    return _clip_to_unit(value)
+
+
+def _clip_to_unit(value: np.ndarray) -> np.ndarray:
+    if value.size and value.max() > 1.0 + EIGENVALUE_CLIP:
+        raise NumericalFailure(f"concurrence {value.max()} exceeds 1")
+    return np.clip(value, 0.0, 1.0)
 
 
 def spin_flip_mixed(rho: DensityMatrix) -> DensityMatrix:
@@ -65,7 +76,15 @@ def spin_flip_mixed(rho: DensityMatrix) -> DensityMatrix:
 
 
 def concurrence_mixed(rho: DensityMatrix) -> float:
-    """Wootters concurrence of a two-qubit density matrix.
+    """Wootters concurrence of a two-qubit density matrix; see ``concurrence_mixed_batch``."""
+    _require_two_qubits(rho.labels)
+    if rho.is_zero():
+        raise InvalidInput("concurrence of the zero sentinel is undefined")
+    return float(concurrence_mixed_batch(rho.entries[np.newaxis])[0])
+
+
+def concurrence_mixed_batch(matrices: np.ndarray) -> np.ndarray:
+    """Wootters concurrences of a stack of two-qubit density matrices, shape (k, 4, 4).
 
     The eigenvalues of rho * rho~ come from a general (non-Hermitian)
     eigenvalue routine; imaginary parts above ``IMAG_TOL`` or real parts
@@ -73,28 +92,28 @@ def concurrence_mixed(rho: DensityMatrix) -> float:
     within ``PURITY_SHORTCUT`` of a pure state are evaluated through the
     pure-state overlap on the dominant eigenvector instead.
     """
-    _require_two_qubits(rho.labels)
-    if rho.is_zero():
-        raise InvalidInput("concurrence of the zero sentinel is undefined")
-    m = rho.entries
+    out = np.empty(len(matrices))
+    purity = np.einsum("kij,kji->k", matrices, matrices).real
+    pure = purity >= 1.0 - PURITY_SHORTCUT
+    if pure.any():
+        w, v = np.linalg.eigh(matrices[pure])
+        dominant = np.take_along_axis(v, np.argmax(w, axis=-1)[:, None, None], axis=-1)
+        out[pure] = concurrence_pure_batch(dominant[..., 0])
 
-    purity = float((m @ m).trace().real)
-    if purity >= 1.0 - PURITY_SHORTCUT:
-        w, v = np.linalg.eigh(m)
-        return concurrence_pure(StateVector(rho.labels, v[:, int(np.argmax(w))]))
-
-    product = m @ (SIGMA_YY @ m.conj() @ SIGMA_YY)
-    eigenvalues = np.linalg.eigvals(product)
-    if np.abs(eigenvalues.imag).max() > IMAG_TOL:
-        raise NumericalFailure(
-            f"eigenvalues of rho*rho~ should be real, worst imaginary part "
-            f"{np.abs(eigenvalues.imag).max():.3e}"
-        )
-    real = eigenvalues.real
-    if real.min() < -EIGENVALUE_HARD_FLOOR:
-        raise NumericalFailure(f"eigenvalue of rho*rho~ is {real.min():.3e}, below roundoff range")
-    lam = np.sort(np.sqrt(np.clip(real, 0.0, None)))[::-1]
-    value = float(lam[0] - lam[1] - lam[2] - lam[3])
-    if value > 1.0 + EIGENVALUE_CLIP:
-        raise NumericalFailure(f"concurrence {value} exceeds 1")
-    return max(0.0, min(value, 1.0))
+    m = matrices[~pure]
+    if len(m):
+        product = m @ (SIGMA_YY @ m.conj() @ SIGMA_YY)
+        eigenvalues = np.linalg.eigvals(product)
+        worst_imag = np.abs(eigenvalues.imag).max()
+        if worst_imag > IMAG_TOL:
+            raise NumericalFailure(
+                f"eigenvalues of rho*rho~ should be real, worst imaginary part {worst_imag:.3e}"
+            )
+        real = eigenvalues.real
+        if real.min() < -EIGENVALUE_HARD_FLOOR:
+            raise NumericalFailure(
+                f"eigenvalue of rho*rho~ is {real.min():.3e}, below roundoff range"
+            )
+        lam = np.sort(np.sqrt(np.clip(real, 0.0, None)), axis=-1)[:, ::-1]
+        out[~pure] = _clip_to_unit(lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    return out

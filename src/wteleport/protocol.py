@@ -9,7 +9,10 @@ nothing is sampled.
 
 Two equivalent executions are provided: a full five-qubit state-vector
 enumeration for pure inputs, and per-branch linear maps (post-selected Kraus
-operators) that also handle mixed inputs such as the Werner family.
+operators) that also handle mixed inputs such as the Werner family.  The
+batched engines ``pure_branches`` and ``werner_branches`` apply all eight
+maps to whole parameter grids at once; sweeps use them, and the scalar runs
+stay as the independent oracle that cross-checks them.
 """
 from __future__ import annotations
 
@@ -20,7 +23,12 @@ from typing import Union
 
 import numpy as np
 
-from .concurrence import concurrence_mixed, concurrence_pure
+from .concurrence import (
+    concurrence_mixed,
+    concurrence_mixed_batch,
+    concurrence_pure,
+    concurrence_pure_batch,
+)
 from .states import (
     DensityMatrix,
     InvalidInput,
@@ -28,6 +36,7 @@ from .states import (
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
     bell_basis,
+    check_density_matrices,
     computational_basis,
     measure,
     tensor,
@@ -94,25 +103,41 @@ class ProtocolResult:
         raise KeyError((bell, bob))
 
 
-def _check_alpha(alpha: float) -> float:
-    alpha = float(alpha)
-    if not np.isfinite(alpha) or not 0.0 <= alpha <= 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+# Grid points per block of the batched engines and of sweep rendering; bounds
+# their working memory.  Blocks of 512 to 4096 points ran equally fast, and
+# peak memory grows with the block size.
+BLOCK_POINTS = 1024
 
 
-def _check_n(n: float) -> float:
-    n = float(n)
-    if not np.isfinite(n) or n <= 0.0:
-        raise InvalidInput(f"channel parameter n must be positive, got {n}")
-    return n
+def _validated(values, ok, message: str):
+    """``values`` as floats (a float for a scalar), or ``InvalidInput`` naming the first bad one."""
+    arr = np.asarray(values, dtype=float)
+    bad = ~ok(arr)
+    if bad.any():
+        raise InvalidInput(message.format(float(arr[bad].flat[0])))
+    return arr if arr.ndim else float(arr)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not np.isfinite(p) or not 0.0 <= p <= 1.0:
-        raise InvalidInput(f"mixing weight p must lie in [0, 1], got {p}")
-    return p
+def _unit_interval(arr: np.ndarray) -> np.ndarray:
+    return (arr >= 0.0) & (arr <= 1.0)
+
+
+def _check_alpha(alpha):
+    return _validated(alpha, _unit_interval, "alpha must lie in [0, 1], got {}")
+
+
+def _check_alpha_sq(alpha_sq):
+    return _validated(alpha_sq, _unit_interval, "alpha^2 must lie in [0, 1], got {}")
+
+
+def _check_p(p):
+    return _validated(p, _unit_interval, "mixing weight p must lie in [0, 1], got {}")
+
+
+def _check_n(n):
+    return _validated(
+        n, lambda a: np.isfinite(a) & (a > 0.0), "channel parameter n must be positive, got {}"
+    )
 
 
 def input_pair(alpha: float) -> StateVector:
@@ -125,9 +150,9 @@ def input_pair(alpha: float) -> StateVector:
     return StateVector(INPUT_LABELS, amps)
 
 
-def w_normalization(n: float) -> float:
-    """Normalization constant 1/sqrt(2 + 2n) of the |W_n> family."""
-    return 1.0 / sqrt(2.0 + 2.0 * n)
+def w_normalization(n):
+    """Normalization constant 1/sqrt(2 + 2n) of the |W_n> family, elementwise."""
+    return 1.0 / np.sqrt(2.0 + 2.0 * n)
 
 
 def w_state(n: float) -> StateVector:
@@ -143,11 +168,15 @@ def w_state(n: float) -> StateVector:
 
 def werner(p: float) -> DensityMatrix:
     """Werner family p |Phi+><Phi+| + (1-p)/4 I on qubits (1, 2)."""
-    p = _check_p(p)
+    return DensityMatrix(INPUT_LABELS, _werner_entries(np.asarray(_check_p(p))))
+
+
+def _werner_entries(p: np.ndarray) -> np.ndarray:
+    """Werner matrices, shape p.shape + (4, 4)."""
     phi_plus = np.zeros(4)
     phi_plus[0b00] = phi_plus[0b11] = 1.0 / sqrt(2.0)
-    entries = p * np.outer(phi_plus, phi_plus) + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityMatrix(INPUT_LABELS, entries)
+    p = p[..., np.newaxis, np.newaxis]
+    return p * np.outer(phi_plus, phi_plus) + (1.0 - p) / 4.0 * np.eye(4)
 
 
 def compose_joint(pair: StateVector, channel: StateVector) -> StateVector:
@@ -206,25 +235,110 @@ def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
     post-state of the full enumeration, and the squared norm of the image is
     the branch probability.  Summing M'M over all eight branches gives the
     identity (the eight maps form a complete measurement).
+    """
+    maps = branch_maps(np.array([_check_n(n)]))
+    return maps[0, BRANCH_ORDER.index((bell, bob))]
+
+
+def branch_maps(n: np.ndarray) -> np.ndarray:
+    """All eight branch maps for every n, shape (len(n), 8, 4, 4), in ``BRANCH_ORDER``.
 
     Every map factors as identity on qubit 1 times a 2x2 action taking
     qubit 2 to qubit 4, scaled by f(n)/sqrt(2).
     """
     n = _check_n(n)
     g = w_normalization(n) / sqrt(2.0)
-    rn = sqrt(n)
-    rn1 = sqrt(n + 1.0)
-    action = {
-        (BellOutcome.PHI_PLUS, BobOutcome.ZERO): [[0.0, 1.0], [rn, 0.0]],
-        (BellOutcome.PHI_MINUS, BobOutcome.ZERO): [[0.0, -1.0], [rn, 0.0]],
-        (BellOutcome.PSI_PLUS, BobOutcome.ZERO): [[1.0, 0.0], [0.0, rn]],
-        (BellOutcome.PSI_MINUS, BobOutcome.ZERO): [[1.0, 0.0], [0.0, -rn]],
-        (BellOutcome.PHI_PLUS, BobOutcome.ONE): [[rn1, 0.0], [0.0, 0.0]],
-        (BellOutcome.PHI_MINUS, BobOutcome.ONE): [[rn1, 0.0], [0.0, 0.0]],
-        (BellOutcome.PSI_PLUS, BobOutcome.ONE): [[0.0, rn1], [0.0, 0.0]],
-        (BellOutcome.PSI_MINUS, BobOutcome.ONE): [[0.0, -rn1], [0.0, 0.0]],
-    }[(bell, bob)]
-    return g * np.kron(np.eye(2), np.array(action))
+    rn = np.sqrt(n)
+    rn1 = np.sqrt(n + 1.0)
+    one = np.ones_like(n)
+    zero = np.zeros_like(n)
+    actions = np.array(
+        [
+            [[zero, one], [rn, zero]],  # Phi+, Bob 0
+            [[rn1, zero], [zero, zero]],  # Phi+, Bob 1
+            [[zero, -one], [rn, zero]],  # Phi-, Bob 0
+            [[rn1, zero], [zero, zero]],  # Phi-, Bob 1
+            [[one, zero], [zero, rn]],  # Psi+, Bob 0
+            [[zero, rn1], [zero, zero]],  # Psi+, Bob 1
+            [[one, zero], [zero, -rn]],  # Psi-, Bob 0
+            [[zero, -rn1], [zero, zero]],  # Psi-, Bob 1
+        ]
+    )
+    actions = np.moveaxis(actions, -1, 0) * g[:, None, None, None]
+    maps = np.zeros((len(n), len(BRANCH_ORDER), 4, 4))
+    maps[..., :2, :2] = actions
+    maps[..., 2:, 2:] = actions
+    return maps
+
+
+def _in_blocks(branch_block, value: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``branch_block`` over blocks of at most ``BLOCK_POINTS`` points and
+    check that every point's branch probabilities sum to 1."""
+    value, n = np.atleast_1d(value), np.atleast_1d(n)
+    probability = np.empty((len(n), len(BRANCH_ORDER)))
+    concurrence = np.empty_like(probability)
+    for start in range(0, len(n), BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        probability[block], concurrence[block] = branch_block(value[block], n[block])
+    total = probability.sum(axis=-1)
+    off = ~(np.abs(total - 1.0) <= 1e-12)  # NaN fails too
+    if off.any():
+        raise NumericalFailure(f"branch probabilities sum to {total[off][0]}, expected 1")
+    return probability, concurrence
+
+
+# Overflow at extreme n (2 + 2n beyond the float range) zeroes the maps; the
+# probability-sum check then raises NumericalFailure instead of a warning.
+@np.errstate(all="ignore")
+def pure_branches(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probabilities and concurrences for pure inputs, batched over points.
+
+    ``alpha`` and ``n`` hold one value per point; both results have shape
+    (points, 8), branches in ``BRANCH_ORDER``.  The image w = M v of the
+    input v = (alpha, 0, 0, beta) has probability |w|^2, and the post-state
+    w/|w| gives the concurrence.  Dead branches follow ``run_protocol_pure``:
+    a Bell outcome below the cutoff zeroes both of its branches, and any
+    branch below the cutoff has concurrence 0.
+    """
+    return _in_blocks(_pure_block, _check_alpha(alpha), _check_n(n))
+
+
+def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    v = np.zeros((len(alpha), 4))
+    v[:, 0b00] = alpha
+    v[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
+    w = np.einsum("bkij,bj->bki", branch_maps(n), v)
+    probability = np.einsum("bki,bki->bk", w, w)
+    bell = probability[:, 0::2] + probability[:, 1::2]
+    probability[np.repeat(bell < ZERO_PROBABILITY_CUTOFF, 2, axis=1)] = 0.0
+    alive = probability >= ZERO_PROBABILITY_CUTOFF
+    concurrence = np.zeros_like(probability)
+    concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])
+    return probability, concurrence
+
+
+@np.errstate(all="ignore")
+def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probabilities and concurrences for Werner inputs, batched over points.
+
+    Same shapes and dead-branch rule as ``pure_branches``; each live branch
+    post-state M rho M' / tr(M rho M') passes the ``DensityMatrix`` checks
+    and goes through the Wootters formula.  Maps and Werner matrices are
+    real, so the whole computation is too.
+    """
+    return _in_blocks(_werner_block, _check_p(p), _check_n(n))
+
+
+def _werner_block(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    maps = branch_maps(n)
+    weighted = maps @ _werner_entries(p)[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
+    probability = np.trace(weighted, axis1=-2, axis2=-1)
+    alive = probability >= ZERO_PROBABILITY_CUTOFF
+    post = weighted[alive] / probability[alive][:, None, None]
+    check_density_matrices(post)
+    concurrence = np.zeros_like(probability)
+    concurrence[alive] = concurrence_mixed_batch(post)
+    return probability, concurrence
 
 
 def run_protocol_mixed(p: float, n: float) -> ProtocolResult:

@@ -11,6 +11,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from string import ascii_lowercase
 from typing import Iterable, Sequence
 
@@ -109,18 +110,8 @@ class DensityMatrix:
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise InvalidInput(f"expected {dim}x{dim} matrix for register {labels}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise InvalidInput("matrix entries must be finite")
-        if np.abs(mat - mat.conj().T).max() > NORM_TOL:
-            raise InvalidInput("density matrix must be Hermitian")
-        if np.abs(mat).max() == 0.0:
-            pass  # zero sentinel
-        else:
-            tr = mat.trace()
-            if abs(tr.imag) > NORM_TOL or abs(tr.real - 1.0) > NORM_TOL:
-                raise InvalidInput(f"density matrix trace must be 1, got {tr}")
-            if np.linalg.eigvalsh(mat).min() < -NORM_TOL:
-                raise InvalidInput("density matrix must be positive semidefinite")
+        if np.any(mat != 0):  # the all-zero sentinel needs no further check
+            check_density_matrices(mat[np.newaxis])
         mat.setflags(write=False)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", mat)
@@ -131,6 +122,26 @@ class DensityMatrix:
 
     def is_zero(self) -> bool:
         return bool(np.all(self.entries == 0))
+
+
+def check_density_matrices(mats: np.ndarray) -> None:
+    """Raise ``InvalidInput`` unless every (..., d, d) matrix is a density matrix.
+
+    Each must be finite, Hermitian within ``NORM_TOL``, of trace 1 and
+    positive semidefinite (smallest eigenvalue at least ``-NORM_TOL``).
+    """
+    if not np.all(np.isfinite(mats)):
+        raise InvalidInput("matrix entries must be finite")
+    if mats.size == 0:
+        return
+    if np.abs(mats - np.swapaxes(mats, -1, -2).conj()).max() > NORM_TOL:
+        raise InvalidInput("density matrix must be Hermitian")
+    tr = np.trace(mats, axis1=-2, axis2=-1)
+    bad = (np.abs(tr.imag) > NORM_TOL) | (np.abs(tr.real - 1.0) > NORM_TOL)
+    if bad.any():
+        raise InvalidInput(f"density matrix trace must be 1, got {tr[bad].flat[0]}")
+    if np.linalg.eigvalsh(mats).min() < -NORM_TOL:
+        raise InvalidInput("density matrix must be positive semidefinite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +201,15 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 
 def computational_basis(labels: Iterable[int]) -> MeasurementBasis:
-    """The 2^k computational-basis vectors on a register, in index order."""
-    labels = _as_labels(labels)
+    """The 2^k computational-basis vectors on a register, in index order.
+
+    The basis is immutable and built once per register.
+    """
+    return _computational_basis(_as_labels(labels))
+
+
+@lru_cache(maxsize=128)
+def _computational_basis(labels: tuple[int, ...]) -> MeasurementBasis:
     k = len(labels)
     vectors = tuple(
         ket([(i >> (k - 1 - pos)) & 1 for pos in range(k)], labels) for i in range(2**k)
@@ -200,8 +218,15 @@ def computational_basis(labels: Iterable[int]) -> MeasurementBasis:
 
 
 def bell_basis(labels: Iterable[int]) -> MeasurementBasis:
-    """The four Bell states on a qubit pair, ordered Phi+, Phi-, Psi+, Psi-."""
-    labels = _as_labels(labels)
+    """The four Bell states on a qubit pair, ordered Phi+, Phi-, Psi+, Psi-.
+
+    The basis is immutable and built once per register.
+    """
+    return _bell_basis(_as_labels(labels))
+
+
+@lru_cache(maxsize=128)
+def _bell_basis(labels: tuple[int, ...]) -> MeasurementBasis:
     if len(labels) != 2:
         raise InvalidInput(f"Bell basis needs exactly two qubits, got {labels}")
     s = 1.0 / np.sqrt(2.0)

@@ -2,12 +2,13 @@
 import csv
 import io
 import json
+import warnings
 
-import numpy as np
 import pytest
 
+import wteleport.analysis
 import wteleport.concurrence
-from wteleport import quartic
+from wteleport import quartic, sweep
 from wteleport.cli import SWEEP_CSV_COLUMNS, main
 
 
@@ -101,12 +102,12 @@ class TestSweep:
             "--alpha-sq", "0.37:0.37:1", "--format", "csv",
         )
         rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
-        from wteleport import run_protocol_pure
-
-        result = run_protocol_pure(np.sqrt(0.37), 2.0)
-        for row, branch in zip(rows, result.branches):
-            assert float(row["probability"]) == branch.probability
-            assert float(row["oracle_concurrence"]) == branch.concurrence
+        expected = sweep("pure", n_values=(2.0,), alpha_sq_values=(0.37,))
+        assert len(rows) == len(expected) == 8
+        for row, swept in zip(rows, expected):
+            assert float(row["probability"]) == swept.probability
+            assert float(row["oracle_concurrence"]) == swept.oracle_concurrence
+            assert float(row["formula_concurrence"]) == swept.formula_concurrence
 
     def test_csv_byte_stable(self, capsys):
         args = (
@@ -128,6 +129,28 @@ class TestSweep:
         assert float(phi["oracle_concurrence"]) == pytest.approx(1.0, abs=1e-10)
         assert float(phi["formula_concurrence"]) == pytest.approx(2.0, abs=1e-12)
         assert phi["verdict"] == "DISCREPANT"
+
+    def test_tiny_n_is_a_numerical_failure(self, capsys):
+        # the Phi closed form is 0/0 at alpha^2 = 1 once n - 1 rounds to -1:
+        # exit 3 with a message, no traceback, no NaN rows, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "sweep", "--mode", "pure", "--n", "1e-300", "--alpha-sq", "0.5:1:2"
+            )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:")
+
+    def test_overflowing_n_is_a_numerical_failure(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "sweep", "--mode", "werner", "--n", "1e308", "--p", "0:1:3"
+            )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:")
 
     def test_scalars_only_rejected(self, capsys):
         code, _, err = run_cli(
@@ -207,6 +230,34 @@ class TestVerify:
         assert row["formula_concurrence"] == pytest.approx(2.0, abs=1e-12)
         assert row["oracle_concurrence"] == pytest.approx(1.0, abs=1e-10)
         assert row["verdict"] == "DISCREPANT"
+
+    def test_wrong_engine_probability_fails(self, capsys, monkeypatch):
+        # every verdict compares concurrences only, so a wrong probability in
+        # the sweep engine is caught by the engine-vs-enumeration spot check
+        engine = wteleport.analysis.pure_branches
+
+        def scaled(alpha, n):
+            probability, concurrence = engine(alpha, n)
+            return 0.9 * probability, concurrence
+
+        monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
+
+    def test_wrong_werner_engine_fails(self, capsys, monkeypatch):
+        engine = wteleport.analysis.werner_branches
+
+        def scaled(p, n):
+            probability, concurrence = engine(p, n)
+            return probability, 0.9 * concurrence
+
+        monkeypatch.setattr(wteleport.analysis, "werner_branches", scaled)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["summary"]["spot_checks"]
+        assert [c["passed"] for c in checks] == [True, True, True, False]
 
     def test_mutated_spin_flip_fails(self, capsys, monkeypatch):
         # flipping one sign in the spin-flip operator corrupts the oracle and
