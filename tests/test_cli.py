@@ -2,14 +2,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
 import wteleport.analysis
 import wteleport.concurrence
 from wteleport import quartic, sweep
-from wteleport.cli import SWEEP_CSV_COLUMNS, main
+from wteleport.cli import RUN_COLUMNS, SWEEP_CSV_COLUMNS, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -77,6 +83,18 @@ class TestRun:
     def test_missing_subcommand(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("alpha_sq", ["0.37", "0.5"])
+    def test_every_format_writes_the_parsed_alpha_sq(self, capsys, alpha_sq):
+        # sqrt(0.37)**2 is 0.36999999999999994: rows must not recompute it
+        args = ("run", "--mode", "pure", "--n", "2", "--alpha-sq", alpha_sq)
+        _, out, _ = run_cli(capsys, *args, "--format", "json")
+        payload = json.loads(out)
+        assert payload["config"]["alpha_sq"] == float(alpha_sq)
+        assert {row["alpha_sq"] for row in payload["rows"]} == {float(alpha_sq)}
+        _, out, _ = run_cli(capsys, *args, "--format", "csv")
+        rows = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+        assert {row["alpha_sq"] for row in rows} == {alpha_sq}
 
 
 class TestSweep:
@@ -303,3 +321,91 @@ class TestRoots:
             root, value = line.split(",")
             assert abs(quartic(float(root))) <= 1e-8
             assert abs(float(value)) <= 1e-8
+
+
+RENDERED_COMMANDS = {
+    "run-pure": (("run", "--mode", "pure", "--n", "2", "--alpha-sq", "0.37"), RUN_COLUMNS, None),
+    "run-werner": (("run", "--mode", "werner", "--n", "2", "--p", "0.8"), RUN_COLUMNS, None),
+    "sweep": (
+        ("sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:4"), SWEEP_CSV_COLUMNS, None
+    ),
+    "verify": (("verify",), SWEEP_CSV_COLUMNS, None),
+    "roots": (
+        ("roots",),
+        ("root", "quartic_value"),
+        ["config", "coefficients", "roots", "rows", "sign_regions", "summary"],
+    ),
+}
+
+
+class TestOutput:
+    @pytest.mark.parametrize("command", RENDERED_COMMANDS)
+    def test_json_is_json_dumps_of_its_document(self, capsys, command):
+        argv, columns, keys = RENDERED_COMMANDS[command]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = json.loads(out)
+        assert out == json.dumps(payload, indent=2) + "\n"
+        assert list(payload) == (keys or ["config", "rows", "summary"])
+        assert payload["rows"]
+        assert all(list(row) == list(columns) for row in payload["rows"])
+
+    @pytest.mark.parametrize("command", RENDERED_COMMANDS)
+    def test_csv_is_what_csv_writer_writes(self, capsys, command):
+        argv, columns, _ = RENDERED_COMMANDS[command]
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        comment, body = out.split("\n", 1)
+        assert comment.startswith("# wteleport ")
+        rows = list(csv.reader(io.StringIO(body)))
+        assert rows[0] == list(columns)
+        assert len(rows) > 1 and all(len(row) == len(columns) for row in rows)
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        assert buffer.getvalue() == body
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_roots_golden(self, capsys, fmt):
+        # pure-Python bisection: the same bits on every platform
+        code, out, _ = run_cli(capsys, "roots", "--format", fmt)
+        assert code == 0
+        assert out == (GOLDEN / f"roots.{fmt}").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (("verify",), ("missing", "report.txt")),
+            (("sweep", "--mode", "pure", "--n", "1:2:2", "--alpha-sq", "0.5"), ()),
+        ],
+        ids=["missing-directory", "is-a-directory"],
+    )
+    def test_unwritable_output_is_a_usage_error(self, capsys, tmp_path, argv, target):
+        path = tmp_path.joinpath(*target)
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --output")
+        assert str(path) in err
+
+    def test_closed_stdout_is_quiet(self):
+        # the report is far larger than a pipe buffer, so writing it fails
+        # once the reader has closed its end after one line, as `| head -1` does
+        package = Path(wteleport.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        child = subprocess.Popen(
+            [sys.executable, "-c", "from wteleport.cli import entry; entry()",
+             "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:100",
+             "--format", "csv"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        try:
+            first = child.stdout.readline()
+            child.stdout.close()
+            code = child.wait(timeout=120)
+            err = child.stderr.read()
+        finally:
+            child.kill()
+            child.stderr.close()
+        assert first.startswith(b"# wteleport sweep")
+        assert err == b""
+        assert code == 0

@@ -25,7 +25,7 @@ from wteleport import (
     werner,
 )
 from wteleport.analysis import sweep_table
-from wteleport.cli import SWEEP_CSV_COLUMNS, _csv_chunks, _json_chunks
+from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks, _record_blocks
 from wteleport.concurrence import concurrence_mixed_batch, concurrence_pure_batch
 from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_branches
 
@@ -182,7 +182,12 @@ def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
     monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 5)  # several blocks per table
     tables = tables()
     rows = [row for table in tables for row in table.rows()]
-    assert "".join(_csv_chunks(tables, "comment")) == _reference_csv(rows, "comment")
     config = {"subcommand": "sweep", "format": "json", "alpha_sq": None, "n": "1:2:3"}
     summary = {"rows": len(rows), "families": {"bob_one": {"match": 1}}, "checks": [1.5, None]}
-    assert "".join(_json_chunks(config, tables, summary)) == _reference_json(config, rows, summary)
+
+    def report():  # its row blocks are consumed once
+        document = {"config": config, "rows": None, "summary": summary}
+        return Report("comment", SWEEP_CSV_COLUMNS, _record_blocks(tables), document, ())
+
+    assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
+    assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
