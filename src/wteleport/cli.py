@@ -231,12 +231,15 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     try:
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader has gone, as with `| head`.  Point stdout at devnull so
-        # the interpreter's final flush of what is still buffered cannot fail.
+    except OSError as exc:
+        # Point stdout at devnull so the interpreter's final flush of what is
+        # still buffered cannot fail again.  A reader that has gone, as with
+        # `| head`, ends the run quietly; any other failure is like --output's.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):
+            raise InvalidInput(f"cannot write to stdout: {exc.strerror}") from exc
     return report.exit_code
 
 

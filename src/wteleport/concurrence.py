@@ -38,14 +38,6 @@ def _require_two_qubits(labels: tuple[int, ...]) -> None:
         raise InvalidInput(f"concurrence is defined for two qubits, register is {labels}")
 
 
-def spin_flip_pure(state: StateVector) -> StateVector:
-    """(sigma_y x sigma_y) applied to the complex conjugate of the state."""
-    _require_two_qubits(state.labels)
-    if not state.is_normalized():
-        raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
-    return StateVector(state.labels, SIGMA_YY @ state.amplitudes.conj())
-
-
 def concurrence_pure(state: StateVector) -> float:
     """Spin-flip overlap |<eta|eta~>|, in [0, 1]."""
     _require_two_qubits(state.labels)
@@ -67,12 +59,6 @@ def _clip_to_unit(value: np.ndarray) -> np.ndarray:
     if value.size and value.max() > 1.0 + EIGENVALUE_CLIP:
         raise NumericalFailure(f"concurrence {value.max()} exceeds 1")
     return np.clip(value, 0.0, 1.0)
-
-
-def spin_flip_mixed(rho: DensityMatrix) -> DensityMatrix:
-    """rho~ = (sigma_y x sigma_y) conj(rho) (sigma_y x sigma_y)."""
-    _require_two_qubits(rho.labels)
-    return DensityMatrix(rho.labels, SIGMA_YY @ rho.entries.conj() @ SIGMA_YY)
 
 
 def concurrence_mixed(rho: DensityMatrix) -> float:

@@ -7,12 +7,12 @@ lives on (1, 4).  Every one of the 4 x 2 = 8 outcome branches is enumerated
 exactly, with its probability, renormalized post-state and concurrence;
 nothing is sampled.
 
-Two equivalent executions are provided: a full five-qubit state-vector
-enumeration for pure inputs, and per-branch linear maps (post-selected Kraus
-operators) that also handle mixed inputs such as the Werner family.  The
+There is one scalar execution and one batched engine.  The scalar runs
+enumerate the full five-qubit state vector; a Werner input is the mixture
+of the four Bell states it is made of, each enumerated on its own.  The
 batched engines ``pure_branches`` and ``werner_branches`` apply all eight
-maps to whole parameter grids at once; sweeps use them, and the scalar runs
-stay as the independent oracle that cross-checks them.
+per-branch linear maps to whole parameter grids at once; sweeps use them,
+and the scalar runs stay as the independent oracle that cross-checks them.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .states import (
     bell_basis,
     check_density_matrices,
     computational_basis,
+    density_from_pure,
     measure,
     tensor,
 )
@@ -163,7 +164,11 @@ def w_state(n: float) -> StateVector:
     amps[0b100] = f
     amps[0b010] = f * sqrt(n)
     amps[0b001] = f * sqrt(n + 1.0)
-    return StateVector(CHANNEL_LABELS, amps)
+    state = StateVector(CHANNEL_LABELS, amps)
+    if not state.is_normalized():
+        # 2 + 2n overflows to inf, which zeroes every amplitude
+        raise NumericalFailure(f"|W_n> does not normalize at n={n}, norm is {state.norm()}")
+    return state
 
 
 def werner(p: float) -> DensityMatrix:
@@ -188,44 +193,60 @@ def compose_joint(pair: StateVector, channel: StateVector) -> StateVector:
     return tensor(pair, channel)
 
 
-def _dead_pure_branch(bell: BellOutcome, bob: BobOutcome, probability: float) -> Branch:
-    sentinel = StateVector(OUTPUT_LABELS, np.zeros(4, dtype=complex))
-    return Branch(bell, bob, probability, sentinel, 0.0)
+def _enumerate(pair: StateVector, n: float) -> list[tuple[float, StateVector | None]]:
+    """Probability and post-state of every branch, in ``BRANCH_ORDER``, of one
+    pure input pair, by full five-qubit enumeration.
+
+    Alice's four Bell outcomes and Bob's two computational outcomes yield
+    exactly eight branches; joint probabilities multiply along the chain.  A
+    Bell outcome below the zero-probability cutoff gives both of its
+    branches probability 0 and no post-state.
+    """
+    joint = compose_joint(pair, w_state(n))
+    branches: list[tuple[float, StateVector | None]] = []
+    for _, p_bell, mid_state in measure(joint, (2, 3), bell_basis((2, 3))):
+        if p_bell < ZERO_PROBABILITY_CUTOFF:
+            branches += [(0.0, None)] * len(BobOutcome)
+            continue
+        bob_results = measure(mid_state, (5,), computational_basis((5,)))
+        branches += [(p_bell * p_bob, post) for _, p_bob, post in bob_results]
+    return branches
+
+
+def _result(
+    n, alpha, p, probabilities, post_state, concurrence, sentinel, weighted=None
+) -> ProtocolResult:
+    """The eight branches of one run, in ``BRANCH_ORDER``.
+
+    A branch below the zero-probability cutoff carries ``sentinel`` and
+    concurrence 0; a live branch k carries ``post_state(k)`` and its
+    ``concurrence``.  The probabilities must sum to 1.
+    """
+    branches = []
+    for k, (bell, bob) in enumerate(BRANCH_ORDER):
+        matrix = None if weighted is None else weighted[k]
+        if probabilities[k] < ZERO_PROBABILITY_CUTOFF:
+            branches.append(Branch(bell, bob, probabilities[k], sentinel, 0.0, matrix))
+        else:
+            post = post_state(k)
+            branches.append(Branch(bell, bob, probabilities[k], post, concurrence(post), matrix))
+    total = sum(probabilities)
+    if abs(total - 1.0) > 1e-12:
+        raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
+    return ProtocolResult(n, alpha, p, tuple(branches), total)
 
 
 def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
     """Run the protocol on the pure input pair by full five-qubit enumeration.
 
-    Alice's four Bell outcomes and Bob's two computational outcomes yield
-    exactly eight branches; joint probabilities multiply along the chain and
-    sum to one.  Branches below the zero-probability cutoff carry the zero
-    sentinel and concurrence 0.
+    Branches below the zero-probability cutoff carry the zero sentinel and
+    concurrence 0.
     """
     alpha = _check_alpha(alpha)
     n = _check_n(n)
-    joint = compose_joint(input_pair(alpha), w_state(n))
-
-    branches: list[Branch] = []
-    bell_results = measure(joint, (2, 3), bell_basis((2, 3)))
-    for bell_outcome, (_, p_bell, mid_state) in zip(BellOutcome, bell_results):
-        if p_bell < ZERO_PROBABILITY_CUTOFF:
-            branches.append(_dead_pure_branch(bell_outcome, BobOutcome.ZERO, 0.0))
-            branches.append(_dead_pure_branch(bell_outcome, BobOutcome.ONE, 0.0))
-            continue
-        bob_results = measure(mid_state, (5,), computational_basis((5,)))
-        for bob_outcome, (_, p_bob, post) in zip(BobOutcome, bob_results):
-            probability = p_bell * p_bob
-            if probability < ZERO_PROBABILITY_CUTOFF:
-                branches.append(_dead_pure_branch(bell_outcome, bob_outcome, probability))
-            else:
-                branches.append(
-                    Branch(bell_outcome, bob_outcome, probability, post, concurrence_pure(post))
-                )
-
-    total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-12:
-        raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
-    return ProtocolResult(n, alpha, None, tuple(branches), total)
+    probabilities, posts = zip(*_enumerate(input_pair(alpha), n))
+    sentinel = StateVector(OUTPUT_LABELS, np.zeros(4, dtype=complex))
+    return _result(n, alpha, None, probabilities, posts.__getitem__, concurrence_pure, sentinel)
 
 
 def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
@@ -342,40 +363,29 @@ def _werner_block(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def run_protocol_mixed(p: float, n: float) -> ProtocolResult:
-    """Run the protocol on a Werner input through the branch maps.
+    """Run the protocol on a Werner input by five-qubit enumeration.
 
-    Each branch reports probability tr(M rho M'), the renormalized post-state
-    density matrix, its Wootters concurrence, and the unnormalized
-    M rho M' matrix itself (``weighted_matrix``).
+    The Werner state is the Bell-state mixture (1+3p)/4 |Phi+><Phi+| +
+    (1-p)/4 (|Phi-><Phi-| + |Psi+><Psi+| + |Psi-><Psi-|).  Each Bell state is
+    enumerated as a pure input, so each branch's unnormalized M rho M'
+    (``weighted_matrix``) is the weighted sum of the Bell states' branch
+    probabilities times their post-state projectors; its trace is the branch
+    probability.  Each branch also reports the renormalized post-state
+    density matrix and its Wootters concurrence.
     """
     p = _check_p(p)
     n = _check_n(n)
-    rho = werner(p).entries
+    weights = ((1.0 + 3.0 * p) / 4.0,) + ((1.0 - p) / 4.0,) * 3
+    weighted = [np.zeros((4, 4), dtype=complex) for _ in BRANCH_ORDER]
+    probabilities = [0.0] * len(BRANCH_ORDER)
+    for weight, bell_state in zip(weights, bell_basis(INPUT_LABELS).vectors):
+        for k, (q, post) in enumerate(_enumerate(bell_state, n)):
+            probabilities[k] += weight * q
+            if q >= ZERO_PROBABILITY_CUTOFF:
+                weighted[k] += weight * q * density_from_pure(post).entries
 
-    branches: list[Branch] = []
-    for bell_outcome, bob_outcome in BRANCH_ORDER:
-        m = branch_map(n, bell_outcome, bob_outcome)
-        weighted = m @ rho @ m.conj().T
-        probability = float(weighted.trace().real)
-        if probability < ZERO_PROBABILITY_CUTOFF:
-            post = DensityMatrix(OUTPUT_LABELS, np.zeros((4, 4), dtype=complex))
-            branches.append(
-                Branch(bell_outcome, bob_outcome, probability, post, 0.0, weighted)
-            )
-        else:
-            post = DensityMatrix(OUTPUT_LABELS, weighted / probability)
-            branches.append(
-                Branch(
-                    bell_outcome,
-                    bob_outcome,
-                    probability,
-                    post,
-                    concurrence_mixed(post),
-                    weighted,
-                )
-            )
+    def post_state(k: int) -> DensityMatrix:
+        return DensityMatrix(OUTPUT_LABELS, weighted[k] / probabilities[k])
 
-    total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-12:
-        raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
-    return ProtocolResult(n, None, p, tuple(branches), total)
+    sentinel = DensityMatrix(OUTPUT_LABELS, np.zeros((4, 4), dtype=complex))
+    return _result(n, None, p, probabilities, post_state, concurrence_mixed, sentinel, weighted)

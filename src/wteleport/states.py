@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from string import ascii_lowercase
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -289,33 +288,3 @@ def density_from_pure(state: StateVector) -> DensityMatrix:
     if not state.is_normalized():
         raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
     return DensityMatrix(state.labels, np.outer(state.amplitudes, state.amplitudes.conj()))
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every qubit not in ``keep``; kept labels stay in register order."""
-    keep = _as_labels(keep)
-    missing = [q for q in keep if q not in rho.labels]
-    if missing:
-        raise InvalidInput(f"labels {missing} not in register {rho.labels}")
-    kept = tuple(q for q in rho.labels if q in keep)
-    if kept == rho.labels:
-        return rho
-
-    k = rho.num_qubits
-    t = rho.entries.reshape((2,) * (2 * k))
-    letters = iter(ascii_lowercase)
-    row, col, out_row, out_col = [], [], [], []
-    for q in rho.labels:
-        if q in keep:
-            r, c = next(letters), next(letters)
-            row.append(r)
-            col.append(c)
-            out_row.append(r)
-            out_col.append(c)
-        else:
-            shared = next(letters)
-            row.append(shared)
-            col.append(shared)
-    subscripts = "".join(row + col) + "->" + "".join(out_row + out_col)
-    dim = 2 ** len(kept)
-    return DensityMatrix(kept, np.einsum(subscripts, t).reshape(dim, dim))

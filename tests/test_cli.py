@@ -12,6 +12,7 @@ import pytest
 
 import wteleport.analysis
 import wteleport.concurrence
+import wteleport.protocol
 from wteleport import quartic, sweep
 from wteleport.cli import RUN_COLUMNS, SWEEP_CSV_COLUMNS, main
 
@@ -161,14 +162,19 @@ class TestSweep:
         assert err.startswith("numerical failure:")
 
     def test_overflowing_n_is_a_numerical_failure(self, capsys):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run_cli(
-                capsys, "sweep", "--mode", "werner", "--n", "1e308", "--p", "0:1:3"
-            )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("numerical failure:")
+        # 2 + 2n overflows: exit 3 with a message, in the engine and in both
+        # scalar runs, and no numpy warning
+        for argv in (
+            ("sweep", "--mode", "werner", "--n", "1e308", "--p", "0:1:3"),
+            ("run", "--mode", "pure", "--n", "1e308", "--alpha-sq", "0.5"),
+            ("run", "--mode", "werner", "--n", "1e308", "--p", "0.5"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, *argv)
+            assert code == 3, argv
+            assert out == ""
+            assert err.startswith("numerical failure:"), err
 
     def test_scalars_only_rejected(self, capsys):
         code, _, err = run_cli(
@@ -276,6 +282,17 @@ class TestVerify:
         assert code == 1
         checks = json.loads(out)["summary"]["spot_checks"]
         assert [c["passed"] for c in checks] == [True, True, True, False]
+
+    def test_wrong_werner_input_fails(self, capsys, monkeypatch):
+        # the engine builds its Werner matrices from _werner_entries and the
+        # enumeration does not, so a wrong Werner input in the engine alone
+        # is caught by the engine-vs-enumeration spot check
+        entries = wteleport.protocol._werner_entries
+        monkeypatch.setattr(wteleport.protocol, "_werner_entries", lambda p: entries(0.9 * p))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
 
     def test_mutated_spin_flip_fails(self, capsys, monkeypatch):
         # flipping one sign in the spin-flip operator corrupts the oracle and
@@ -409,3 +426,22 @@ class TestOutput:
         assert first.startswith(b"# wteleport sweep")
         assert err == b""
         assert code == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_a_usage_error(self):
+        # writing to /dev/full fails with ENOSPC: reported like an unwritable
+        # --output, with no traceback from the write or the final flush
+        package = Path(wteleport.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        with open("/dev/full", "w") as full:
+            child = subprocess.run(
+                [sys.executable, "-c", "from wteleport.cli import entry; entry()", "roots"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=120,
+            )
+        err = child.stderr.decode()
+        assert child.returncode == 2
+        assert "Traceback" not in err
+        assert err.startswith("error: cannot write to stdout:")

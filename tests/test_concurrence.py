@@ -11,8 +11,6 @@ from wteleport import (
     concurrence_pure,
     density_from_pure,
     ket,
-    spin_flip_mixed,
-    spin_flip_pure,
     werner,
 )
 
@@ -48,33 +46,31 @@ class TestSpinFlipOperator:
 
 
 class TestSpinFlipPure:
+    """The pure-state flip SIGMA_YY conj(eta) that ``concurrence_pure`` overlaps with eta."""
+
     def test_basis_states(self):
-        np.testing.assert_allclose(
-            spin_flip_pure(ket([0, 0], [1, 2])).amplitudes, ket([1, 1], [1, 2]).amplitudes
+        np.testing.assert_array_equal(
+            SIGMA_YY @ ket([0, 0], [1, 2]).amplitudes.conj(), ket([1, 1], [1, 2]).amplitudes
         )
-        flipped = spin_flip_pure(ket([0, 1], [1, 2]))
-        np.testing.assert_allclose(flipped.amplitudes, -ket([1, 0], [1, 2]).amplitudes)
+        np.testing.assert_array_equal(
+            SIGMA_YY @ ket([0, 1], [1, 2]).amplitudes.conj(), -ket([1, 0], [1, 2]).amplitudes
+        )
 
     def test_symmetric_bell_state(self):
-        phi_plus = StateVector((1, 2), np.array([RT2, 0, 0, RT2]))
-        np.testing.assert_allclose(spin_flip_pure(phi_plus).amplitudes, phi_plus.amplitudes)
+        phi_plus = np.array([RT2, 0, 0, RT2])
+        np.testing.assert_allclose(SIGMA_YY @ phi_plus.conj(), phi_plus)
 
     def test_involution_up_to_global_phase(self):
         rng = np.random.default_rng(5)
         for _ in range(25):
-            state = random_two_qubit_state(rng)
-            twice = spin_flip_pure(spin_flip_pure(state))
-            overlap = abs(np.vdot(state.amplitudes, twice.amplitudes))
-            assert overlap == pytest.approx(1.0, abs=1e-12)
+            amps = random_two_qubit_state(rng).amplitudes
+            twice = SIGMA_YY @ (SIGMA_YY @ amps.conj()).conj()
+            assert abs(np.vdot(amps, twice)) == pytest.approx(1.0, abs=1e-12)
 
     def test_preserves_norm(self):
         rng = np.random.default_rng(6)
-        state = random_two_qubit_state(rng)
-        assert spin_flip_pure(state).is_normalized(1e-12)
-
-    def test_wrong_register_size(self):
-        with pytest.raises(InvalidInput):
-            spin_flip_pure(ket([0], [1]))
+        amps = random_two_qubit_state(rng).amplitudes
+        assert np.linalg.norm(SIGMA_YY @ amps.conj()) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConcurrencePure:
@@ -125,26 +121,28 @@ class TestConcurrencePure:
 
 
 class TestSpinFlipMixed:
+    """rho~ = SIGMA_YY conj(rho) SIGMA_YY, as the Wootters formula in
+    ``concurrence_mixed`` forms it."""
+
     def test_basis_projector(self):
-        rho = density_from_pure(ket([0, 0], [1, 2]))
-        flipped = spin_flip_mixed(rho)
+        rho = density_from_pure(ket([0, 0], [1, 2])).entries
         np.testing.assert_allclose(
-            flipped.entries, density_from_pure(ket([1, 1], [1, 2])).entries
+            SIGMA_YY @ rho.conj() @ SIGMA_YY, density_from_pure(ket([1, 1], [1, 2])).entries
         )
 
     def test_maximally_mixed_fixed_point(self):
-        rho = DensityMatrix((1, 2), np.eye(4) / 4.0)
-        np.testing.assert_allclose(spin_flip_mixed(rho).entries, np.eye(4) / 4.0)
+        rho = np.eye(4) / 4.0
+        np.testing.assert_allclose(SIGMA_YY @ rho.conj() @ SIGMA_YY, rho)
 
     def test_werner_family_invariant(self):
         for p in np.linspace(0.0, 1.0, 11):
-            rho = werner(p)
-            np.testing.assert_allclose(spin_flip_mixed(rho).entries, rho.entries, atol=1e-14)
+            rho = werner(p).entries
+            np.testing.assert_allclose(SIGMA_YY @ rho.conj() @ SIGMA_YY, rho, atol=1e-14)
 
     def test_preserves_trace(self):
         rng = np.random.default_rng(17)
-        rho = random_two_qubit_density(rng)
-        assert spin_flip_mixed(rho).entries.trace().real == pytest.approx(1.0, abs=1e-12)
+        rho = random_two_qubit_density(rng).entries
+        assert np.trace(SIGMA_YY @ rho.conj() @ SIGMA_YY).real == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConcurrenceMixed:

@@ -1,5 +1,6 @@
 """The batched branch engine behind ``sweep``, cross-checked against the
-scalar five-qubit enumeration and Kraus path it replaces in sweeps."""
+scalar five-qubit enumeration it replaces in sweeps, for pure and Werner
+inputs alike."""
 import csv
 import io
 import json
@@ -53,7 +54,7 @@ def test_pure_engine_matches_enumeration():
     assert np.abs(concurrence - expected_c).max() <= 1e-13
 
 
-def test_werner_engine_matches_branch_maps():
+def test_werner_engine_matches_enumeration():
     n, p = _grid(np.linspace(0.0, 1.0, 21))
     probability, concurrence = werner_branches(p, n)
     expected_p, expected_c = _enumerated(run_protocol_mixed(q, m) for q, m in zip(p, n))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+import wteleport.protocol
 from wteleport import (
     BellOutcome,
     BobOutcome,
@@ -298,6 +299,17 @@ class TestRunProtocolMixed:
             for p in P_GRID:
                 result = run_protocol_mixed(p, n)
                 assert result.total_probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_calls_nothing_the_werner_engine_uses(self, monkeypatch):
+        # the Werner run enumerates the Bell states the input mixes, so it
+        # stays independent of the engine's branch maps and Werner matrices
+        def unused(*args):
+            raise AssertionError("run_protocol_mixed must not call the engine's helpers")
+
+        for name in ("branch_map", "branch_maps", "werner", "_werner_entries"):
+            monkeypatch.setattr(wteleport.protocol, name, unused)
+        result = run_protocol_mixed(0.7, 2.0)
+        assert result.total_probability == pytest.approx(1.0, abs=1e-12)
 
     def test_weighted_matrix_trace_is_probability(self):
         result = run_protocol_mixed(0.7, 2.0)

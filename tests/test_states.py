@@ -1,4 +1,4 @@
-"""Register substrate: construction, tensor composition, measurement, traces."""
+"""Register substrate: construction, tensor composition, measurement."""
 import numpy as np
 import pytest
 
@@ -14,10 +14,8 @@ from wteleport import (
     input_pair,
     ket,
     measure,
-    partial_trace,
     tensor,
     w_state,
-    werner,
 )
 
 RT2 = 1.0 / np.sqrt(2.0)
@@ -242,37 +240,3 @@ class TestDensityMatrix:
 
     def test_zero_sentinel_allowed(self):
         assert DensityMatrix((1, 4), np.zeros((4, 4))).is_zero()
-
-
-class TestPartialTrace:
-    def test_bell_reduction_is_maximally_mixed(self):
-        phi_plus = StateVector((1, 2), np.array([RT2, 0, 0, RT2]))
-        reduced = partial_trace(density_from_pure(phi_plus), (1,))
-        np.testing.assert_allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_product_state_reduction(self):
-        reduced = partial_trace(density_from_pure(ket([0, 0], [1, 2])), (1,))
-        np.testing.assert_allclose(reduced.entries, np.diag([1.0, 0.0]), atol=1e-15)
-
-    def test_werner_p1_reduction(self):
-        reduced = partial_trace(werner(1.0), (1,))
-        np.testing.assert_allclose(reduced.entries, np.eye(2) / 2.0, atol=1e-12)
-
-    def test_trace_preserved(self):
-        reduced = partial_trace(werner(0.3), (2,))
-        assert reduced.entries.trace().real == pytest.approx(1.0, abs=1e-12)
-
-    def test_undoes_tensor(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            a = random_state(rng, (1, 2))
-            b = random_state(rng, (3,))
-            joint = density_from_pure(tensor(a, b))
-            reduced = partial_trace(joint, (1, 2))
-            np.testing.assert_allclose(
-                reduced.entries, density_from_pure(a).entries, atol=1e-10
-            )
-
-    def test_label_not_in_register(self):
-        with pytest.raises(InvalidInput):
-            partial_trace(werner(0.5), (7,))
