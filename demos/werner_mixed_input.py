@@ -22,6 +22,7 @@ from wteleport import (
     sweep,
     werner,
 )
+from wteleport.protocol import BRANCH_ORDER
 
 # Baseline: the input family itself.
 print("Werner input concurrence (threshold p = 1/3)")
@@ -48,9 +49,10 @@ for p in np.linspace(0.4, 1.0, 7):
           f"{predicted_concurrence_werner(p, 1.0):>10.6f}")
 print()
 
-rows = sweep("werner", n_values=(1.0,), p_values=(1.0,))
-flagged = [r for r in rows if r.verdict == "DISCREPANT"]
-print(f"sweep verdicts at n=1, p=1: {len(flagged)} of {len(rows)} rows DISCREPANT")
-for r in flagged:
-    print(f"  {r.bell.value}/{r.bob.value}: oracle={r.oracle_concurrence:.6f} "
-          f"formula={r.formula_concurrence:.6f}")
+table = sweep("werner", n_values=(1.0,), p_values=(1.0,))
+flagged = np.flatnonzero(~table.match[0])
+print(f"sweep verdicts at n=1, p=1: {flagged.size} of {len(table)} rows DISCREPANT")
+for k in flagged:
+    bell, bob = BRANCH_ORDER[k]
+    print(f"  {bell.value}/{bob.value}: oracle={table.oracle[0, k]:.6f} "
+          f"formula={table.formula[0, k]:.6f}")

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .protocol import (
+    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
@@ -25,6 +26,7 @@ from .protocol import (
     _check_alpha_sq,
     _check_n,
     _check_p,
+    _validated,
     pure_branches,
     werner_branches,
 )
@@ -72,23 +74,6 @@ class QuarticReport:
     sign_regions: tuple[SignRegion, ...]
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    """One sweep point: oracle concurrence next to its closed-form prediction."""
-
-    mode: str
-    n: float
-    alpha_sq: float | None
-    p: float | None
-    bell: BellOutcome
-    bob: BobOutcome
-    probability: float
-    oracle_concurrence: float
-    formula_concurrence: float
-    abs_diff: float
-    verdict: str
-
-
 def input_concurrence(alpha: float) -> float:
     """Concurrence 2 alpha sqrt(1 - alpha^2) of the input pair."""
     alpha = _check_alpha(alpha)
@@ -96,10 +81,11 @@ def input_concurrence(alpha: float) -> float:
 
 
 def efficiency_ratio(alpha_sq: float, n: float) -> float:
-    """Final-to-initial concurrence ratio sqrt(n) / ((n-1) alpha^2 + 1)."""
+    """Final-to-initial concurrence ratio sqrt(n) / ((n-1) alpha^2 + 1),
+    evaluated over the denominator n x + y of ``_bob_zero_form``."""
     n = _check_n(n)
-    alpha_sq = _check_alpha_sq(alpha_sq)
-    return sqrt(n) / ((n - 1.0) * alpha_sq + 1.0)
+    x = _check_alpha_sq(alpha_sq)
+    return sqrt(n) / (n * x + (1.0 - x))
 
 
 def predicted_concurrence_phi(alpha: float, n: float) -> float:
@@ -107,12 +93,14 @@ def predicted_concurrence_phi(alpha: float, n: float) -> float:
 
     Applies to Alice outcome Phi+/Phi- with Bob outcome 0.
     """
-    return float(_finite(_phi_form(_check_alpha(alpha), _check_n(n))))
+    x = _check_alpha(alpha) ** 2
+    return float(_finite(_bob_zero_form(x, 1.0 - x, _check_n(n))))
 
 
 def predicted_concurrence_psi(alpha: float, n: float) -> float:
     """Mirror closed form for Psi+/Psi- with Bob outcome 0: alpha^2 -> beta^2."""
-    return float(_finite(_psi_form(_check_alpha(alpha), _check_n(n))))
+    x = _check_alpha(alpha) ** 2
+    return float(_finite(_bob_zero_form(1.0 - x, x, _check_n(n))))
 
 
 def predicted_concurrence_werner(p: float, n: float) -> float:
@@ -125,20 +113,19 @@ def predicted_concurrence_werner(p: float, n: float) -> float:
     return float(_finite(_werner_form(_check_p(p), _check_n(n))))
 
 
-# The closed forms, elementwise over arrays of validated parameters.  A 0/0
-# (the Phi form at alpha = 1 and n below about 1e-17) gives NaN here, which
-# ``_finite`` turns into a NumericalFailure.
+# The closed forms, elementwise over arrays of validated parameters.  A
+# non-finite value gives NaN or inf here, which ``_finite`` turns into a
+# NumericalFailure.
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _phi_form(alpha, n):
-    return 2.0 * alpha * np.sqrt(n * (1.0 - alpha * alpha)) / ((n - 1.0) * alpha * alpha + 1.0)
+def _bob_zero_form(x, y, n):
+    """2 sqrt(n x y) / (n x + y): Phi with x = alpha^2, y = 1 - x; Psi with x, y swapped.
 
-
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _psi_form(alpha, n):
-    beta_sq = 1.0 - alpha * alpha
-    return 2.0 * np.sqrt(beta_sq) * np.sqrt(n * (1.0 - beta_sq)) / ((n - 1.0) * beta_sq + 1.0)
+    The printed denominator (n-1) alpha^2 + 1 equals n x + y but cancels when
+    n is small and alpha^2 near 1; n x + y is positive for every n > 0.
+    """
+    return 2.0 * np.sqrt(n * x * y) / (n * x + y)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -216,9 +203,9 @@ def classify_region(alpha_sq: float, n: float) -> Region:
     the degraded inputs are alpha^2 > 1/(sqrt(n)+1); for 0 < n < 1 they are
     alpha^2 < 1/(sqrt(n)+1).
     """
-    alpha_sq = float(alpha_sq)
-    if not 0.0 < alpha_sq < 1.0:
-        raise InvalidInput(f"alpha^2 must lie in (0, 1), got {alpha_sq}")
+    alpha_sq = _validated(
+        alpha_sq, lambda a: (a > 0.0) & (a < 1.0), "alpha^2 must lie in (0, 1), got {}"
+    )
     ratio = efficiency_ratio(alpha_sq, n)
     return Region.DEGRADED if ratio < 1.0 - 1e-12 else Region.PRESERVING
 
@@ -267,6 +254,10 @@ def quartic_roots() -> QuarticReport:
     return QuarticReport(QUARTIC_COEFFICIENTS, (r1, r2), regions)
 
 
+# The (bell, bob) strings each branch column is written with.
+_LABELS = tuple((bell.value, bob.value) for bell, bob in BRANCH_ORDER)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """A sweep in columns: one entry per grid point, or per (point, branch).
@@ -289,10 +280,11 @@ class SweepTable:
     def __len__(self) -> int:
         return self.probability.size
 
-    def records(self, points: slice = slice(None), branches=BRANCH_ORDER) -> list[tuple]:
-        """The rows of the grid points in ``points`` as tuples of the
-        ``VerificationRow`` fields, in sweep order.  ``branches`` holds the
-        (bell, bob) pair written for each branch column."""
+    def records(self, points: slice = slice(None)) -> list[tuple]:
+        """The rows of the grid points in ``points``, in sweep order, as tuples
+        of (mode, n, alpha_sq, p, bell, bob, probability, oracle_concurrence,
+        formula_concurrence, abs_diff, verdict); outcomes are written as their
+        ``value`` strings and the other mode's parameter as None."""
         n = self.n[points].tolist()
         absent = [None] * len(n)
         return [
@@ -308,12 +300,14 @@ class SweepTable:
                 self.abs_diff[points].tolist(),
                 self.match[points].tolist(),
             )
-            for (bell, bob), prob, oracle, formula, diff, match in zip(branches, *columns)
+            for (bell, bob), prob, oracle, formula, diff, match in zip(_LABELS, *columns)
         ]
 
-    def rows(self) -> list[VerificationRow]:
-        """The table as ``VerificationRow`` objects, in sweep order."""
-        return [VerificationRow(*record) for record in self.records()]
+    def blocks(self) -> Iterator[list[tuple]]:
+        """``records`` of ``BLOCK_POINTS`` grid points at a time, so a writer
+        never holds every row of a large table."""
+        for start in range(0, len(self.n), BLOCK_POINTS):
+            yield self.records(slice(start, start + BLOCK_POINTS))
 
 
 def _columns(bells: tuple[BellOutcome, ...], bob: BobOutcome) -> tuple[int, ...]:
@@ -327,7 +321,7 @@ PSI_ZERO_COLUMNS = _columns((BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS), BobOu
 BOB_ONE_COLUMNS = _columns(tuple(BellOutcome), BobOutcome.ONE)
 
 
-def sweep_table(
+def sweep(
     mode: str,
     n_values: Sequence[float] | None = None,
     alpha_sq_values: Sequence[float] | None = None,
@@ -335,8 +329,9 @@ def sweep_table(
 ) -> SweepTable:
     """Pair the batched branch engine with the closed forms over a parameter grid.
 
-    Grid points are ordered lexicographically in the grid coordinates (n
-    outermost).  Verdict is MATCH when |oracle - formula| <= 1e-8.  A
+    The result is one ``SweepTable``: 8 rows per grid point, one per branch
+    in ``BRANCH_ORDER``.  Grid points are ordered lexicographically in the
+    grid coordinates (n outermost).  Verdict is MATCH when |oracle - formula| <= 1e-8.  A
     non-finite oracle or closed-form value raises ``NumericalFailure``.
     """
     mode = str(mode).lower()
@@ -364,8 +359,9 @@ def sweep_table(
     if mode == "pure":
         alpha = np.sqrt(value)
         probability, oracle = pure_branches(alpha, n)
-        formula[:, PHI_ZERO_COLUMNS] = _phi_form(alpha, n)[:, None]
-        formula[:, PSI_ZERO_COLUMNS] = _psi_form(alpha, n)[:, None]
+        x = alpha * alpha
+        formula[:, PHI_ZERO_COLUMNS] = _bob_zero_form(x, 1.0 - x, n)[:, None]
+        formula[:, PSI_ZERO_COLUMNS] = _bob_zero_form(1.0 - x, x, n)[:, None]
     else:
         probability, oracle = werner_branches(value, n)
         formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]
@@ -383,13 +379,3 @@ def sweep_table(
         abs_diff=abs_diff,
         match=abs_diff <= MATCH_TOL,
     )
-
-
-def sweep(
-    mode: str,
-    n_values: Sequence[float] | None = None,
-    alpha_sq_values: Sequence[float] | None = None,
-    p_values: Sequence[float] | None = None,
-) -> list[VerificationRow]:
-    """``sweep_table`` as rows: one per grid point and branch, in the fixed branch order."""
-    return sweep_table(mode, n_values, alpha_sq_values, p_values).rows()

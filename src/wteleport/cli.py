@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -29,10 +29,9 @@ from .analysis import (
     input_concurrence,
     quartic,
     quartic_roots,
-    sweep_table,
+    sweep,
 )
 from .protocol import (
-    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
@@ -60,6 +59,10 @@ SWEEP_CSV_COLUMNS = (
 RUN_COLUMNS = (
     "mode", "n", "alpha_sq", "p", "bell", "bob", "probability", "concurrence", "post_state"
 )
+
+# The largest sweep grid, in points (8 rows each): the top of the 10^4 to
+# 10^6-point range the CLI is measured on.
+MAX_GRID_POINTS = 10**6
 
 SPOT_CHECK_TOL = 1e-10
 DEADNESS_TOL = 1e-12
@@ -119,8 +122,12 @@ class _PostState:
         return np.stack([self.values.real, self.values.imag], axis=-1).tolist()
 
 
-def _parse_values(text: str, name: str) -> tuple[tuple[float, ...], bool]:
-    """Parse a scalar or an inclusive grid spec start:stop:count."""
+def _parse_values(text: str, name: str, points: int = 1) -> tuple[tuple[float, ...], bool]:
+    """Parse a scalar or an inclusive grid spec start:stop:count.
+
+    ``points`` is the size of the grid this one is crossed with; the whole
+    grid is checked against ``MAX_GRID_POINTS`` before any of it is built.
+    """
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -132,6 +139,14 @@ def _parse_values(text: str, name: str) -> tuple[tuple[float, ...], bool]:
             raise InvalidInput(f"{name}: grid spec must be numeric start:stop:count, got {text!r}")
         if count < 1:
             raise InvalidInput(f"{name}: grid count must be at least 1, got {count}")
+        if count * points > MAX_GRID_POINTS:
+            raise InvalidInput(
+                f"{name}: a grid holds at most {MAX_GRID_POINTS} points, got {count * points}"
+            )
+        if not isfinite(stop - start):  # also an inf or NaN endpoint
+            raise InvalidInput(
+                f"{name}: grid endpoints and their span must be finite, got {text!r}"
+            )
         if start > stop:
             raise InvalidInput(f"{name}: grid start must not exceed stop, got {text!r}")
         return tuple(float(v) for v in np.linspace(start, stop, count)), True
@@ -141,19 +156,20 @@ def _parse_values(text: str, name: str) -> tuple[tuple[float, ...], bool]:
         raise InvalidInput(f"{name}: expected a number or start:stop:count, got {text!r}")
 
 
-def _mode_parameter(args: argparse.Namespace) -> tuple[tuple[float, ...], bool]:
-    """The grid of the parameter that matches --mode; the other must be absent."""
+def _mode_parameter(args: argparse.Namespace, points: int) -> tuple[tuple[float, ...], bool]:
+    """The grid of the parameter that matches --mode, crossed with ``points``
+    n values; the other parameter must be absent."""
     if args.mode == "pure":
         if args.alpha_sq is None:
             raise InvalidInput("--alpha-sq is required with --mode pure")
         if args.p is not None:
             raise InvalidInput("--p does not apply to --mode pure")
-        return _parse_values(args.alpha_sq, "--alpha-sq")
+        return _parse_values(args.alpha_sq, "--alpha-sq", points)
     if args.p is None:
         raise InvalidInput("--p is required with --mode werner")
     if args.alpha_sq is not None:
         raise InvalidInput("--alpha-sq does not apply to --mode werner")
-    return _parse_values(args.p, "--p")
+    return _parse_values(args.p, "--p", points)
 
 
 def _config_dict(args: argparse.Namespace, **extra) -> dict:
@@ -243,20 +259,7 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-# Sweep rows are taken straight from the table's columns, one block of grid
-# points at a time, never as VerificationRow objects.
-
-_BRANCH_LABELS = tuple((bell.value, bob.value) for bell, bob in BRANCH_ORDER)
-
-
-def _record_blocks(tables: Sequence[SweepTable]) -> Iterator[list[tuple]]:
-    """The tables' rows as tuples of SWEEP_CSV_COLUMNS values, one list per block of grid points."""
-    for table in tables:
-        for start in range(0, len(table.n), BLOCK_POINTS):
-            yield table.records(slice(start, start + BLOCK_POINTS), _BRANCH_LABELS)
-
-
-def _sweep_lines(comment: str, tables: Sequence[SweepTable]) -> Iterator[str]:
+def _sweep_lines(comment: str, table: SweepTable) -> Iterator[str]:
     header = (
         f"{'mode':<6} {'n':>8} {'alpha_sq':>9} {'p':>6} {'bell':<8} {'bob':<4} "
         f"{'prob':>10} {'oracle':>10} {'formula':>10} {'abs_diff':>10} verdict"
@@ -264,7 +267,7 @@ def _sweep_lines(comment: str, tables: Sequence[SweepTable]) -> Iterator[str]:
     yield comment
     yield header
     yield "-" * len(header)
-    for records in _record_blocks(tables):
+    for records in table.blocks():
         for mode, n, a, p, bell, bob, prob, oracle, formula, diff, verdict in records:
             yield (
                 f"{mode:<6} {n:>8.6g} {'-' if a is None else _sig6(a):>9} "
@@ -298,7 +301,7 @@ def _run_lines(comment: str, result: ProtocolResult) -> list[str]:
 
 def cmd_run(args: argparse.Namespace) -> int:
     (n_values, n_grid) = _parse_values(args.n, "--n")
-    values, p_grid = _mode_parameter(args)
+    values, p_grid = _mode_parameter(args, len(n_values))
     if n_grid or p_grid:
         raise InvalidInput("run takes scalar parameters; use sweep for grids")
     n = n_values[0]
@@ -331,15 +334,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     (n_values, n_grid) = _parse_values(args.n, "--n")
-    values, p_grid = _mode_parameter(args)
+    values, p_grid = _mode_parameter(args, len(n_values))
     if not (n_grid or p_grid):
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
 
     if args.mode == "pure":
-        table = sweep_table("pure", n_values=n_values, alpha_sq_values=values)
+        table = sweep("pure", n_values=n_values, alpha_sq_values=values)
         span = f"alpha_sq={args.alpha_sq}"
     else:
-        table = sweep_table("werner", n_values=n_values, p_values=values)
+        table = sweep("werner", n_values=n_values, p_values=values)
         span = f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
     match = int(table.match.sum())
@@ -348,9 +351,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "rows": None,
         "summary": {"rows": len(table), "match": match, "discrepant": len(table) - match},
     }
-    blocks = _record_blocks([table])
     return _write(
-        Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, [table])), args
+        Report(comment, SWEEP_CSV_COLUMNS, table.blocks(), document, _sweep_lines(comment, table)),
+        args,
     )
 
 
@@ -410,7 +413,7 @@ def _spot_checks(pure: SweepTable, werner: SweepTable | None) -> list[dict]:
                 abs(branch.concurrence - input_concurrence(alpha)),
             )
         )
-        point = sweep_table("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
+        point = sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
         engine_worst = max(engine_worst, _engine_error(result, point, 0))
 
     if werner is not None:
@@ -451,12 +454,12 @@ def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
             "werner closed form vs oracle at p=1 "
             "(documented mismatch, does not affect the exit code):"
         )
-        k = BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))
-        bell, bob = _BRANCH_LABELS[k]
+        bell, bob = BellOutcome.PHI_PLUS, BobOutcome.ZERO
+        k = BRANCH_ORDER.index((bell, bob))
         for i in werner_examples:
             formula, oracle = werner.formula[i, k], werner.oracle[i, k]
             lines.append(
-                f"  n={_sig6(werner.n[i])} p={_sig6(werner.p[i])} {bell}/{bob}: "
+                f"  n={_sig6(werner.n[i])} p={_sig6(werner.p[i])} {bell.value}/{bob.value}: "
                 f"formula={_sig6(formula)} oracle={_sig6(oracle)} "
                 f"{'MATCH' if werner.match[i, k] else 'DISCREPANT'}"
             )
@@ -466,11 +469,11 @@ def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    pure = sweep_table("pure")
+    pure = sweep("pure")
     werner: SweepTable | None = None
     werner_failure: NumericalFailure | None = None
     try:
-        werner = sweep_table("werner")
+        werner = sweep("werner")
     except NumericalFailure as exc:
         werner_failure = exc
     spot_checks = _spot_checks(pure, werner)
@@ -509,7 +512,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = Report(
         "wteleport verify (pure + werner default grids)",
         SWEEP_CSV_COLUMNS,
-        _record_blocks(tables),
+        (block for table in tables for block in table.blocks()),
         {"config": _config_dict(args), "rows": None, "summary": summary},
         _verify_lines(summary, werner),
         exit_code,

@@ -33,6 +33,7 @@ from .states import (
     DensityMatrix,
     InvalidInput,
     NumericalFailure,
+    PROBABILITY_SUM_TOL,
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
     bell_basis,
@@ -137,7 +138,9 @@ def _check_p(p):
 
 def _check_n(n):
     return _validated(
-        n, lambda a: np.isfinite(a) & (a > 0.0), "channel parameter n must be positive, got {}"
+        n,
+        lambda a: np.isfinite(a) & (a > 0.0),
+        "channel parameter n must be positive and finite, got {}",
     )
 
 
@@ -231,7 +234,7 @@ def _result(
             post = post_state(k)
             branches.append(Branch(bell, bob, probabilities[k], post, concurrence(post), matrix))
     total = sum(probabilities)
-    if abs(total - 1.0) > 1e-12:
+    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
         raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
     return ProtocolResult(n, alpha, p, tuple(branches), total)
 
@@ -302,7 +305,7 @@ def _in_blocks(branch_block, value: np.ndarray, n: np.ndarray) -> tuple[np.ndarr
         block = slice(start, start + BLOCK_POINTS)
         probability[block], concurrence[block] = branch_block(value[block], n[block])
     total = probability.sum(axis=-1)
-    off = ~(np.abs(total - 1.0) <= 1e-12)  # NaN fails too
+    off = ~(np.abs(total - 1.0) <= PROBABILITY_SUM_TOL)  # NaN fails too
     if off.any():
         raise NumericalFailure(f"branch probabilities sum to {total[off][0]}, expected 1")
     return probability, concurrence

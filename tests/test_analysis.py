@@ -7,6 +7,7 @@ from wteleport import (
     BobOutcome,
     InvalidInput,
     Region,
+    SweepTable,
     classify_region,
     efficiency_ratio,
     input_concurrence,
@@ -18,6 +19,7 @@ from wteleport import (
     state_independent_alpha_sq,
     sweep,
 )
+from wteleport.protocol import BRANCH_ORDER
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 
@@ -210,45 +212,67 @@ class TestUnimodality:
 
 
 class TestSweep:
+    # Positions of the branches the tests read, in the table's branch columns.
+    PHI_ZERO = BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))
+    BOB_ONE = [k for k, (_, bob) in enumerate(BRANCH_ORDER) if bob is BobOutcome.ONE]
+
     def test_pure_point(self):
-        rows = sweep("pure", n_values=(1.0,), alpha_sq_values=(0.25,))
-        assert len(rows) == 8
-        phi = next(
-            r for r in rows if r.bell is BellOutcome.PHI_PLUS and r.bob is BobOutcome.ZERO
-        )
+        table = sweep("pure", n_values=(1.0,), alpha_sq_values=(0.25,))
+        assert isinstance(table, SweepTable)
+        assert len(table) == 8
+        assert table.oracle.shape == table.formula.shape == (1, 8)
         expected = 2.0 * 0.5 * np.sqrt(0.75)
-        assert phi.oracle_concurrence == pytest.approx(expected, abs=1e-12)
-        assert phi.formula_concurrence == pytest.approx(expected, abs=1e-12)
-        assert phi.verdict == "MATCH"
+        assert table.oracle[0, self.PHI_ZERO] == pytest.approx(expected, abs=1e-12)
+        assert table.formula[0, self.PHI_ZERO] == pytest.approx(expected, abs=1e-12)
+        assert table.records()[self.PHI_ZERO][4:6] == ("PhiPlus", "Zero")
+        assert table.records()[self.PHI_ZERO][-1] == "MATCH"
 
     def test_bob_one_rows_match_zero(self):
-        rows = sweep("pure", n_values=(2.0,), alpha_sq_values=(0.3, 0.7))
-        one_rows = [r for r in rows if r.bob is BobOutcome.ONE]
+        table = sweep("pure", n_values=(2.0,), alpha_sq_values=(0.3, 0.7))
+        assert table.formula[:, self.BOB_ONE].size == 8
+        assert (table.formula[:, self.BOB_ONE] == 0.0).all()
+        assert table.match[:, self.BOB_ONE].all()
+        one_rows = [r for r in table.records() if r[5] == "One"]
         assert len(one_rows) == 8
-        for row in one_rows:
-            assert row.formula_concurrence == 0.0
-            assert row.verdict == "MATCH"
+        assert {r[-1] for r in one_rows} == {"MATCH"}
 
     def test_werner_discrepancy(self):
-        rows = sweep("werner", n_values=(1.0,), p_values=(1.0,))
-        phi = next(
-            r for r in rows if r.bell is BellOutcome.PHI_PLUS and r.bob is BobOutcome.ZERO
-        )
-        assert phi.oracle_concurrence == pytest.approx(1.0, abs=1e-10)
-        assert phi.formula_concurrence == pytest.approx(2.0, abs=1e-12)
-        assert phi.verdict == "DISCREPANT"
+        table = sweep("werner", n_values=(1.0,), p_values=(1.0,))
+        assert table.alpha_sq is None
+        assert table.oracle[0, self.PHI_ZERO] == pytest.approx(1.0, abs=1e-10)
+        assert table.formula[0, self.PHI_ZERO] == pytest.approx(2.0, abs=1e-12)
+        assert not table.match[0, self.PHI_ZERO]
+        phi = table.records()[self.PHI_ZERO]
+        assert phi[:6] == ("werner", 1.0, None, 1.0, "PhiPlus", "Zero")
+        assert phi[-1] == "DISCREPANT"
 
     def test_default_pure_grid_all_match(self):
-        rows = sweep("pure")
-        assert len(rows) == 7 * 19 * 8
-        assert all(r.verdict == "MATCH" for r in rows)
+        table = sweep("pure")
+        assert len(table) == len(table.records()) == 7 * 19 * 8
+        assert table.match.all()
+        assert {r[-1] for r in table.records()} == {"MATCH"}
 
     def test_deterministic_ordering(self):
-        rows = sweep("pure", n_values=(1.0, 2.0), alpha_sq_values=(0.25, 0.75))
-        coords = [(r.n, r.alpha_sq) for r in rows]
+        table = sweep("pure", n_values=(1.0, 2.0), alpha_sq_values=(0.25, 0.75))
+        rows = table.records()
+        coords = [r[1:3] for r in rows]
         assert coords == sorted(coords)
-        first_point = [(r.bell, r.bob) for r in rows[:8]]
-        assert first_point == [(bell, bob) for bell in BellOutcome for bob in BobOutcome]
+        assert coords[::8] == [(1.0, 0.25), (1.0, 0.75), (2.0, 0.25), (2.0, 0.75)]
+        first_point = [r[4:6] for r in rows[:8]]
+        assert first_point == [(bell.value, bob.value) for bell, bob in BRANCH_ORDER]
+        assert BRANCH_ORDER == tuple((bell, bob) for bell in BellOutcome for bob in BobOutcome)
+
+    def test_wide_domain_all_match(self):
+        # the Bob-0 closed forms must not cancel anywhere on n in [1e-12, 1e12],
+        # up to the edges of alpha^2 (the printed (n-1) alpha^2 + 1 gave 1.00001
+        # at n = 1e-12, alpha^2 = 1 - 1e-12)
+        edges = (0.0, 1e-12, 1e-6, 1.0 - 1e-6, 1.0 - 1e-12, 1.0)
+        alpha_sq = np.union1d(edges, np.linspace(0.0, 1.0, 41))
+        table = sweep("pure", n_values=np.logspace(-12, 12, 97), alpha_sq_values=alpha_sq)
+        assert len(table) == 97 * 45 * 8
+        assert np.isfinite(table.formula).all()
+        assert table.formula.min() >= 0.0 and table.formula.max() <= 1.0
+        assert table.match.all(), table.abs_diff.max()
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):

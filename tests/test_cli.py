@@ -13,8 +13,8 @@ import pytest
 import wteleport.analysis
 import wteleport.concurrence
 import wteleport.protocol
-from wteleport import quartic, sweep
-from wteleport.cli import RUN_COLUMNS, SWEEP_CSV_COLUMNS, main
+from wteleport import InvalidInput, quartic, sweep
+from wteleport.cli import RUN_COLUMNS, SWEEP_CSV_COLUMNS, _parse_values, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -123,10 +123,10 @@ class TestSweep:
         rows = list(csv.DictReader(io.StringIO("\n".join(out.splitlines()[1:]))))
         expected = sweep("pure", n_values=(2.0,), alpha_sq_values=(0.37,))
         assert len(rows) == len(expected) == 8
-        for row, swept in zip(rows, expected):
-            assert float(row["probability"]) == swept.probability
-            assert float(row["oracle_concurrence"]) == swept.oracle_concurrence
-            assert float(row["formula_concurrence"]) == swept.formula_concurrence
+        for k, row in enumerate(rows):
+            assert float(row["probability"]) == expected.probability[0, k]
+            assert float(row["oracle_concurrence"]) == expected.oracle[0, k]
+            assert float(row["formula_concurrence"]) == expected.formula[0, k]
 
     def test_csv_byte_stable(self, capsys):
         args = (
@@ -149,17 +149,50 @@ class TestSweep:
         assert float(phi["formula_concurrence"]) == pytest.approx(2.0, abs=1e-12)
         assert phi["verdict"] == "DISCREPANT"
 
-    def test_tiny_n_is_a_numerical_failure(self, capsys):
-        # the Phi closed form is 0/0 at alpha^2 = 1 once n - 1 rounds to -1:
-        # exit 3 with a message, no traceback, no NaN rows, no numpy warning
+    def test_tiny_n_sweeps_cleanly(self, capsys):
+        # the printed Phi denominator (n-1) alpha^2 + 1 is 0/0 at alpha^2 = 1
+        # once n - 1 rounds to -1; the evaluated n alpha^2 + beta^2 never is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(
-                capsys, "sweep", "--mode", "pure", "--n", "1e-300", "--alpha-sq", "0.5:1:2"
+                capsys, "sweep", "--mode", "pure", "--n", "1e-300", "--alpha-sq", "0.5:1:2",
+                "--format", "csv",
             )
-        assert code == 3
+        assert code == 0
+        assert err == ""
+        rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
+        assert len(rows) == 2 * 8
+        assert {r["verdict"] for r in rows} == {"MATCH"}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--n", "1:inf:2", "--alpha-sq", "0.5"), "--n: grid endpoints"),
+            (("--n", "nan:1:2", "--alpha-sq", "0.5"), "--n: grid endpoints"),
+            (("--n=-1e308:1e308:3", "--alpha-sq", "0.5"), "--n: grid endpoints"),
+            (("--n", "1:2:1000000000000", "--alpha-sq", "0.5"), "--n: a grid holds at most"),
+            (("--n", "1:2:1001", "--alpha-sq", "0:1:1000"), "--alpha-sq: a grid holds at most"),
+        ],
+        ids=["inf-stop", "nan-start", "overflowing-span", "huge-count", "huge-product"],
+    )
+    def test_bad_grid_spec_is_a_usage_error(self, capsys, argv, message):
+        # rejected before any grid is built: no numpy warning, no allocation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "sweep", "--mode", "pure", *argv)
+        assert code == 2
         assert out == ""
-        assert err.startswith("numerical failure:")
+        assert err.startswith(f"error: {message}")
+
+    def test_infinite_scalar_n_is_a_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "run", "--mode", "pure", "--n", "inf", "--alpha-sq", "0.5")
+        assert code == 2
+        assert err == "error: channel parameter n must be positive and finite, got inf\n"
+
+    def test_grid_size_limit_is_inclusive(self):
+        assert len(_parse_values("0:1:1000", "--alpha-sq", 1000)[0]) == 1000
+        with pytest.raises(InvalidInput, match="at most 1000000 points, got 1001000"):
+            _parse_values("0:1:1001", "--alpha-sq", 1000)
 
     def test_overflowing_n_is_a_numerical_failure(self, capsys):
         # 2 + 2n overflows: exit 3 with a message, in the engine and in both

@@ -8,13 +8,14 @@ import json
 import numpy as np
 import pytest
 
-import wteleport.cli
+import wteleport.analysis
 import wteleport.protocol
 from wteleport import (
     BellOutcome,
     BobOutcome,
     InvalidInput,
     StateVector,
+    SweepTable,
     bell_basis,
     branch_map,
     computational_basis,
@@ -25,8 +26,7 @@ from wteleport import (
     sweep,
     werner,
 )
-from wteleport.analysis import sweep_table
-from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks, _record_blocks
+from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks
 from wteleport.concurrence import concurrence_mixed_batch, concurrence_pure_batch
 from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_branches
 
@@ -121,19 +121,33 @@ def test_bases_are_built_once():
     assert bell_basis((2, 3)) is not bell_basis((3, 2))
 
 
-def test_sweep_rows_follow_the_table():
-    table = sweep_table("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.2, 0.7, 0.9))
-    rows = table.rows()
+def _rows(tables):
+    """Every record of the tables, as dicts keyed by the sweep columns."""
+    return [dict(zip(SWEEP_CSV_COLUMNS, r)) for table in tables for r in table.records()]
+
+
+def test_sweep_rows_follow_the_table(monkeypatch):
+    table = sweep("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.2, 0.7, 0.9))
+    assert isinstance(table, SweepTable)
+    rows = _rows([table])
     assert len(rows) == len(table) == 3 * 2 * 8
-    assert [(r.bell, r.bob) for r in rows[:8]] == list(BRANCH_ORDER)
-    assert [(r.n, r.alpha_sq) for r in rows[::8]] == [
+    assert [(r["bell"], r["bob"]) for r in rows[:8]] == [
+        (bell.value, bob.value) for bell, bob in BRANCH_ORDER
+    ]
+    assert [(r["n"], r["alpha_sq"]) for r in rows[::8]] == [
         (n, a) for n in (0.5, 2.0) for a in (0.2, 0.7, 0.9)
     ]
-    assert all(type(v) is float for r in rows for v in (r.n, r.alpha_sq, r.probability))
+    assert {r["p"] for r in rows} == {None}
+    assert all(type(r[c]) is float for r in rows for c in ("n", "alpha_sq", "probability"))
     phi = rows[8 * 4]  # n = 2, alpha^2 = 0.7, Phi+/Zero
-    assert (phi.bell, phi.bob) == (BellOutcome.PHI_PLUS, BobOutcome.ZERO)
-    assert phi.probability == table.probability[4, 0]
-    assert phi.oracle_concurrence == table.oracle[4, 0]
+    assert (phi["bell"], phi["bob"]) == (BellOutcome.PHI_PLUS.value, BobOutcome.ZERO.value)
+    assert phi["probability"] == table.probability[4, 0]
+    assert phi["oracle_concurrence"] == table.oracle[4, 0]
+    assert phi["verdict"] == ("MATCH" if table.match[4, 0] else "DISCREPANT")
+    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
+    blocks = list(table.blocks())
+    assert [len(block) for block in blocks] == [4 * 8, 2 * 8]
+    assert [row for block in blocks for row in block] == table.records()
 
 
 # Reference renderings of sweep rows: csv.writer and json.dumps, row by row.
@@ -149,46 +163,37 @@ def _reference_csv(rows, comment: str) -> str:
     writer.writerow(SWEEP_CSV_COLUMNS)
     for r in rows:
         writer.writerow(
-            [r.mode, full(r.n), full(r.alpha_sq), full(r.p), r.bell.value, r.bob.value,
-             full(r.probability), full(r.oracle_concurrence), full(r.formula_concurrence),
-             full(r.abs_diff), r.verdict]
+            [r["mode"], full(r["n"]), full(r["alpha_sq"]), full(r["p"]), r["bell"], r["bob"],
+             full(r["probability"]), full(r["oracle_concurrence"]),
+             full(r["formula_concurrence"]), full(r["abs_diff"]), r["verdict"]]
         )
     return buffer.getvalue()
 
 
 def _reference_json(config, rows, summary) -> str:
-    dicts = [
-        {
-            "mode": r.mode, "n": r.n, "alpha_sq": r.alpha_sq, "p": r.p,
-            "bell": r.bell.value, "bob": r.bob.value, "probability": r.probability,
-            "oracle_concurrence": r.oracle_concurrence,
-            "formula_concurrence": r.formula_concurrence, "abs_diff": r.abs_diff,
-            "verdict": r.verdict,
-        }
-        for r in rows
-    ]
-    return json.dumps({"config": config, "rows": dicts, "summary": summary}, indent=2) + "\n"
+    return json.dumps({"config": config, "rows": rows, "summary": summary}, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
     "tables",
     [
-        lambda: [sweep_table("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.0, 0.37, 1.0))],
-        lambda: [sweep_table("pure"), sweep_table("werner")],
-        lambda: [sweep_table("werner", n_values=np.linspace(0.1, 9, 9), p_values=(0.3, 1.0))],
+        lambda: [sweep("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.0, 0.37, 1.0))],
+        lambda: [sweep("pure"), sweep("werner")],
+        lambda: [sweep("werner", n_values=np.linspace(0.1, 9, 9), p_values=(0.3, 1.0))],
         lambda: [],
     ],
 )
 def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
-    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 5)  # several blocks per table
+    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 5)  # several blocks per table
     tables = tables()
-    rows = [row for table in tables for row in table.rows()]
+    rows = _rows(tables)
     config = {"subcommand": "sweep", "format": "json", "alpha_sq": None, "n": "1:2:3"}
     summary = {"rows": len(rows), "families": {"bob_one": {"match": 1}}, "checks": [1.5, None]}
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        return Report("comment", SWEEP_CSV_COLUMNS, _record_blocks(tables), document, ())
+        blocks = (block for table in tables for block in table.blocks())
+        return Report("comment", SWEEP_CSV_COLUMNS, blocks, document, ())
 
     assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
