@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .protocol import (
-    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
@@ -254,10 +253,6 @@ def quartic_roots() -> QuarticReport:
     return QuarticReport(QUARTIC_COEFFICIENTS, (r1, r2), regions)
 
 
-# The (bell, bob) strings each branch column is written with.
-_LABELS = tuple((bell.value, bob.value) for bell, bob in BRANCH_ORDER)
-
-
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """A sweep in columns: one entry per grid point, or per (point, branch).
@@ -279,35 +274,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return self.probability.size
-
-    def records(self, points: slice = slice(None)) -> list[tuple]:
-        """The rows of the grid points in ``points``, in sweep order, as tuples
-        of (mode, n, alpha_sq, p, bell, bob, probability, oracle_concurrence,
-        formula_concurrence, abs_diff, verdict); outcomes are written as their
-        ``value`` strings and the other mode's parameter as None."""
-        n = self.n[points].tolist()
-        absent = [None] * len(n)
-        return [
-            (self.mode, x, a, q, bell, bob, prob, oracle, formula, diff,
-             "MATCH" if match else "DISCREPANT")
-            for x, a, q, *columns in zip(
-                n,
-                absent if self.alpha_sq is None else self.alpha_sq[points].tolist(),
-                absent if self.p is None else self.p[points].tolist(),
-                self.probability[points].tolist(),
-                self.oracle[points].tolist(),
-                self.formula[points].tolist(),
-                self.abs_diff[points].tolist(),
-                self.match[points].tolist(),
-            )
-            for (bell, bob), prob, oracle, formula, diff, match in zip(_LABELS, *columns)
-        ]
-
-    def blocks(self) -> Iterator[list[tuple]]:
-        """``records`` of ``BLOCK_POINTS`` grid points at a time, so a writer
-        never holds every row of a large table."""
-        for start in range(0, len(self.n), BLOCK_POINTS):
-            yield self.records(slice(start, start + BLOCK_POINTS))
 
 
 def _columns(bells: tuple[BellOutcome, ...], bob: BobOutcome) -> tuple[int, ...]:

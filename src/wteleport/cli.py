@@ -12,9 +12,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .analysis import (
     sweep,
 )
 from .protocol import (
+    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
@@ -109,17 +110,23 @@ def _format_matrix_lines(entries: np.ndarray, indent: str) -> list[str]:
     return lines
 
 
+@dataclass(frozen=True, order=True)
 class _PostState:
-    """A run row's post-state cell: complex reprs in CSV, ``[re, im]`` pairs in JSON."""
+    """A run row's post-state cell: complex reprs in CSV, ``[re, im]`` pairs in
+    JSON.  Cells are ordered by their CSV text, so ``np.unique`` can find the
+    distinct cells of a column of them."""
 
-    def __init__(self, post: StateVector | DensityMatrix):
-        self.values = post.amplitudes if isinstance(post, StateVector) else post.entries
+    text: str
+    pairs: list = field(compare=False)
+
+    @classmethod
+    def of(cls, post: StateVector | DensityMatrix) -> _PostState:
+        values = post.amplitudes if isinstance(post, StateVector) else post.entries
+        text = " ".join(repr(complex(v)) for v in values.reshape(-1))
+        return cls(text, np.stack([values.real, values.imag], axis=-1).tolist())
 
     def __str__(self) -> str:
-        return " ".join(repr(complex(v)) for v in self.values.reshape(-1))
-
-    def json(self) -> list:
-        return np.stack([self.values.real, self.values.imag], axis=-1).tolist()
+        return self.text
 
 
 def _parse_values(text: str, name: str, points: int = 1) -> tuple[tuple[float, ...], bool]:
@@ -176,54 +183,101 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
     return {"subcommand": args.subcommand, "format": args.format, **extra}
 
 
+# One block of rows, column by column: a 1-D float array, a 1-D array of
+# labels (strings, or a run's post-state cells), or None for a column the
+# rows do not have.
+Block = Mapping[str, np.ndarray | None]
+
+
 @dataclass(frozen=True)
 class Report:
     """What a subcommand prints, in every format.  Each subcommand builds one
     and hands it to ``_write``, the only code that renders and writes output.
 
-    ``blocks`` yields the rows, a list of tuples of ``columns`` values at a
-    time; it is consumed once, so sweep rows are never all in memory.  A
-    ``None`` cell is an empty CSV field and a JSON ``null``.  ``document`` is
-    the JSON output in key order; the rows are spliced in at its ``"rows"``
-    key.  ``table`` holds the lines of the table format.
+    ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
+    is consumed once, so sweep rows are never all rendered at once.  An absent
+    column is an empty CSV field and a JSON ``null``.  ``document`` is the
+    JSON output in key order; the rows are spliced in at its ``"rows"`` key.
+    ``table`` holds the text of the table format, a line or block of lines at
+    a time.
     """
 
     comment: str
     columns: tuple[str, ...]
-    blocks: Iterable[list[tuple]]
+    blocks: Iterable[Block]
     document: dict
     table: Iterable[str]
     exit_code: int = 0
 
 
+def _cells(column: np.ndarray | None, text: Callable[[object], str], head: str = ""):
+    """``head + text(value)`` for every value of a 1-D column, with ``text``
+    called once per distinct value; an absent column is the one string
+    ``head + text(None)``.
+
+    Floats are keyed on their bits, so -0.0 and 0.0 stay apart.  The column is
+    flattened first because the shape of ``np.unique``'s inverse for other
+    shapes differs between numpy releases.
+    """
+    if column is None:
+        return head + text(None)
+    column = np.ravel(column)
+    floats = column.dtype == np.float64
+    distinct, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
+    values = (distinct.view(np.float64) if floats else distinct).tolist()
+    return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
+
+
+def _rows(block: Block, cells: Sequence[tuple[str, Callable[[object], str], str]]) -> np.ndarray:
+    """One string per row of the block: the elementwise sum of the
+    ``_cells(block[name], text, head)`` of each ``(name, text, head)``."""
+    row = ""
+    for name, text, head in cells:
+        row = row + _cells(block[name], text, head)
+    return row
+
+
+def _csv_text(value) -> str:
+    """A CSV field: a float by repr (its ``str``), a label as it is, nothing when absent."""
+    return "" if value is None else str(value)
+
+
+def _json_text(value) -> str:
+    """A JSON value nested in a row: a float by repr, anything else by ``json.dumps``.
+
+    Rows hold finite floats only, whose repr is what ``json.dumps`` writes.
+    """
+    if isinstance(value, float):
+        return repr(value)
+    return json.dumps(value, indent=2, default=lambda cell: cell.pairs).replace("\n", "\n      ")
+
+
 def _csv_chunks(report: Report) -> Iterator[str]:
     """The report as CSV: the bytes ``csv.writer`` writes, since no field needs quoting."""
     yield f"# {report.comment}\n" + ",".join(report.columns) + "\n"
+    cells = [(name, _csv_text, "," if j else "") for j, name in enumerate(report.columns)]
     for block in report.blocks:
-        yield "".join(
-            [",".join(["" if v is None else str(v) for v in row]) + "\n" for row in block]
-        )
+        yield "".join((_rows(block, cells) + "\n").tolist())
 
 
 def _json_chunks(report: Report) -> Iterator[str]:
-    """``json.dumps(report.document, indent=2) + "\\n"``, with the rows serialised
+    """``json.dumps(report.document, indent=2) + "\\n"``, with the rows written
     one block at a time and spliced in at the ``"rows"`` key."""
-
-    def nested(value) -> str:
-        return json.dumps(value, indent=2, default=lambda cell: cell.json()).replace("\n", "\n  ")
-
+    cells = [
+        (name, _json_text, ("\n    {" if j == 0 else ",") + f"\n      {json.dumps(name)}: ")
+        for j, name in enumerate(report.columns)
+    ]
     separator = "{"
     for key, value in report.document.items():
         yield f"{separator}\n  {json.dumps(key)}: "
         separator = ","
         if key != "rows":
-            yield nested(value)
+            yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         yield "["
         block_separator = ""
         for block in report.blocks:
-            rows = [dict(zip(report.columns, row)) for row in block]
-            yield block_separator + nested(rows)[1:-len("\n  ]")]
+            yield block_separator + ",".join((_rows(block, cells) + "\n    }").tolist())
             block_separator = ","
         yield "\n  ]" if block_separator else "]"
     yield "\n}\n"
@@ -259,21 +313,65 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     return report.exit_code
 
 
+# The outcome labels of the branch columns, in ``BRANCH_ORDER``.
+_BELLS = np.array([bell.value for bell, _ in BRANCH_ORDER])
+_BOBS = np.array([bob.value for _, bob in BRANCH_ORDER])
+
+
+def _sweep_blocks(table: SweepTable) -> Iterator[Block]:
+    """The table's rows in ``SWEEP_CSV_COLUMNS``, ``BLOCK_POINTS`` grid points
+    (8 rows each) at a time, in sweep order."""
+    branches = len(BRANCH_ORDER)
+    for start in range(0, len(table.n), BLOCK_POINTS):
+        points = slice(start, start + BLOCK_POINTS)
+        count = len(table.n[points])
+        yield {
+            "mode": np.full(count * branches, table.mode),
+            "n": table.n[points].repeat(branches),
+            "alpha_sq": None if table.alpha_sq is None else table.alpha_sq[points].repeat(branches),
+            "p": None if table.p is None else table.p[points].repeat(branches),
+            "bell": np.tile(_BELLS, count),
+            "bob": np.tile(_BOBS, count),
+            "probability": table.probability[points].ravel(),
+            "oracle_concurrence": table.oracle[points].ravel(),
+            "formula_concurrence": table.formula[points].ravel(),
+            "abs_diff": table.abs_diff[points].ravel(),
+            "verdict": np.where(table.match[points].ravel(), "MATCH", "DISCREPANT"),
+        }
+
+
+def _table_text(align: str, spec: str) -> Callable[[object], str]:
+    """A table cell: the value formatted by ``spec``, or "-" when absent, aligned by ``align``."""
+    return lambda value: format("-" if value is None else format(value, spec), align)
+
+
+# (column, title, alignment, number format) of each sweep table column.
+_SWEEP_TABLE = (
+    ("mode", "mode", "<6", ""),
+    ("n", "n", ">8", ".6g"),
+    ("alpha_sq", "alpha_sq", ">9", ".6g"),
+    ("p", "p", ">6", ".6g"),
+    ("bell", "bell", "<8", ""),
+    ("bob", "bob", "<4", ""),
+    ("probability", "prob", ">10", ".6g"),
+    ("oracle_concurrence", "oracle", ">10", ".6g"),
+    ("formula_concurrence", "formula", ">10", ".6g"),
+    ("abs_diff", "abs_diff", ">10", ".3e"),
+    ("verdict", "verdict", "", ""),
+)
+
+
 def _sweep_lines(comment: str, table: SweepTable) -> Iterator[str]:
-    header = (
-        f"{'mode':<6} {'n':>8} {'alpha_sq':>9} {'p':>6} {'bell':<8} {'bob':<4} "
-        f"{'prob':>10} {'oracle':>10} {'formula':>10} {'abs_diff':>10} verdict"
-    )
+    header = " ".join(format(title, align) for _, title, align, _ in _SWEEP_TABLE)
+    cells = [
+        (name, _table_text(align, spec), " " if j else "")
+        for j, (name, _, align, spec) in enumerate(_SWEEP_TABLE)
+    ]
     yield comment
     yield header
     yield "-" * len(header)
-    for records in table.blocks():
-        for mode, n, a, p, bell, bob, prob, oracle, formula, diff, verdict in records:
-            yield (
-                f"{mode:<6} {n:>8.6g} {'-' if a is None else _sig6(a):>9} "
-                f"{'-' if p is None else _sig6(p):>6} {bell:<8} {bob:<4} {prob:>10.6g} "
-                f"{oracle:>10.6g} {formula:>10.6g} {diff:>10.3e} {verdict}"
-            )
+    for block in _sweep_blocks(table):
+        yield "\n".join(_rows(block, cells).tolist())
 
 
 # ---------------------------------------------------------------- run
@@ -316,11 +414,18 @@ def cmd_run(args: argparse.Namespace) -> int:
         alpha_sq, p = None, value
         comment = f"wteleport run mode=werner n={_full(n)} p={_full(value)}"
     # Every format writes the parsed parameter, never one recomputed from the result.
-    rows = [
-        (args.mode, n, alpha_sq, p, b.bell.value, b.bob.value,
-         float(b.probability), float(b.concurrence), _PostState(b.post_state))
-        for b in result.branches
-    ]
+    branches = result.branches
+    rows = {
+        "mode": np.full(len(branches), args.mode),
+        "n": np.full(len(branches), n),
+        "alpha_sq": None if alpha_sq is None else np.full(len(branches), alpha_sq),
+        "p": None if p is None else np.full(len(branches), p),
+        "bell": np.array([b.bell.value for b in branches]),
+        "bob": np.array([b.bob.value for b in branches]),
+        "probability": np.array([b.probability for b in branches], dtype=float),
+        "concurrence": np.array([b.concurrence for b in branches], dtype=float),
+        "post_state": np.array([_PostState.of(b.post_state) for b in branches]),
+    }
     document = {
         "config": _config_dict(args, mode=args.mode, n=n, alpha_sq=alpha_sq, p=p),
         "rows": None,
@@ -351,9 +456,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "rows": None,
         "summary": {"rows": len(table), "match": match, "discrepant": len(table) - match},
     }
+    blocks = _sweep_blocks(table)
     return _write(
-        Report(comment, SWEEP_CSV_COLUMNS, table.blocks(), document, _sweep_lines(comment, table)),
-        args,
+        Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, table)), args
     )
 
 
@@ -512,7 +617,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = Report(
         "wteleport verify (pure + werner default grids)",
         SWEEP_CSV_COLUMNS,
-        (block for table in tables for block in table.blocks()),
+        (block for table in tables for block in _sweep_blocks(table)),
         {"config": _config_dict(args), "rows": None, "summary": summary},
         _verify_lines(summary, werner),
         exit_code,
@@ -545,7 +650,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
         "sign_regions": [region._asdict() for region in roots.sign_regions],
         "summary": {"positive_roots": len(roots.roots_positive)},
     }
-    rows = [(r, quartic(r)) for r in roots.roots_positive]
+    rows = {
+        "root": np.array(roots.roots_positive),
+        "quartic_value": np.array([quartic(r) for r in roots.roots_positive]),
+    }
     report = Report(
         "wteleport roots: n^4 + 4n^3 + 6n^2 - 60n + 1",
         ("root", "quartic_value"),

@@ -224,17 +224,18 @@ class TestSweep:
         expected = 2.0 * 0.5 * np.sqrt(0.75)
         assert table.oracle[0, self.PHI_ZERO] == pytest.approx(expected, abs=1e-12)
         assert table.formula[0, self.PHI_ZERO] == pytest.approx(expected, abs=1e-12)
-        assert table.records()[self.PHI_ZERO][4:6] == ("PhiPlus", "Zero")
-        assert table.records()[self.PHI_ZERO][-1] == "MATCH"
+        bell, bob = BRANCH_ORDER[self.PHI_ZERO]
+        assert (bell.value, bob.value) == ("PhiPlus", "Zero")
+        assert table.match[0, self.PHI_ZERO]
 
     def test_bob_one_rows_match_zero(self):
         table = sweep("pure", n_values=(2.0,), alpha_sq_values=(0.3, 0.7))
         assert table.formula[:, self.BOB_ONE].size == 8
         assert (table.formula[:, self.BOB_ONE] == 0.0).all()
         assert table.match[:, self.BOB_ONE].all()
-        one_rows = [r for r in table.records() if r[5] == "One"]
-        assert len(one_rows) == 8
-        assert {r[-1] for r in one_rows} == {"MATCH"}
+        one_columns = [k for k, (_, bob) in enumerate(BRANCH_ORDER) if bob.value == "One"]
+        assert table.match[:, one_columns].size == 8
+        assert table.match[:, one_columns].all()
 
     def test_werner_discrepancy(self):
         table = sweep("werner", n_values=(1.0,), p_values=(1.0,))
@@ -242,24 +243,26 @@ class TestSweep:
         assert table.oracle[0, self.PHI_ZERO] == pytest.approx(1.0, abs=1e-10)
         assert table.formula[0, self.PHI_ZERO] == pytest.approx(2.0, abs=1e-12)
         assert not table.match[0, self.PHI_ZERO]
-        phi = table.records()[self.PHI_ZERO]
-        assert phi[:6] == ("werner", 1.0, None, 1.0, "PhiPlus", "Zero")
-        assert phi[-1] == "DISCREPANT"
+        bell, bob = BRANCH_ORDER[self.PHI_ZERO]
+        assert (table.mode, table.n[0], table.p[0], bell.value, bob.value) == (
+            "werner", 1.0, 1.0, "PhiPlus", "Zero"
+        )
 
     def test_default_pure_grid_all_match(self):
         table = sweep("pure")
-        assert len(table) == len(table.records()) == 7 * 19 * 8
+        assert len(table) == table.match.size == len(table.n) * 8 == 7 * 19 * 8
         assert table.match.all()
-        assert {r[-1] for r in table.records()} == {"MATCH"}
 
     def test_deterministic_ordering(self):
         table = sweep("pure", n_values=(1.0, 2.0), alpha_sq_values=(0.25, 0.75))
-        rows = table.records()
-        coords = [r[1:3] for r in rows]
+        coords = list(zip(table.n.tolist(), table.alpha_sq.tolist()))
         assert coords == sorted(coords)
-        assert coords[::8] == [(1.0, 0.25), (1.0, 0.75), (2.0, 0.25), (2.0, 0.75)]
-        first_point = [r[4:6] for r in rows[:8]]
-        assert first_point == [(bell.value, bob.value) for bell, bob in BRANCH_ORDER]
+        assert coords == [(1.0, 0.25), (1.0, 0.75), (2.0, 0.25), (2.0, 0.75)]
+        assert table.oracle.shape == (4, 8)
+        bells = ("PhiPlus", "PhiMinus", "PsiPlus", "PsiMinus")
+        assert [(bell.value, bob.value) for bell, bob in BRANCH_ORDER] == [
+            (bell, bob) for bell in bells for bob in ("Zero", "One")
+        ]
         assert BRANCH_ORDER == tuple((bell, bob) for bell in BellOutcome for bob in BobOutcome)
 
     def test_wide_domain_all_match(self):

@@ -8,13 +8,22 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import wteleport.analysis
 import wteleport.concurrence
 import wteleport.protocol
 from wteleport import InvalidInput, quartic, sweep
-from wteleport.cli import RUN_COLUMNS, SWEEP_CSV_COLUMNS, _parse_values, main
+from wteleport.cli import (
+    RUN_COLUMNS,
+    SWEEP_CSV_COLUMNS,
+    _cells,
+    _csv_text,
+    _json_text,
+    _parse_values,
+    main,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -388,6 +397,14 @@ RENDERED_COMMANDS = {
 }
 
 
+GOLDEN_COMMANDS = {
+    "sweep-pure": ("sweep", "--mode", "pure", "--n", "1e-12:1e12:5", "--alpha-sq", "0:1:4"),
+    "sweep-werner": ("sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:4"),
+    "run-pure": ("run", "--mode", "pure", "--n", "2", "--alpha-sq", "0.37"),
+    "run-werner": ("run", "--mode", "werner", "--n", "2", "--p", "0.8"),
+}
+
+
 class TestOutput:
     @pytest.mark.parametrize("command", RENDERED_COMMANDS)
     def test_json_is_json_dumps_of_its_document(self, capsys, command):
@@ -418,6 +435,26 @@ class TestOutput:
         code, out, _ = run_cli(capsys, "roots", "--format", fmt)
         assert code == 0
         assert out == (GOLDEN / f"roots.{fmt}").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+    def test_golden(self, capsys, name, fmt):
+        # unlike roots, these values come from numpy and LAPACK, so a diff can be
+        # a change in the numerics as well as in the rendering
+        code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+
+    def test_cells_are_repr_and_json_dumps(self):
+        # np.unique merges -0.0 with 0.0 on float keys; the cells key on bits
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 0.1 + 0.2, 1 / 3, -0.0]
+        column = np.array(values)
+        assert _cells(column, _csv_text).tolist() == [repr(v) for v in values]
+        assert _cells(column, _json_text).tolist() == [json.dumps(v) for v in values]
+        labels = np.array(["Zero", "One", "Zero"])
+        assert _cells(labels, _csv_text).tolist() == ["Zero", "One", "Zero"]
+        assert _cells(labels, _json_text).tolist() == ['"Zero"', '"One"', '"Zero"']
+        assert (_cells(None, _csv_text, ","), _cells(None, _json_text)) == (",", "null")
 
     @pytest.mark.parametrize(
         "argv, target",

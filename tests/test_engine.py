@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-import wteleport.analysis
+import wteleport.cli
 import wteleport.protocol
 from wteleport import (
     BellOutcome,
@@ -26,7 +26,7 @@ from wteleport import (
     sweep,
     werner,
 )
-from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks
+from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks, _sweep_blocks
 from wteleport.concurrence import concurrence_mixed_batch, concurrence_pure_batch
 from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_branches
 
@@ -122,14 +122,44 @@ def test_bases_are_built_once():
 
 
 def _rows(tables):
-    """Every record of the tables, as dicts keyed by the sweep columns."""
-    return [dict(zip(SWEEP_CSV_COLUMNS, r)) for table in tables for r in table.records()]
+    """Every row of the tables as dicts keyed by the sweep columns, built point
+    by point and branch by branch straight from the tables' arrays."""
+    rows = []
+    for table in tables:
+        for i, n in enumerate(table.n.tolist()):
+            for k, (bell, bob) in enumerate(BRANCH_ORDER):
+                rows.append({
+                    "mode": table.mode,
+                    "n": n,
+                    "alpha_sq": None if table.alpha_sq is None else table.alpha_sq[i].item(),
+                    "p": None if table.p is None else table.p[i].item(),
+                    "bell": bell.value,
+                    "bob": bob.value,
+                    "probability": table.probability[i, k].item(),
+                    "oracle_concurrence": table.oracle[i, k].item(),
+                    "formula_concurrence": table.formula[i, k].item(),
+                    "abs_diff": table.abs_diff[i, k].item(),
+                    "verdict": "MATCH" if table.match[i, k] else "DISCREPANT",
+                })
+    return rows
+
+
+def _block_rows(blocks):
+    """The rows of column blocks, as dicts keyed by the sweep columns."""
+    rows = []
+    for block in blocks:
+        assert list(block) == list(SWEEP_CSV_COLUMNS)
+        count = len(block["mode"])
+        assert all(block[c] is None or block[c].shape == (count,) for c in block)
+        columns = [[None] * count if block[c] is None else block[c].tolist() for c in block]
+        rows += [dict(zip(SWEEP_CSV_COLUMNS, row)) for row in zip(*columns)]
+    return rows
 
 
 def test_sweep_rows_follow_the_table(monkeypatch):
     table = sweep("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.2, 0.7, 0.9))
     assert isinstance(table, SweepTable)
-    rows = _rows([table])
+    rows = _block_rows(_sweep_blocks(table))
     assert len(rows) == len(table) == 3 * 2 * 8
     assert [(r["bell"], r["bob"]) for r in rows[:8]] == [
         (bell.value, bob.value) for bell, bob in BRANCH_ORDER
@@ -144,10 +174,11 @@ def test_sweep_rows_follow_the_table(monkeypatch):
     assert phi["probability"] == table.probability[4, 0]
     assert phi["oracle_concurrence"] == table.oracle[4, 0]
     assert phi["verdict"] == ("MATCH" if table.match[4, 0] else "DISCREPANT")
-    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
-    blocks = list(table.blocks())
-    assert [len(block) for block in blocks] == [4 * 8, 2 * 8]
-    assert [row for block in blocks for row in block] == table.records()
+    assert rows == _rows([table])
+    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 4)
+    blocks = list(_sweep_blocks(table))
+    assert [len(block["mode"]) for block in blocks] == [4 * 8, 2 * 8]
+    assert _block_rows(blocks) == rows
 
 
 # Reference renderings of sweep rows: csv.writer and json.dumps, row by row.
@@ -181,10 +212,25 @@ def _reference_json(config, rows, summary) -> str:
         lambda: [sweep("pure"), sweep("werner")],
         lambda: [sweep("werner", n_values=np.linspace(0.1, 9, 9), p_values=(0.3, 1.0))],
         lambda: [],
+        # drawn grids: no parameter value repeats, unlike on a linspace grid
+        lambda: [
+            sweep(
+                "pure",
+                n_values=np.random.default_rng(1).lognormal(0.0, 3.0, 9),
+                alpha_sq_values=np.random.default_rng(2).random(7),
+            )
+        ],
+        lambda: [
+            sweep(
+                "werner",
+                n_values=np.random.default_rng(3).lognormal(0.0, 3.0, 6),
+                p_values=np.random.default_rng(4).random(5),
+            )
+        ],
     ],
 )
 def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
-    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 5)  # several blocks per table
+    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 5)  # several blocks per table
     tables = tables()
     rows = _rows(tables)
     config = {"subcommand": "sweep", "format": "json", "alpha_sq": None, "n": "1:2:3"}
@@ -192,7 +238,7 @@ def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        blocks = (block for table in tables for block in table.blocks())
+        blocks = (block for table in tables for block in _sweep_blocks(table))
         return Report("comment", SWEEP_CSV_COLUMNS, blocks, document, ())
 
     assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
