@@ -183,10 +183,19 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
     return {"subcommand": args.subcommand, "format": args.format, **extra}
 
 
-# One block of rows, column by column: a 1-D float array, a 1-D array of
-# labels (strings, or a run's post-state cells), or None for a column the
-# rows do not have.
-Block = Mapping[str, np.ndarray | None]
+@dataclass(frozen=True)
+class _Labels:
+    """A label column as integer codes into a small tuple of names: row i's
+    label is ``names[codes[i]]``."""
+
+    names: tuple
+    codes: np.ndarray
+
+
+# One block of rows, column by column: a 1-D float array, ``_Labels``, a 1-D
+# array of other cells (strings, or a run's post-state cells), or None for a
+# column the rows do not have.
+Block = Mapping[str, np.ndarray | _Labels | None]
 
 
 @dataclass(frozen=True)
@@ -210,10 +219,10 @@ class Report:
     exit_code: int = 0
 
 
-def _cells(column: np.ndarray | None, text: Callable[[object], str], head: str = ""):
+def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
     """``head + text(value)`` for every value of a 1-D column, with ``text``
-    called once per distinct value; an absent column is the one string
-    ``head + text(None)``.
+    called once per distinct value, or once per name of ``_Labels``; an
+    absent column is the one string ``head + text(None)``.
 
     Floats are keyed on their bits, so -0.0 and 0.0 stay apart.  The column is
     flattened first because the shape of ``np.unique``'s inverse for other
@@ -221,6 +230,8 @@ def _cells(column: np.ndarray | None, text: Callable[[object], str], head: str =
     """
     if column is None:
         return head + text(None)
+    if isinstance(column, _Labels):
+        return np.array([head + text(name) for name in column.names], dtype=object)[column.codes]
     column = np.ravel(column)
     floats = column.dtype == np.float64
     distinct, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
@@ -313,9 +324,12 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-# The outcome labels of the branch columns, in ``BRANCH_ORDER``.
-_BELLS = np.array([bell.value for bell, _ in BRANCH_ORDER])
-_BOBS = np.array([bob.value for _, bob in BRANCH_ORDER])
+# The outcome names, and the codes of the branches into them in ``BRANCH_ORDER``.
+_BELLS = tuple(bell.value for bell in BellOutcome)
+_BOBS = tuple(bob.value for bob in BobOutcome)
+_BELL_CODES = np.array([_BELLS.index(bell.value) for bell, _ in BRANCH_ORDER])
+_BOB_CODES = np.array([_BOBS.index(bob.value) for _, bob in BRANCH_ORDER])
+_VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 
 def _sweep_blocks(table: SweepTable) -> Iterator[Block]:
@@ -326,17 +340,17 @@ def _sweep_blocks(table: SweepTable) -> Iterator[Block]:
         points = slice(start, start + BLOCK_POINTS)
         count = len(table.n[points])
         yield {
-            "mode": np.full(count * branches, table.mode),
+            "mode": _Labels((table.mode,), np.zeros(count * branches, dtype=np.intp)),
             "n": table.n[points].repeat(branches),
             "alpha_sq": None if table.alpha_sq is None else table.alpha_sq[points].repeat(branches),
             "p": None if table.p is None else table.p[points].repeat(branches),
-            "bell": np.tile(_BELLS, count),
-            "bob": np.tile(_BOBS, count),
+            "bell": _Labels(_BELLS, np.tile(_BELL_CODES, count)),
+            "bob": _Labels(_BOBS, np.tile(_BOB_CODES, count)),
             "probability": table.probability[points].ravel(),
             "oracle_concurrence": table.oracle[points].ravel(),
             "formula_concurrence": table.formula[points].ravel(),
             "abs_diff": table.abs_diff[points].ravel(),
-            "verdict": np.where(table.match[points].ravel(), "MATCH", "DISCREPANT"),
+            "verdict": _Labels(_VERDICTS, table.match[points].ravel().astype(np.intp)),
         }
 
 
@@ -494,9 +508,18 @@ def _check(name: str, max_error: float) -> dict:
     return {"name": name, "max_error": max_error, "passed": max_error <= SPOT_CHECK_TOL}
 
 
-def _spot_checks(pure: SweepTable, werner: SweepTable | None) -> list[dict]:
+def _werner_engine_error(werner: SweepTable) -> float:
+    """Largest gap between the Werner sweep engine and the enumeration at n = 1."""
+    points = {key: i for i, key in enumerate(zip(werner.n.tolist(), werner.p.tolist()))}
+    return max(
+        _engine_error(run_protocol_mixed(p, 1.0), werner, points[1.0, p]) for p in DEFAULT_P_GRID
+    )
+
+
+def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
     """Concurrence preservation at the state-independent points, and the sweep
-    engine against the scalar enumeration wherever the two are both run."""
+    engine against the scalar enumeration: pure here, and Werner as measured
+    by ``_werner_engine_error`` (0 when the Werner checks did not run)."""
     pure_points = {key: i for i, key in enumerate(zip(pure.n.tolist(), pure.alpha_sq.tolist()))}
 
     worst = engine_worst = 0.0
@@ -521,13 +544,11 @@ def _spot_checks(pure: SweepTable, werner: SweepTable | None) -> list[dict]:
         point = sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
         engine_worst = max(engine_worst, _engine_error(result, point, 0))
 
-    if werner is not None:
-        werner_points = {key: i for i, key in enumerate(zip(werner.n.tolist(), werner.p.tolist()))}
-        for p in DEFAULT_P_GRID:
-            result = run_protocol_mixed(p, 1.0)
-            engine_worst = max(engine_worst, _engine_error(result, werner, werner_points[1.0, p]))
     checks.append(
-        _check("sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)", engine_worst)
+        _check(
+            "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)",
+            max(engine_worst, werner_engine),
+        )
     )
     return checks
 
@@ -540,7 +561,7 @@ def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
             c = summary[mode]["families"][family]
             lines.append(f"  {label}: {c['match']} MATCH, {c['discrepant']} DISCREPANT")
     if summary["werner"]["numerical_failure"] is not None:
-        lines.append(f"werner sweep aborted: {summary['werner']['numerical_failure']}")
+        lines.append(f"werner checks aborted: {summary['werner']['numerical_failure']}")
     lines.append("spot checks:")
     for check in summary["spot_checks"]:
         state = "PASS" if check["passed"] else "FAIL"
@@ -576,16 +597,19 @@ def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
 def cmd_verify(args: argparse.Namespace) -> int:
     pure = sweep("pure")
     werner: SweepTable | None = None
+    werner_engine = 0.0
     werner_failure: NumericalFailure | None = None
     try:
         werner = sweep("werner")
+        werner_engine = _werner_engine_error(werner)
     except NumericalFailure as exc:
-        werner_failure = exc
-    spot_checks = _spot_checks(pure, werner)
+        werner, werner_failure = None, exc
+    spot_checks = _spot_checks(pure, werner_engine)
     pure_discrepant = int((~pure.match).sum())
     pure_failed = bool(pure_discrepant) or not all(c["passed"] for c in spot_checks)
-    # A pure-side failure outranks a numerical failure in the werner phase: a
-    # corrupted oracle should report as a verification failure.
+    # A pure-side failure outranks a numerical failure in the werner phase,
+    # sweep or enumeration: a corrupted oracle should report as a
+    # verification failure.
     if werner_failure is not None and not pure_failed:
         raise werner_failure
 

@@ -25,9 +25,9 @@ import numpy as np
 
 from .concurrence import (
     concurrence_mixed,
-    concurrence_mixed_batch,
     concurrence_pure,
     concurrence_pure_batch,
+    concurrence_x_batch,
 )
 from .states import (
     DensityMatrix,
@@ -37,7 +37,6 @@ from .states import (
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
     bell_basis,
-    check_density_matrices,
     computational_basis,
     density_from_pure,
     measure,
@@ -345,10 +344,11 @@ def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch probabilities and concurrences for Werner inputs, batched over points.
 
-    Same shapes and dead-branch rule as ``pure_branches``; each live branch
-    post-state M rho M' / tr(M rho M') passes the ``DensityMatrix`` checks
-    and goes through the Wootters formula.  Maps and Werner matrices are
-    real, so the whole computation is too.
+    Same shapes and dead-branch rule as ``pure_branches``.  Each live branch
+    post-state M rho M' / tr(M rho M') is an X-state, so
+    ``concurrence_x_batch`` validates it and gives its concurrence in closed
+    form; Wootters' eigenvalue formula is left to the scalar oracle.  Maps
+    and Werner matrices are real, so the whole computation is too.
     """
     return _in_blocks(_werner_block, _check_p(p), _check_n(n))
 
@@ -359,9 +359,8 @@ def _werner_block(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     probability = np.trace(weighted, axis1=-2, axis2=-1)
     alive = probability >= ZERO_PROBABILITY_CUTOFF
     post = weighted[alive] / probability[alive][:, None, None]
-    check_density_matrices(post)
     concurrence = np.zeros_like(probability)
-    concurrence[alive] = concurrence_mixed_batch(post)
+    concurrence[alive] = concurrence_x_batch(post)
     return probability, concurrence
 
 

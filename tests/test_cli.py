@@ -336,6 +336,21 @@ class TestVerify:
         assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
         assert "result: FAIL (exit 1)" in out
 
+    def test_wrong_mixed_kernel_fails(self, capsys, monkeypatch):
+        # a corrupted Wootters kernel, wherever it is looked up, must not
+        # corrupt the sweep engine too, or the spot check cannot see it
+        kernel = wteleport.concurrence.concurrence_mixed_batch
+
+        def scaled(matrices):
+            return 0.9 * kernel(matrices)
+
+        monkeypatch.setattr(wteleport.concurrence, "concurrence_mixed_batch", scaled)
+        monkeypatch.setattr(wteleport.protocol, "concurrence_mixed_batch", scaled, raising=False)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
+
     def test_mutated_spin_flip_fails(self, capsys, monkeypatch):
         # flipping one sign in the spin-flip operator corrupts the oracle and
         # must flip the exit code to 1

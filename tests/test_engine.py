@@ -14,6 +14,7 @@ from wteleport import (
     BellOutcome,
     BobOutcome,
     InvalidInput,
+    NumericalFailure,
     StateVector,
     SweepTable,
     bell_basis,
@@ -26,9 +27,21 @@ from wteleport import (
     sweep,
     werner,
 )
-from wteleport.cli import SWEEP_CSV_COLUMNS, Report, _csv_chunks, _json_chunks, _sweep_blocks
-from wteleport.concurrence import concurrence_mixed_batch, concurrence_pure_batch
+from wteleport.cli import (
+    SWEEP_CSV_COLUMNS,
+    Report,
+    _csv_chunks,
+    _json_chunks,
+    _Labels,
+    _sweep_blocks,
+)
+from wteleport.concurrence import (
+    concurrence_mixed_batch,
+    concurrence_pure_batch,
+    concurrence_x_batch,
+)
 from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_branches
+from wteleport.states import ZERO_PROBABILITY_CUTOFF, check_density_matrices
 
 N_LOG_GRID = np.logspace(-6, 6, 25)
 
@@ -63,6 +76,31 @@ def test_werner_engine_matches_enumeration():
     assert np.abs(concurrence - expected_c).max() <= 1e-10
 
 
+def test_werner_bob_zero_matches_the_derived_form():
+    # each Bob-0 branch has probability 1/8 and C = max(0, sqrt(n) (3p-1) / (n+1))
+    n, p = (a.ravel() for a in np.meshgrid(np.logspace(-12, 12, 97), np.linspace(0, 1, 21)))
+    probability, concurrence = werner_branches(p, n)
+    bob_zero = [k for k, (_, bob) in enumerate(BRANCH_ORDER) if bob is BobOutcome.ZERO]
+    derived = np.maximum(0.0, np.sqrt(n) * (3.0 * p - 1.0) / (n + 1.0))
+    assert np.abs(probability[:, bob_zero] - 0.125).max() <= 1e-15
+    assert np.abs(concurrence[:, bob_zero] - derived[:, None]).max() <= 1e-15
+    # the engine's X-state kernel against Wootters' formula on the same post-states
+    maps = branch_maps(n)
+    rho = np.array([werner(q).entries for q in p])
+    weighted = maps @ rho[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
+    trace = np.trace(weighted, axis1=-2, axis2=-1).real
+    alive = trace >= ZERO_PROBABILITY_CUTOFF
+    post = weighted[alive] / trace[alive][:, None, None]
+    assert np.abs(concurrence_x_batch(post) - concurrence_mixed_batch(post)).max() <= 1e-13
+
+
+def test_x_kernel_rejects_entries_off_the_x():
+    rho = np.eye(4) / 4.0
+    rho[0, 1] = rho[1, 0] = 1e-300
+    with pytest.raises(NumericalFailure, match="off the X"):
+        concurrence_x_batch(rho[np.newaxis])
+
+
 @pytest.mark.parametrize("engine", [pure_branches, werner_branches])
 def test_blocks_do_not_change_results(monkeypatch, engine):
     n = np.linspace(0.1, 10.0, 23)
@@ -94,6 +132,24 @@ def test_batched_validators_raise_invalid_input():
         werner_branches(np.array([np.nan]), np.array([1.0]))
     with pytest.raises(InvalidInput, match="channel parameter n"):
         sweep("werner", n_values=(1.0, np.inf))
+    # X-states the kernel must reject as check_density_matrices does, message and all
+    bell = werner(1.0).entries.real
+    asymmetric, long_trace, negative = bell.copy(), bell.copy(), bell.copy()
+    asymmetric[0, 3] += 1e-9
+    long_trace[1, 1] += 1e-9
+    negative[0, 3] = negative[3, 0] = 0.5 + 2e-10  # smallest eigenvalue -2e-10
+    non_finite = bell.copy()
+    non_finite[2, 2] = np.nan
+    for bad in (asymmetric, long_trace, negative, non_finite):
+        with pytest.raises(InvalidInput) as expected:
+            check_density_matrices(bad[np.newaxis])
+        with pytest.raises(InvalidInput) as raised:
+            concurrence_x_batch(np.array([bell, bad]))
+        assert str(raised.value) == str(expected.value)
+    # within NORM_TOL of positive semidefinite passes both
+    negative[0, 3] = negative[3, 0] = 0.5 + 4e-11
+    check_density_matrices(negative[np.newaxis])
+    assert concurrence_x_batch(negative[np.newaxis]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_scalar_concurrences_delegate_to_the_kernels():
@@ -144,11 +200,19 @@ def _rows(tables):
     return rows
 
 
+def _decoded(column):
+    """A block column as an array, label codes replaced by their names."""
+    if isinstance(column, _Labels):
+        return np.array(column.names, dtype=object)[column.codes]
+    return column
+
+
 def _block_rows(blocks):
     """The rows of column blocks, as dicts keyed by the sweep columns."""
     rows = []
     for block in blocks:
         assert list(block) == list(SWEEP_CSV_COLUMNS)
+        block = {c: _decoded(block[c]) for c in block}
         count = len(block["mode"])
         assert all(block[c] is None or block[c].shape == (count,) for c in block)
         columns = [[None] * count if block[c] is None else block[c].tolist() for c in block]
@@ -177,7 +241,7 @@ def test_sweep_rows_follow_the_table(monkeypatch):
     assert rows == _rows([table])
     monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 4)
     blocks = list(_sweep_blocks(table))
-    assert [len(block["mode"]) for block in blocks] == [4 * 8, 2 * 8]
+    assert [len(block["n"]) for block in blocks] == [4 * 8, 2 * 8]
     assert _block_rows(blocks) == rows
 
 
