@@ -9,6 +9,7 @@ six significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -38,6 +39,8 @@ from .protocol import (
     BobOutcome,
     ProtocolResult,
     _check_alpha_sq,
+    _check_n,
+    _check_p,
     run_protocol_mixed,
     run_protocol_pure,
 )
@@ -110,11 +113,10 @@ def _format_matrix_lines(entries: np.ndarray, indent: str) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class _PostState:
     """A run row's post-state cell: complex reprs in CSV, ``[re, im]`` pairs in
-    JSON.  Cells are ordered by their CSV text, so ``np.unique`` can find the
-    distinct cells of a column of them."""
+    JSON."""
 
     text: str
     pairs: list = field(compare=False)
@@ -129,8 +131,9 @@ class _PostState:
         return self.text
 
 
-def _parse_values(text: str, name: str, points: int = 1) -> tuple[tuple[float, ...], bool]:
-    """Parse a scalar or an inclusive grid spec start:stop:count.
+def _parse_values(text: str, name: str, points: int = 1) -> tuple[np.ndarray, bool]:
+    """Parse a scalar or an inclusive grid spec start:stop:count into a float
+    array of one or ``count`` values.
 
     ``points`` is the size of the grid this one is crossed with; the whole
     grid is checked against ``MAX_GRID_POINTS`` before any of it is built.
@@ -156,14 +159,14 @@ def _parse_values(text: str, name: str, points: int = 1) -> tuple[tuple[float, .
             )
         if start > stop:
             raise InvalidInput(f"{name}: grid start must not exceed stop, got {text!r}")
-        return tuple(float(v) for v in np.linspace(start, stop, count)), True
+        return np.linspace(start, stop, count), True
     try:
-        return (float(text),), False
+        return np.array([float(text)]), False
     except ValueError:
         raise InvalidInput(f"{name}: expected a number or start:stop:count, got {text!r}")
 
 
-def _mode_parameter(args: argparse.Namespace, points: int) -> tuple[tuple[float, ...], bool]:
+def _mode_parameter(args: argparse.Namespace, points: int) -> tuple[np.ndarray, bool]:
     """The grid of the parameter that matches --mode, crossed with ``points``
     n values; the other parameter must be absent."""
     if args.mode == "pure":
@@ -191,10 +194,12 @@ class _Labels:
     names: tuple
     codes: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.codes)
 
-# One block of rows, column by column: a 1-D float array, ``_Labels``, a 1-D
-# array of other cells (strings, or a run's post-state cells), or None for a
-# column the rows do not have.
+
+# One block of rows, column by column: a 1-D float array, ``_Labels``, or None
+# for a column the rows do not have.
 Block = Mapping[str, np.ndarray | _Labels | None]
 
 
@@ -204,11 +209,13 @@ class Report:
     and hands it to ``_write``, the only code that renders and writes output.
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
-    is consumed once, so sweep rows are never all rendered at once.  An absent
-    column is an empty CSV field and a JSON ``null``.  ``document`` is the
-    JSON output in key order; the rows are spliced in at its ``"rows"`` key.
-    ``table`` holds the text of the table format, a line or block of lines at
-    a time.
+    is consumed once, as it is written, so a sweep computes its next block
+    only after the last one is written.  An absent column is an empty CSV
+    field and a JSON ``null``.  ``document`` is the JSON output in key order;
+    the rows are spliced in at its ``"rows"`` key, and the keys after it are
+    rendered only once the rows are written, so a sweep's ``"summary"`` can
+    count the rows as they go by.  ``table`` holds the text of the table
+    format, one or more whole lines at a time, each ending in a newline.
     """
 
     comment: str
@@ -232,20 +239,24 @@ def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], h
         return head + text(None)
     if isinstance(column, _Labels):
         return np.array([head + text(name) for name in column.names], dtype=object)[column.codes]
-    column = np.ravel(column)
-    floats = column.dtype == np.float64
-    distinct, inverse = np.unique(column.view(np.uint64) if floats else column, return_inverse=True)
-    values = (distinct.view(np.float64) if floats else distinct).tolist()
+    distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
+    values = distinct.view(np.float64).tolist()
     return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
 
 
-def _rows(block: Block, cells: Sequence[tuple[str, Callable[[object], str], str]]) -> np.ndarray:
-    """One string per row of the block: the elementwise sum of the
-    ``_cells(block[name], text, head)`` of each ``(name, text, head)``."""
-    row = ""
-    for name, text, head in cells:
-        row = row + _cells(block[name], text, head)
-    return row
+def _rows(block: Block, cells: Sequence[tuple[str, Callable[[object], str], str]], end: str) -> str:
+    """The block's rows as one string: the ``_cells(block[name], text, head)``
+    of each ``(name, text, head)`` side by side, each row closed by ``end``.
+
+    The cells go into a (rows x (columns + 1)) grid, ``end`` in its last
+    column, which is joined once.
+    """
+    count = next(len(column) for column in block.values() if column is not None)
+    grid = np.empty((count, len(cells) + 1), dtype=object)
+    for j, (name, text, head) in enumerate(cells):
+        grid[:, j] = _cells(block[name], text, head)
+    grid[:, -1] = end
+    return "".join(grid.ravel().tolist())
 
 
 def _csv_text(value) -> str:
@@ -268,14 +279,18 @@ def _csv_chunks(report: Report) -> Iterator[str]:
     yield f"# {report.comment}\n" + ",".join(report.columns) + "\n"
     cells = [(name, _csv_text, "," if j else "") for j, name in enumerate(report.columns)]
     for block in report.blocks:
-        yield "".join((_rows(block, cells) + "\n").tolist())
+        yield _rows(block, cells, "\n")
 
 
 def _json_chunks(report: Report) -> Iterator[str]:
     """``json.dumps(report.document, indent=2) + "\\n"``, with the rows written
-    one block at a time and spliced in at the ``"rows"`` key."""
+    one block at a time and spliced in at the ``"rows"`` key.
+
+    Each row opens with the comma that separates it from the row before; the
+    first row of the document drops it.
+    """
     cells = [
-        (name, _json_text, ("\n    {" if j == 0 else ",") + f"\n      {json.dumps(name)}: ")
+        (name, _json_text, (",\n    {" if j == 0 else ",") + f"\n      {json.dumps(name)}: ")
         for j, name in enumerate(report.columns)
     ]
     separator = "{"
@@ -286,11 +301,12 @@ def _json_chunks(report: Report) -> Iterator[str]:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         yield "["
-        block_separator = ""
+        first = True
         for block in report.blocks:
-            yield block_separator + ",".join((_rows(block, cells) + "\n    }").tolist())
-            block_separator = ","
-        yield "\n  ]" if block_separator else "]"
+            text = _rows(block, cells, "\n    }")
+            yield text[1:] if first else text
+            first = False
+        yield "]" if first else "\n  ]"
     yield "\n}\n"
 
 
@@ -301,7 +317,7 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     elif args.format == "json":
         chunks = _json_chunks(report)
     else:
-        chunks = (line + "\n" for line in report.table)
+        chunks = report.table
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -375,17 +391,16 @@ _SWEEP_TABLE = (
 )
 
 
-def _sweep_lines(comment: str, table: SweepTable) -> Iterator[str]:
+def _sweep_lines(comment: str, tables: Iterable[SweepTable]) -> Iterator[str]:
     header = " ".join(format(title, align) for _, title, align, _ in _SWEEP_TABLE)
     cells = [
         (name, _table_text(align, spec), " " if j else "")
         for j, (name, _, align, spec) in enumerate(_SWEEP_TABLE)
     ]
-    yield comment
-    yield header
-    yield "-" * len(header)
-    for block in _sweep_blocks(table):
-        yield "\n".join(_rows(block, cells).tolist())
+    yield f"{comment}\n{header}\n{'-' * len(header)}\n"
+    for table in tables:
+        for block in _sweep_blocks(table):
+            yield _rows(block, cells, "\n")
 
 
 # ---------------------------------------------------------------- run
@@ -408,7 +423,7 @@ def _run_lines(comment: str, result: ProtocolResult) -> list[str]:
             lines.extend(_format_matrix_lines(b.post_state.entries, "    "))
     lines.append("")
     lines.append(f"total probability: {_sig6(result.total_probability)}")
-    return lines
+    return [line + "\n" for line in lines]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -416,8 +431,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     values, p_grid = _mode_parameter(args, len(n_values))
     if n_grid or p_grid:
         raise InvalidInput("run takes scalar parameters; use sweep for grids")
-    n = n_values[0]
-    value = values[0]
+    n = float(n_values[0])
+    value = float(values[0])
 
     if args.mode == "pure":
         result = run_protocol_pure(sqrt(_check_alpha_sq(value)), n)
@@ -428,17 +443,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         alpha_sq, p = None, value
         comment = f"wteleport run mode=werner n={_full(n)} p={_full(value)}"
     # Every format writes the parsed parameter, never one recomputed from the result.
-    branches = result.branches
+    branches = result.branches  # in BRANCH_ORDER
     rows = {
-        "mode": np.full(len(branches), args.mode),
+        "mode": _Labels((args.mode,), np.zeros(len(branches), dtype=np.intp)),
         "n": np.full(len(branches), n),
         "alpha_sq": None if alpha_sq is None else np.full(len(branches), alpha_sq),
         "p": None if p is None else np.full(len(branches), p),
-        "bell": np.array([b.bell.value for b in branches]),
-        "bob": np.array([b.bob.value for b in branches]),
+        "bell": _Labels(_BELLS, _BELL_CODES),
+        "bob": _Labels(_BOBS, _BOB_CODES),
         "probability": np.array([b.probability for b in branches], dtype=float),
         "concurrence": np.array([b.concurrence for b in branches], dtype=float),
-        "post_state": np.array([_PostState.of(b.post_state) for b in branches]),
+        "post_state": _Labels(
+            tuple(_PostState.of(b.post_state) for b in branches), np.arange(len(branches))
+        ),
     }
     document = {
         "config": _config_dict(args, mode=args.mode, n=n, alpha_sq=alpha_sq, p=p),
@@ -451,28 +468,67 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
+def _grid_blocks(n_values: np.ndarray, values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """The (n values, mode values) of each block of the n-major grid, at most
+    ``BLOCK_POINTS`` points each, in sweep order: one n and a slice of the
+    mode values when those fill a block, else whole rows of as many n as fit."""
+    if len(values) >= BLOCK_POINTS:
+        for i in range(len(n_values)):
+            for start in range(0, len(values), BLOCK_POINTS):
+                yield n_values[i : i + 1], values[start : start + BLOCK_POINTS]
+    else:
+        step = BLOCK_POINTS // len(values)
+        for start in range(0, len(n_values), step):
+            yield n_values[start : start + step], values
+
+
+def _sweep_tables(
+    mode: str, n_values: np.ndarray, values: np.ndarray, summary: dict
+) -> Iterator[SweepTable]:
+    """``sweep`` over one grid block at a time, adding each block's verdicts
+    to the ``rows``, ``match`` and ``discrepant`` counts of ``summary``."""
+    key = "alpha_sq_values" if mode == "pure" else "p_values"
+    for n, value in _grid_blocks(n_values, values):
+        table = sweep(mode, n_values=n, **{key: value})
+        match = int(table.match.sum())
+        summary["rows"] += len(table)
+        summary["match"] += match
+        summary["discrepant"] += len(table) - match
+        yield table
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """Compute and write the sweep one grid block at a time.
+
+    Both grids are validated whole, and the first block is computed, before
+    any output is written or the ``--output`` file is opened; so a usage
+    error, or a numerical failure in the first block, writes nothing.  A
+    numerical failure in a later block leaves the rows written before it.
+    """
     (n_values, n_grid) = _parse_values(args.n, "--n")
     values, p_grid = _mode_parameter(args, len(n_values))
     if not (n_grid or p_grid):
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
-
     if args.mode == "pure":
-        table = sweep("pure", n_values=n_values, alpha_sq_values=values)
+        _check_alpha_sq(values)
         span = f"alpha_sq={args.alpha_sq}"
     else:
-        table = sweep("werner", n_values=n_values, p_values=values)
+        _check_p(values)
         span = f"p={args.p}"
+    _check_n(n_values)
+
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
-    match = int(table.match.sum())
+    summary = {"rows": 0, "match": 0, "discrepant": 0}
     document = {
         "config": _config_dict(args, mode=args.mode, n=args.n, alpha_sq=args.alpha_sq, p=args.p),
         "rows": None,
-        "summary": {"rows": len(table), "match": match, "discrepant": len(table) - match},
+        "summary": summary,
     }
-    blocks = _sweep_blocks(table)
+    tables = _sweep_tables(args.mode, n_values, values, summary)
+    tables = itertools.chain([next(tables)], tables)  # the first block, before any output
+    blocks = (block for table in tables for block in _sweep_blocks(table))
     return _write(
-        Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, table)), args
+        Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, tables)), args
     )
 
 
@@ -591,7 +647,7 @@ def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
             )
     exit_code = summary["exit_code"]
     lines.append(f"result: {'FAIL' if exit_code else 'PASS'} (exit {exit_code})")
-    return lines
+    return [line + "\n" for line in lines]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -661,7 +717,7 @@ def _roots_lines(roots: QuarticReport) -> list[str]:
         upper = "inf" if region.upper is None else f"{region.upper:.12g}"
         sign = ">= 0 (inequality holds)" if region.sign > 0 else "< 0 (inequality fails)"
         lines.append(f"  ({region.lower:.12g}, {upper}): {sign}")
-    return lines
+    return [line + "\n" for line in lines]
 
 
 def cmd_roots(args: argparse.Namespace) -> int:

@@ -104,9 +104,10 @@ class ProtocolResult:
         raise KeyError((bell, bob))
 
 
-# Grid points per block of the batched engines and of sweep rendering; bounds
-# their working memory.  Blocks of 512 to 4096 points ran equally fast, and
-# peak memory grows with the block size.
+# Grid points per block of the batched engines and of a CLI sweep, which
+# computes and writes one block at a time; bounds their working memory, so a
+# sweep's peak memory does not grow with its grid.  Blocks of 512 to 4096
+# points ran equally fast, and peak memory grows with the block size.
 BLOCK_POINTS = 1024
 
 

@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, output formats, exit codes."""
 import csv
+import errno
 import io
 import json
 import os
@@ -18,10 +19,14 @@ from wteleport import InvalidInput, quartic, sweep
 from wteleport.cli import (
     RUN_COLUMNS,
     SWEEP_CSV_COLUMNS,
+    Report,
     _cells,
+    _csv_chunks,
     _csv_text,
     _json_text,
+    _Labels,
     _parse_values,
+    _sweep_blocks,
     main,
 )
 
@@ -260,6 +265,102 @@ class TestSweep:
         assert path.read_text(encoding="utf-8") == stdout_text
 
 
+    def test_out_of_range_grid_writes_nothing(self, capsys):
+        # the first block's values lie in [0, 1]; the whole grid is checked first
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "pure", "--n", "2", "--alpha-sq", "0:2:3000",
+            "--format", "csv",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha^2 must lie in [0, 1], got 1.000")
+
+    def test_first_block_failure_creates_no_output_file(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "pure", "--n", "1e308", "--alpha-sq", "0:1:3",
+            "--format", "csv", "--output", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure:")
+        assert not path.exists()
+
+    def test_later_block_failure_leaves_the_blocks_written(self, capsys):
+        # 2 + 2n overflows only in the last of the three blocks of n values
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "pure", "--n", "1:1e308:3000", "--alpha-sq", "0.5",
+            "--format", "csv",
+        )
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        rows = out.splitlines(keepends=True)[2:]  # after the comment and the header
+        assert len(rows) == 2 * wteleport.protocol.BLOCK_POINTS * 8
+        n_values = np.linspace(1.0, 1e308, 3000)[: len(rows) // 8]
+        table = sweep("pure", n_values=n_values, alpha_sq_values=(0.5,))
+        chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, _sweep_blocks(table), {}, ())))
+        assert "".join(rows) == "".join(chunks[1:])
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_broken_pipe_stops_the_computation(self, monkeypatch, tmp_path, fmt):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        with open(tmp_path / "stdout", "w") as stand_in:
+
+            class ClosedPipe(io.StringIO):
+                """A stdout whose reader has gone."""
+
+                def write(self, text):
+                    raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+                def fileno(self):
+                    return stand_in.fileno()
+
+            monkeypatch.setattr(wteleport.cli, "sweep", counted)
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main([
+                "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:1024",
+                "--format", fmt,
+            ])
+        assert code == 0
+        assert 1 <= len(calls) <= 2  # of the 100 blocks
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only"
+    )
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # A child's ru_maxrss also counts the memory of the process it was
+        # spawned from, up to its exec; so each sweep is spawned, and waited
+        # for, by a bare interpreter far smaller than a sweep.
+        spawn = (
+            "import os, sys\n"
+            "pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)\n"
+            "_, status, usage = os.wait4(pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        package = Path(wteleport.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        path = tmp_path / "rows.csv"
+
+        def peak_mib(n_spec: str) -> float:
+            child = subprocess.run(
+                [sys.executable, "-c", spawn, "-c", "from wteleport.cli import entry; entry()",
+                 "sweep", "--mode", "pure", "--n", n_spec, "--alpha-sq", "0.05:0.95:100",
+                 "--format", "csv", "--output", str(path)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            code, kib = child.stdout.split()
+            assert (code, child.stderr) == ("0", "")
+            path.unlink()
+            return int(kib) / 1024
+
+        small = peak_mib("0.01:100:10")  # 10^3 points
+        large = peak_mib("0.01:100:1000")  # 10^5 points, 92 MB of CSV
+        assert abs(large - small) < 8.0, (small, large)
+
+
 class TestVerify:
     def test_exit_zero_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
@@ -466,7 +567,7 @@ class TestOutput:
         column = np.array(values)
         assert _cells(column, _csv_text).tolist() == [repr(v) for v in values]
         assert _cells(column, _json_text).tolist() == [json.dumps(v) for v in values]
-        labels = np.array(["Zero", "One", "Zero"])
+        labels = _Labels(("Zero", "One"), np.array([0, 1, 0]))
         assert _cells(labels, _csv_text).tolist() == ["Zero", "One", "Zero"]
         assert _cells(labels, _json_text).tolist() == ['"Zero"', '"One"', '"Zero"']
         assert (_cells(None, _csv_text, ","), _cells(None, _json_text)) == (",", "null")

@@ -33,7 +33,10 @@ from wteleport.cli import (
     _csv_chunks,
     _json_chunks,
     _Labels,
+    _parse_values,
     _sweep_blocks,
+    _sweep_lines,
+    main,
 )
 from wteleport.concurrence import (
     concurrence_mixed_batch,
@@ -307,3 +310,59 @@ def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
 
     assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
+
+
+@pytest.mark.parametrize(
+    "mode, n_spec, value_spec, sizes",
+    [
+        # more mode values than a block holds: one n at a time, in slices
+        ("pure", "0.5:4:3", "0:1:9", [7, 2] * 3),
+        # exactly a block of mode values
+        ("werner", "0.1:10:4", "0:1:7", [7] * 4),
+        # fewer: as many whole n rows as fit, 2 x 3 of the 7 points
+        ("pure", "0.2:5:5", "0.1:0.9:3", [6, 6, 3]),
+        ("werner", "1e-3:1e3:9", "0.5", [7, 2]),
+    ],
+)
+def test_sweep_streams_blocks_of_at_most_block_points(
+    monkeypatch, capsys, mode, n_spec, value_spec, sizes
+):
+    key = "--alpha-sq" if mode == "pure" else "--p"
+    grid = {"alpha_sq_values" if mode == "pure" else "p_values": _parse_values(value_spec, key)[0]}
+    whole = sweep(mode, n_values=_parse_values(n_spec, "--n")[0], **grid)
+    comment = f"wteleport sweep mode={mode} n={n_spec} {key[2:].replace('-', '_')}={value_spec}"
+    config = {
+        "subcommand": "sweep",
+        "format": "json",
+        "mode": mode,
+        "n": n_spec,
+        "alpha_sq": value_spec if mode == "pure" else None,
+        "p": value_spec if mode == "werner" else None,
+    }
+    match = int(whole.match.sum())
+    summary = {"rows": len(whole), "match": match, "discrepant": len(whole) - match}
+
+    def report():  # its row blocks are consumed once
+        document = {"config": config, "rows": None, "summary": summary}
+        return Report(comment, SWEEP_CSV_COLUMNS, _sweep_blocks(whole), document, ())
+
+    expected = {
+        "csv": "".join(_csv_chunks(report())),
+        "json": "".join(_json_chunks(report())),
+        "table": "".join(_sweep_lines(comment, [whole])),
+    }
+
+    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 7)
+    for fmt, text in expected.items():
+        calls = []
+
+        def counted(mode, n_values, **grid):
+            (values,) = grid.values()
+            calls.append(len(n_values) * len(values))
+            return sweep(mode, n_values=n_values, **grid)
+
+        monkeypatch.setattr(wteleport.cli, "sweep", counted)
+        code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == text
+        assert calls == sizes
