@@ -41,6 +41,7 @@ from .protocol import (
     _check_alpha_sq,
     _check_n,
     _check_p,
+    _mixed_results,
     run_protocol_mixed,
     run_protocol_pure,
 )
@@ -567,8 +568,9 @@ def _check(name: str, max_error: float) -> dict:
 def _werner_engine_error(werner: SweepTable) -> float:
     """Largest gap between the Werner sweep engine and the enumeration at n = 1."""
     points = {key: i for i, key in enumerate(zip(werner.n.tolist(), werner.p.tolist()))}
+    results = _mixed_results(DEFAULT_P_GRID, 1.0)
     return max(
-        _engine_error(run_protocol_mixed(p, 1.0), werner, points[1.0, p]) for p in DEFAULT_P_GRID
+        _engine_error(result, werner, points[1.0, p]) for p, result in zip(DEFAULT_P_GRID, results)
     )
 
 

@@ -9,10 +9,12 @@ nothing is sampled.
 
 There is one scalar execution and one batched engine.  The scalar runs
 enumerate the full five-qubit state vector; a Werner input is the mixture
-of the four Bell states it is made of, each enumerated on its own.  The
-batched engines ``pure_branches`` and ``werner_branches`` apply all eight
-per-branch linear maps to whole parameter grids at once; sweeps use them,
-and the scalar runs stay as the independent oracle that cross-checks them.
+of the four Bell states it is made of, each enumerated on its own, once
+per n for any number of p.  Each run computes the concurrences of its live
+branches in one kernel call.  The batched engines ``pure_branches`` and
+``werner_branches`` apply all eight per-branch linear maps to whole
+parameter grids at once; sweeps use them, and the scalar runs stay as the
+independent oracle that cross-checks them.
 """
 from __future__ import annotations
 
@@ -23,12 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .concurrence import (
-    concurrence_mixed,
-    concurrence_pure,
-    concurrence_pure_batch,
-    concurrence_x_batch,
-)
+from .concurrence import concurrence_mixed_batch, concurrence_pure_batch, concurrence_x_batch
 from .states import (
     DensityMatrix,
     InvalidInput,
@@ -217,26 +214,27 @@ def _enumerate(pair: StateVector, n: float) -> list[tuple[float, StateVector | N
 
 
 def _result(
-    n, alpha, p, probabilities, post_state, concurrence, sentinel, weighted=None
+    n, alpha, p, probabilities, post_state, kernel, sentinel, weighted=None
 ) -> ProtocolResult:
     """The eight branches of one run, in ``BRANCH_ORDER``.
 
-    A branch below the zero-probability cutoff carries ``sentinel`` and
-    concurrence 0; a live branch k carries ``post_state(k)`` and its
-    ``concurrence``.  The probabilities must sum to 1.
+    The probabilities must sum to 1.  A branch below the zero-probability
+    cutoff carries ``sentinel`` and concurrence 0; a live branch k carries
+    ``post_state(k)``, and ``kernel`` gives the concurrences of all live
+    post-states in one call.
     """
-    branches = []
-    for k, (bell, bob) in enumerate(BRANCH_ORDER):
-        matrix = None if weighted is None else weighted[k]
-        if probabilities[k] < ZERO_PROBABILITY_CUTOFF:
-            branches.append(Branch(bell, bob, probabilities[k], sentinel, 0.0, matrix))
-        else:
-            post = post_state(k)
-            branches.append(Branch(bell, bob, probabilities[k], post, concurrence(post), matrix))
     total = sum(probabilities)
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
+    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
         raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
-    return ProtocolResult(n, alpha, p, tuple(branches), total)
+    live = [k for k, q in enumerate(probabilities) if q >= ZERO_PROBABILITY_CUTOFF]
+    posts = {k: post_state(k) for k in live}
+    concurrence = dict(zip(live, kernel([posts[k] for k in live]).tolist()))
+    matrices = weighted or (None,) * len(BRANCH_ORDER)
+    branches = tuple(
+        Branch(bell, bob, q, posts.get(k, sentinel), concurrence.get(k, 0.0), matrix)
+        for k, ((bell, bob), q, matrix) in enumerate(zip(BRANCH_ORDER, probabilities, matrices))
+    )
+    return ProtocolResult(n, alpha, p, branches, total)
 
 
 def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
@@ -249,7 +247,11 @@ def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
     n = _check_n(n)
     probabilities, posts = zip(*_enumerate(input_pair(alpha), n))
     sentinel = StateVector(OUTPUT_LABELS, np.zeros(4, dtype=complex))
-    return _result(n, alpha, None, probabilities, posts.__getitem__, concurrence_pure, sentinel)
+    return _result(n, alpha, None, probabilities, posts.__getitem__, _pure_kernel, sentinel)
+
+
+def _pure_kernel(posts: list[StateVector]) -> np.ndarray:
+    return concurrence_pure_batch(np.array([post.amplitudes for post in posts]))
 
 
 def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
@@ -374,21 +376,50 @@ def run_protocol_mixed(p: float, n: float) -> ProtocolResult:
     (``weighted_matrix``) is the weighted sum of the Bell states' branch
     probabilities times their post-state projectors; its trace is the branch
     probability.  Each branch also reports the renormalized post-state
-    density matrix and its Wootters concurrence.
+    density matrix and its Wootters concurrence, all from one
+    ``concurrence_mixed_batch`` call.  This is ``_mixed_results`` at one p;
+    that function enumerates the Bell states once per n for a whole p grid.
     """
-    p = _check_p(p)
+    return _mixed_results((p,), n)[0]
+
+
+def _mixed_results(p_values, n: float) -> list[ProtocolResult]:
+    """``run_protocol_mixed(p, n)`` for every p in ``p_values``, in order.
+
+    Only the mixing weights depend on p, so each Bell state is enumerated
+    once per call and each live branch's projector is built once; the
+    projectors are read-only and shared across p.  Each p sums them in the
+    same order as a run of its own, so its result is the same to the bit.
+    """
+    p_values = [_check_p(p) for p in p_values]
     n = _check_n(n)
-    weights = ((1.0 + 3.0 * p) / 4.0,) + ((1.0 - p) / 4.0,) * 3
-    weighted = [np.zeros((4, 4), dtype=complex) for _ in BRANCH_ORDER]
-    probabilities = [0.0] * len(BRANCH_ORDER)
-    for weight, bell_state in zip(weights, bell_basis(INPUT_LABELS).vectors):
-        for k, (q, post) in enumerate(_enumerate(bell_state, n)):
-            probabilities[k] += weight * q
-            if q >= ZERO_PROBABILITY_CUTOFF:
-                weighted[k] += weight * q * density_from_pure(post).entries
-
-    def post_state(k: int) -> DensityMatrix:
-        return DensityMatrix(OUTPUT_LABELS, weighted[k] / probabilities[k])
-
+    enumerated = [
+        [
+            (q, density_from_pure(post).entries if q >= ZERO_PROBABILITY_CUTOFF else None)
+            for q, post in _enumerate(bell_state, n)
+        ]
+        for bell_state in bell_basis(INPUT_LABELS).vectors
+    ]
     sentinel = DensityMatrix(OUTPUT_LABELS, np.zeros((4, 4), dtype=complex))
-    return _result(n, None, p, probabilities, post_state, concurrence_mixed, sentinel, weighted)
+    results = []
+    for p in p_values:
+        weights = ((1.0 + 3.0 * p) / 4.0,) + ((1.0 - p) / 4.0,) * 3
+        weighted = [np.zeros((4, 4), dtype=complex) for _ in BRANCH_ORDER]
+        probabilities = [0.0] * len(BRANCH_ORDER)
+        for weight, branches in zip(weights, enumerated):
+            for k, (q, projector) in enumerate(branches):
+                probabilities[k] += weight * q
+                if projector is not None:
+                    weighted[k] += weight * q * projector
+
+        def post_state(k: int) -> DensityMatrix:
+            return DensityMatrix(OUTPUT_LABELS, weighted[k] / probabilities[k])
+
+        results.append(
+            _result(n, None, p, probabilities, post_state, _mixed_kernel, sentinel, weighted)
+        )
+    return results
+
+
+def _mixed_kernel(posts: list[DensityMatrix]) -> np.ndarray:
+    return concurrence_mixed_batch(np.array([post.entries for post in posts]))

@@ -250,7 +250,8 @@ def measure(
     remaining labels keep their register order) and is renormalized; outcomes
     with probability below ``ZERO_PROBABILITY_CUTOFF`` carry the zero
     sentinel.  This enumerates all branches deterministically rather than
-    sampling one.
+    sampling one.  Outcome probabilities that do not sum to 1 within
+    ``PROBABILITY_SUM_TOL``, or sum to NaN, raise ``NumericalFailure``.
     """
     if not state.is_normalized():
         raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
@@ -266,20 +267,23 @@ def measure(
     st = state.tensor_view()
     m = len(targets)
 
+    axes = (tuple(range(m)), positions)
+    projections = [
+        np.tensordot(bvec.amplitudes.conj().reshape((2,) * m), st, axes=axes)
+        for bvec in basis.vectors
+    ]
+    probabilities = [float(np.vdot(x, x).real) for x in projections]
+    total = sum(probabilities)
+    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
+        raise NumericalFailure(f"outcome probabilities sum to {total}, expected 1")
+
     results: list[tuple[int, float, StateVector]] = []
-    for index, bvec in enumerate(basis.vectors):
-        bt = bvec.amplitudes.conj().reshape((2,) * m)
-        projected = np.tensordot(bt, st, axes=(tuple(range(m)), positions))
-        prob = float(np.vdot(projected, projected).real)
+    for index, (prob, projected) in enumerate(zip(probabilities, projections)):
         if prob < ZERO_PROBABILITY_CUTOFF:
             post = StateVector(remaining, np.zeros(2 ** len(remaining), dtype=complex))
         else:
             post = StateVector(remaining, projected.reshape(-1) / np.sqrt(prob))
         results.append((index, prob, post))
-
-    total = sum(p for _, p, _ in results)
-    if abs(total - 1.0) > PROBABILITY_SUM_TOL:
-        raise NumericalFailure(f"outcome probabilities sum to {total}, expected 1")
     return results
 
 

@@ -15,7 +15,7 @@ import pytest
 import wteleport.analysis
 import wteleport.concurrence
 import wteleport.protocol
-from wteleport import InvalidInput, quartic, sweep
+from wteleport import DensityMatrix, InvalidInput, quartic, sweep
 from wteleport.cli import (
     RUN_COLUMNS,
     SWEEP_CSV_COLUMNS,
@@ -452,6 +452,20 @@ class TestVerify:
         assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
         assert "result: FAIL (exit 1)" in out
 
+    def test_wrong_shared_projector_fails(self, capsys, monkeypatch):
+        # the Werner oracle builds each Bell state's branch projectors once and
+        # shares them across p; a wrong projector corrupts every p at once and
+        # must trip the engine spot check
+        monkeypatch.setattr(
+            wteleport.protocol,
+            "density_from_pure",
+            lambda state: DensityMatrix(state.labels, np.eye(4) / 4.0),
+        )
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
+
     def test_mutated_spin_flip_fails(self, capsys, monkeypatch):
         # flipping one sign in the spin-flip operator corrupts the oracle and
         # must flip the exit code to 1
@@ -518,6 +532,7 @@ GOLDEN_COMMANDS = {
     "sweep-werner": ("sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:4"),
     "run-pure": ("run", "--mode", "pure", "--n", "2", "--alpha-sq", "0.37"),
     "run-werner": ("run", "--mode", "werner", "--n", "2", "--p", "0.8"),
+    "verify": ("verify",),
 }
 
 

@@ -7,6 +7,7 @@ from wteleport import (
     BellOutcome,
     BobOutcome,
     InvalidInput,
+    NumericalFailure,
     StateVector,
     bell_basis,
     branch_map,
@@ -380,3 +381,57 @@ class TestRunProtocolMixed:
                 c_phi = result.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO).concurrence
                 c_psi = result.branch(BellOutcome.PSI_PLUS, BobOutcome.ZERO).concurrence
                 assert c_phi == pytest.approx(c_psi, abs=1e-10)
+
+
+def _bits(result):
+    """Every number a run reports, as raw bytes, so equality is bit for bit."""
+    parts = [np.array([result.channel_n, result.input_p, result.total_probability])]
+    for b in result.branches:
+        parts += [np.array([b.probability, b.concurrence]), b.post_state.entries, b.weighted_matrix]
+    return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+
+
+class TestMixedResults:
+    P_VALUES = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.9, 1.0)
+
+    @pytest.mark.parametrize("n", [1e-6, 1.0, 4.0, 1e6])
+    def test_grid_equals_one_call_per_p(self, n):
+        results = wteleport.protocol._mixed_results(self.P_VALUES, n)
+        assert [_bits(r) for r in results] == [
+            _bits(run_protocol_mixed(p, n)) for p in self.P_VALUES
+        ]
+
+    def test_reversed_grid_reverses_the_results(self):
+        forward = wteleport.protocol._mixed_results(self.P_VALUES, 2.0)
+        backward = wteleport.protocol._mixed_results(self.P_VALUES[::-1], 2.0)
+        assert [_bits(r) for r in backward] == [_bits(r) for r in forward[::-1]]
+
+    def test_projectors_are_built_once_and_shared_read_only(self, monkeypatch):
+        built = []
+
+        def recorded(state):
+            built.append(density_from_pure(state))
+            return built[-1]
+
+        monkeypatch.setattr(wteleport.protocol, "density_from_pure", recorded)
+        wteleport.protocol._mixed_results(self.P_VALUES[:1], 2.0)
+        once = len(built)
+        wteleport.protocol._mixed_results(self.P_VALUES, 2.0)
+        assert len(built) == 2 * once  # the same count for 1 and for 6 values of p
+        for projector in built:
+            with pytest.raises(ValueError):
+                projector.entries[0, 0] = 0.5
+
+
+def test_nan_probability_is_a_numerical_failure():
+    # a NaN sum passes `abs(total - 1) > tol`, so the check must fail NaN itself
+    result = run_protocol_pure(0.6, 2.0)
+    probabilities = [b.probability for b in result.branches]
+    probabilities[-1] = float("nan")
+    posts = [b.post_state for b in result.branches]
+    sentinel = StateVector((1, 4), np.zeros(4))
+    with pytest.raises(NumericalFailure, match="sum to nan"):
+        wteleport.protocol._result(
+            2.0, 0.6, None, probabilities, posts.__getitem__,
+            wteleport.protocol._pure_kernel, sentinel,
+        )

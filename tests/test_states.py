@@ -7,6 +7,7 @@ from wteleport import (
     InvalidBasis,
     InvalidInput,
     MeasurementBasis,
+    NumericalFailure,
     StateVector,
     bell_basis,
     computational_basis,
@@ -195,6 +196,19 @@ class TestMeasure:
         state = StateVector((1,), np.array([0.5, 0.0]))
         with pytest.raises(InvalidInput):
             measure(state, (1,), computational_basis((1,)))
+
+    def test_nan_probability_is_a_numerical_failure(self):
+        # a NaN sum passes `abs(total - 1) > tol`, so the check must fail NaN
+        # itself, before any post-state is built; the NaN comes from a basis
+        # vector set past its constructor's checks
+        broken = object.__new__(StateVector)
+        object.__setattr__(broken, "labels", (1,))
+        object.__setattr__(broken, "amplitudes", np.array([np.nan, 0.0]))
+        basis = object.__new__(MeasurementBasis)
+        object.__setattr__(basis, "name", "broken")
+        object.__setattr__(basis, "vectors", (broken, ket([1], [1])))
+        with pytest.raises(NumericalFailure, match="sum to nan"):
+            measure(ket([0], [1]), (1,), basis)
 
 
 class TestDensityFromPure:
