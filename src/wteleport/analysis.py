@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .protocol import (
+    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
@@ -310,17 +311,37 @@ def sweep(
     if mode == "pure":
         if p_values is not None:
             raise InvalidInput("p grid does not apply to a pure sweep")
-        second = DEFAULT_ALPHA_SQ_GRID if alpha_sq_values is None else alpha_sq_values
-        second = np.atleast_1d(_check_alpha_sq(second))
+        values = DEFAULT_ALPHA_SQ_GRID if alpha_sq_values is None else alpha_sq_values
     else:
         if alpha_sq_values is not None:
             raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
-        second = np.atleast_1d(_check_p(DEFAULT_P_GRID if p_values is None else p_values))
-    if not second.size:
+        values = DEFAULT_P_GRID if p_values is None else p_values
+    if not np.size(values):
         raise InvalidInput("empty parameter grid")
+    n_grid, values = _checked_grids(mode, n_grid, values)
+    return _table(mode, np.repeat(n_grid, len(values)), np.tile(values, len(n_grid)))
 
-    n = np.repeat(_check_n(n_grid), len(second))
-    value = np.tile(second, len(n_grid))
+
+def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]:
+    """The n grid and the mode's grid (1-D) as float arrays, each validated
+    whole: the mode's grid first, then n."""
+    values = np.atleast_1d(_check_alpha_sq(values) if mode == "pure" else _check_p(values))
+    return _check_n(n_values), values
+
+
+def _grid_tables(mode: str, n_values, values) -> Iterator[SweepTable]:
+    """The sweep of the n-major grid ``n_values`` x ``values``, validated whole,
+    then computed lazily as one table per consecutive ``BLOCK_POINTS`` points."""
+    n_grid, values = _checked_grids(mode, n_values, values)
+    m = len(values)
+    points = len(n_grid) * m
+    for start in range(0, points, BLOCK_POINTS):
+        i = np.arange(start, min(start + BLOCK_POINTS, points))
+        yield _table(mode, n_grid[i // m], values[i % m])
+
+
+def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:
+    """The sweep table of validated points (n[i], value[i]), value being alpha^2 or p."""
     formula = np.zeros((len(n), len(BRANCH_ORDER)))
     if mode == "pure":
         alpha = np.sqrt(value)

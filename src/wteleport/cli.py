@@ -1,10 +1,12 @@
 """Command-line front end: protocol runs, parameter sweeps, oracle-vs-formula
 verification, and the channel-rating quartic.
 
-Exit codes: 0 success, 1 verification failure in the pure rows, 2 usage
-error, 3 numerical failure.  CSV and JSON outputs carry full double
-precision and are byte-stable for identical configurations; tables round to
-six significant digits.
+Exit codes: 0 success; 1 ``verify`` failure: a DISCREPANT pure row, a failed
+spot check (engine against enumeration, pure or Werner, among them) or a
+Bob-1 concurrence above ``DEADNESS_TOL``; 2 usage error; 3 numerical
+failure.  CSV and JSON outputs carry full double precision and are
+byte-stable for identical configurations; tables round to six significant
+digits.
 """
 from __future__ import annotations
 
@@ -27,20 +29,18 @@ from .analysis import (
     PSI_ZERO_COLUMNS,
     QuarticReport,
     SweepTable,
+    _grid_tables,
     input_concurrence,
     quartic,
     quartic_roots,
     sweep,
 )
 from .protocol import (
-    BLOCK_POINTS,
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
     ProtocolResult,
     _check_alpha_sq,
-    _check_n,
-    _check_p,
     _mixed_results,
     run_protocol_mixed,
     run_protocol_pure,
@@ -349,26 +349,23 @@ _BOB_CODES = np.array([_BOBS.index(bob.value) for _, bob in BRANCH_ORDER])
 _VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 
-def _sweep_blocks(table: SweepTable) -> Iterator[Block]:
-    """The table's rows in ``SWEEP_CSV_COLUMNS``, ``BLOCK_POINTS`` grid points
-    (8 rows each) at a time, in sweep order."""
+def _sweep_block(table: SweepTable) -> Block:
+    """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep order."""
     branches = len(BRANCH_ORDER)
-    for start in range(0, len(table.n), BLOCK_POINTS):
-        points = slice(start, start + BLOCK_POINTS)
-        count = len(table.n[points])
-        yield {
-            "mode": _Labels((table.mode,), np.zeros(count * branches, dtype=np.intp)),
-            "n": table.n[points].repeat(branches),
-            "alpha_sq": None if table.alpha_sq is None else table.alpha_sq[points].repeat(branches),
-            "p": None if table.p is None else table.p[points].repeat(branches),
-            "bell": _Labels(_BELLS, np.tile(_BELL_CODES, count)),
-            "bob": _Labels(_BOBS, np.tile(_BOB_CODES, count)),
-            "probability": table.probability[points].ravel(),
-            "oracle_concurrence": table.oracle[points].ravel(),
-            "formula_concurrence": table.formula[points].ravel(),
-            "abs_diff": table.abs_diff[points].ravel(),
-            "verdict": _Labels(_VERDICTS, table.match[points].ravel().astype(np.intp)),
-        }
+    count = len(table.n)
+    return {
+        "mode": _Labels((table.mode,), np.zeros(count * branches, dtype=np.intp)),
+        "n": table.n.repeat(branches),
+        "alpha_sq": None if table.alpha_sq is None else table.alpha_sq.repeat(branches),
+        "p": None if table.p is None else table.p.repeat(branches),
+        "bell": _Labels(_BELLS, np.tile(_BELL_CODES, count)),
+        "bob": _Labels(_BOBS, np.tile(_BOB_CODES, count)),
+        "probability": table.probability.ravel(),
+        "oracle_concurrence": table.oracle.ravel(),
+        "formula_concurrence": table.formula.ravel(),
+        "abs_diff": table.abs_diff.ravel(),
+        "verdict": _Labels(_VERDICTS, table.match.ravel().astype(np.intp)),
+    }
 
 
 def _table_text(align: str, spec: str) -> Callable[[object], str]:
@@ -400,8 +397,7 @@ def _sweep_lines(comment: str, tables: Iterable[SweepTable]) -> Iterator[str]:
     ]
     yield f"{comment}\n{header}\n{'-' * len(header)}\n"
     for table in tables:
-        for block in _sweep_blocks(table):
-            yield _rows(block, cells, "\n")
+        yield _rows(_sweep_block(table), cells, "\n")
 
 
 # ---------------------------------------------------------------- run
@@ -469,28 +465,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _grid_blocks(n_values: np.ndarray, values: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
-    """The (n values, mode values) of each block of the n-major grid, at most
-    ``BLOCK_POINTS`` points each, in sweep order: one n and a slice of the
-    mode values when those fill a block, else whole rows of as many n as fit."""
-    if len(values) >= BLOCK_POINTS:
-        for i in range(len(n_values)):
-            for start in range(0, len(values), BLOCK_POINTS):
-                yield n_values[i : i + 1], values[start : start + BLOCK_POINTS]
-    else:
-        step = BLOCK_POINTS // len(values)
-        for start in range(0, len(n_values), step):
-            yield n_values[start : start + step], values
-
-
 def _sweep_tables(
     mode: str, n_values: np.ndarray, values: np.ndarray, summary: dict
 ) -> Iterator[SweepTable]:
-    """``sweep`` over one grid block at a time, adding each block's verdicts
-    to the ``rows``, ``match`` and ``discrepant`` counts of ``summary``."""
-    key = "alpha_sq_values" if mode == "pure" else "p_values"
-    for n, value in _grid_blocks(n_values, values):
-        table = sweep(mode, n_values=n, **{key: value})
+    """The grid's tables from ``_grid_tables``, adding each one's verdicts to
+    the ``rows``, ``match`` and ``discrepant`` counts of ``summary``."""
+    for table in _grid_tables(mode, n_values, values):
         match = int(table.match.sum())
         summary["rows"] += len(table)
         summary["match"] += match
@@ -510,14 +490,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values, p_grid = _mode_parameter(args, len(n_values))
     if not (n_grid or p_grid):
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
-    if args.mode == "pure":
-        _check_alpha_sq(values)
-        span = f"alpha_sq={args.alpha_sq}"
-    else:
-        _check_p(values)
-        span = f"p={args.p}"
-    _check_n(n_values)
-
+    span = f"alpha_sq={args.alpha_sq}" if args.mode == "pure" else f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
     summary = {"rows": 0, "match": 0, "discrepant": 0}
     document = {
@@ -527,7 +500,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     }
     tables = _sweep_tables(args.mode, n_values, values, summary)
     tables = itertools.chain([next(tables)], tables)  # the first block, before any output
-    blocks = (block for table in tables for block in _sweep_blocks(table))
+    blocks = map(_sweep_block, tables)
     return _write(
         Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, tables)), args
     )
@@ -699,7 +672,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = Report(
         "wteleport verify (pure + werner default grids)",
         SWEEP_CSV_COLUMNS,
-        (block for table in tables for block in _sweep_blocks(table)),
+        map(_sweep_block, tables),
         {"config": _config_dict(args), "rows": None, "summary": summary},
         _verify_lines(summary, werner),
         exit_code,

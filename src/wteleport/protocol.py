@@ -30,9 +30,9 @@ from .states import (
     DensityMatrix,
     InvalidInput,
     NumericalFailure,
-    PROBABILITY_SUM_TOL,
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
+    _check_probability_sums,
     bell_basis,
     computational_basis,
     density_from_pure,
@@ -224,8 +224,7 @@ def _result(
     post-states in one call.
     """
     total = sum(probabilities)
-    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
-        raise NumericalFailure(f"branch probabilities sum to {total}, expected 1")
+    _check_probability_sums(total, "branch")
     live = [k for k, q in enumerate(probabilities) if q >= ZERO_PROBABILITY_CUTOFF]
     posts = {k: post_state(k) for k in live}
     concurrence = dict(zip(live, kernel([posts[k] for k in live]).tolist()))
@@ -306,10 +305,7 @@ def _in_blocks(branch_block, value: np.ndarray, n: np.ndarray) -> tuple[np.ndarr
     for start in range(0, len(n), BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
         probability[block], concurrence[block] = branch_block(value[block], n[block])
-    total = probability.sum(axis=-1)
-    off = ~(np.abs(total - 1.0) <= PROBABILITY_SUM_TOL)  # NaN fails too
-    if off.any():
-        raise NumericalFailure(f"branch probabilities sum to {total[off][0]}, expected 1")
+    _check_probability_sums(probability.sum(axis=-1), "branch")
     return probability, concurrence
 
 

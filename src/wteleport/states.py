@@ -238,6 +238,15 @@ def _bell_basis(labels: tuple[int, ...]) -> MeasurementBasis:
     return MeasurementBasis("bell", tuple(StateVector(labels, np.array(r)) for r in rows))
 
 
+def _check_probability_sums(totals, noun: str) -> None:
+    """``NumericalFailure`` naming the first sum of ``noun`` probabilities in
+    ``totals`` that is not 1 within ``PROBABILITY_SUM_TOL``; NaN fails too."""
+    totals = np.atleast_1d(totals)
+    off = ~(np.abs(totals - 1.0) <= PROBABILITY_SUM_TOL)
+    if off.any():
+        raise NumericalFailure(f"{noun} probabilities sum to {float(totals[off][0])}, expected 1")
+
+
 def measure(
     state: StateVector,
     targets: Iterable[int],
@@ -273,9 +282,7 @@ def measure(
         for bvec in basis.vectors
     ]
     probabilities = [float(np.vdot(x, x).real) for x in projections]
-    total = sum(probabilities)
-    if not abs(total - 1.0) <= PROBABILITY_SUM_TOL:  # NaN fails too
-        raise NumericalFailure(f"outcome probabilities sum to {total}, expected 1")
+    _check_probability_sums(sum(probabilities), "outcome")
 
     results: list[tuple[int, float, StateVector]] = []
     for index, (prob, projected) in enumerate(zip(probabilities, projections)):

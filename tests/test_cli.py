@@ -26,7 +26,7 @@ from wteleport.cli import (
     _json_text,
     _Labels,
     _parse_values,
-    _sweep_blocks,
+    _sweep_block,
     main,
 )
 
@@ -296,16 +296,17 @@ class TestSweep:
         assert len(rows) == 2 * wteleport.protocol.BLOCK_POINTS * 8
         n_values = np.linspace(1.0, 1e308, 3000)[: len(rows) // 8]
         table = sweep("pure", n_values=n_values, alpha_sq_values=(0.5,))
-        chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, _sweep_blocks(table), {}, ())))
+        chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, [_sweep_block(table)], {}, ())))
         assert "".join(rows) == "".join(chunks[1:])
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_broken_pipe_stops_the_computation(self, monkeypatch, tmp_path, fmt):
         calls = []
+        table = wteleport.analysis._table
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             calls.append(args)
-            return sweep(*args, **kwargs)
+            return table(*args)
 
         with open(tmp_path / "stdout", "w") as stand_in:
 
@@ -318,7 +319,7 @@ class TestSweep:
                 def fileno(self):
                     return stand_in.fileno()
 
-            monkeypatch.setattr(wteleport.cli, "sweep", counted)
+            monkeypatch.setattr(wteleport.analysis, "_table", counted)
             monkeypatch.setattr(sys, "stdout", ClosedPipe())
             code = main([
                 "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:1024",

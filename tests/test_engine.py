@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-import wteleport.cli
+import wteleport.analysis
 import wteleport.protocol
 from wteleport import (
     BellOutcome,
@@ -34,7 +34,7 @@ from wteleport.cli import (
     _json_chunks,
     _Labels,
     _parse_values,
-    _sweep_blocks,
+    _sweep_block,
     _sweep_lines,
     main,
 )
@@ -223,10 +223,10 @@ def _block_rows(blocks):
     return rows
 
 
-def test_sweep_rows_follow_the_table(monkeypatch):
+def test_sweep_rows_follow_the_table():
     table = sweep("pure", n_values=(0.5, 2.0), alpha_sq_values=(0.2, 0.7, 0.9))
     assert isinstance(table, SweepTable)
-    rows = _block_rows(_sweep_blocks(table))
+    rows = _block_rows([_sweep_block(table)])
     assert len(rows) == len(table) == 3 * 2 * 8
     assert [(r["bell"], r["bob"]) for r in rows[:8]] == [
         (bell.value, bob.value) for bell, bob in BRANCH_ORDER
@@ -242,10 +242,6 @@ def test_sweep_rows_follow_the_table(monkeypatch):
     assert phi["oracle_concurrence"] == table.oracle[4, 0]
     assert phi["verdict"] == ("MATCH" if table.match[4, 0] else "DISCREPANT")
     assert rows == _rows([table])
-    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 4)
-    blocks = list(_sweep_blocks(table))
-    assert [len(block["n"]) for block in blocks] == [4 * 8, 2 * 8]
-    assert _block_rows(blocks) == rows
 
 
 # Reference renderings of sweep rows: csv.writer and json.dumps, row by row.
@@ -296,8 +292,7 @@ def _reference_json(config, rows, summary) -> str:
         ],
     ],
 )
-def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
-    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 5)  # several blocks per table
+def test_bulk_rendering_matches_row_by_row_rendering(tables):
     tables = tables()
     rows = _rows(tables)
     config = {"subcommand": "sweep", "format": "json", "alpha_sq": None, "n": "1:2:3"}
@@ -305,8 +300,7 @@ def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        blocks = (block for table in tables for block in _sweep_blocks(table))
-        return Report("comment", SWEEP_CSV_COLUMNS, blocks, document, ())
+        return Report("comment", SWEEP_CSV_COLUMNS, map(_sweep_block, tables), document, ())
 
     assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
@@ -315,13 +309,12 @@ def test_bulk_rendering_matches_row_by_row_rendering(monkeypatch, tables):
 @pytest.mark.parametrize(
     "mode, n_spec, value_spec, sizes",
     [
-        # more mode values than a block holds: one n at a time, in slices
-        ("pure", "0.5:4:3", "0:1:9", [7, 2] * 3),
-        # exactly a block of mode values
-        ("werner", "0.1:10:4", "0:1:7", [7] * 4),
-        # fewer: as many whole n rows as fit, 2 x 3 of the 7 points
-        ("pure", "0.2:5:5", "0.1:0.9:3", [6, 6, 3]),
-        ("werner", "1e-3:1e3:9", "0.5", [7, 2]),
+        # consecutive ranges of 7 n-major points, the last one shorter; a
+        # range may start and end inside an n row
+        ("pure", "0.5:4:3", "0:1:9", [7, 7, 7, 6]),
+        ("werner", "0.1:10:4", "0:1:7", [7] * 4),  # each range one whole n row
+        ("pure", "0.2:5:5", "0.1:0.9:3", [7, 7, 1]),
+        ("werner", "1e-3:1e3:9", "0.5", [7, 2]),  # one value per n row
     ],
 )
 def test_sweep_streams_blocks_of_at_most_block_points(
@@ -344,7 +337,7 @@ def test_sweep_streams_blocks_of_at_most_block_points(
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        return Report(comment, SWEEP_CSV_COLUMNS, _sweep_blocks(whole), document, ())
+        return Report(comment, SWEEP_CSV_COLUMNS, [_sweep_block(whole)], document, ())
 
     expected = {
         "csv": "".join(_csv_chunks(report())),
@@ -352,16 +345,16 @@ def test_sweep_streams_blocks_of_at_most_block_points(
         "table": "".join(_sweep_lines(comment, [whole])),
     }
 
-    monkeypatch.setattr(wteleport.cli, "BLOCK_POINTS", 7)
+    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+    table = wteleport.analysis._table
     for fmt, text in expected.items():
         calls = []
 
-        def counted(mode, n_values, **grid):
-            (values,) = grid.values()
-            calls.append(len(n_values) * len(values))
-            return sweep(mode, n_values=n_values, **grid)
+        def counted(mode, n, value):
+            calls.append(len(n))
+            return table(mode, n, value)
 
-        monkeypatch.setattr(wteleport.cli, "sweep", counted)
+        monkeypatch.setattr(wteleport.analysis, "_table", counted)
         code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
         assert code == 0
         assert capsys.readouterr().out == text
