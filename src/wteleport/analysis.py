@@ -323,10 +323,13 @@ def sweep(
 
 
 def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]:
-    """The n grid and the mode's grid (1-D) as float arrays, each validated
-    whole: the mode's grid first, then n."""
+    """The n grid and the mode's grid as 1-D float arrays, each validated
+    whole: the mode's grid first, then n.  The mode's grid may be a scalar."""
     values = np.atleast_1d(_check_alpha_sq(values) if mode == "pure" else _check_p(values))
-    return _check_n(n_values), values
+    n_values = _check_n(n_values)
+    if np.ndim(n_values) != 1 or values.ndim != 1:
+        raise InvalidInput(f"grids must be 1-D: n {np.shape(n_values)}, values {values.shape}")
+    return n_values, values
 
 
 def _grid_tables(mode: str, n_values, values) -> Iterator[SweepTable]:

@@ -245,18 +245,20 @@ def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], h
     return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
 
 
-def _rows(block: Block, cells: Sequence[tuple[str, Callable[[object], str], str]], end: str) -> str:
+def _rows(block: Block, cells: Sequence[tuple], end: str, first: bool = False) -> str:
     """The block's rows as one string: the ``_cells(block[name], text, head)``
     of each ``(name, text, head)`` side by side, each row closed by ``end``.
 
     The cells go into a (rows x (columns + 1)) grid, ``end`` in its last
-    column, which is joined once.
+    column, which is joined once; ``first`` drops the grid's first character.
     """
     count = next(len(column) for column in block.values() if column is not None)
     grid = np.empty((count, len(cells) + 1), dtype=object)
     for j, (name, text, head) in enumerate(cells):
         grid[:, j] = _cells(block[name], text, head)
     grid[:, -1] = end
+    if first:
+        grid[0, 0] = grid[0, 0][1:]
     return "".join(grid.ravel().tolist())
 
 
@@ -304,8 +306,7 @@ def _json_chunks(report: Report) -> Iterator[str]:
         yield "["
         first = True
         for block in report.blocks:
-            text = _rows(block, cells, "\n    }")
-            yield text[1:] if first else text
+            yield _rows(block, cells, "\n    }", first)
             first = False
         yield "]" if first else "\n  ]"
     yield "\n}\n"

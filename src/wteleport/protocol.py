@@ -12,9 +12,9 @@ enumerate the full five-qubit state vector; a Werner input is the mixture
 of the four Bell states it is made of, each enumerated on its own, once
 per n for any number of p.  Each run computes the concurrences of its live
 branches in one kernel call.  The batched engines ``pure_branches`` and
-``werner_branches`` apply all eight per-branch linear maps to whole
-parameter grids at once; sweeps use them, and the scalar runs stay as the
-independent oracle that cross-checks them.
+``werner_branches`` compute all eight branches of whole parameter grids at
+once, straight from the entries of each branch's 2x2 action; sweeps use
+them, and the scalar runs stay as the independent oracle that checks them.
 """
 from __future__ import annotations
 
@@ -261,39 +261,38 @@ def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
     the branch probability.  Summing M'M over all eight branches gives the
     identity (the eight maps form a complete measurement).
     """
-    maps = branch_maps(np.array([_check_n(n)]))
-    return maps[0, BRANCH_ORDER.index((bell, bob))]
+    return branch_maps(np.array([_check_n(n)]))[0, BRANCH_ORDER.index((bell, bob))]
 
 
 def branch_maps(n: np.ndarray) -> np.ndarray:
-    """All eight branch maps for every n, shape (len(n), 8, 4, 4), in ``BRANCH_ORDER``.
+    """All eight branch maps for every n, shape (len(n), 8, 4, 4), in ``BRANCH_ORDER``:
+    identity on qubit 1 times each 2x2 action of ``_branch_actions``."""
+    actions = np.moveaxis(_branch_actions(_check_n(n)), 0, -1)
+    maps = np.zeros(actions.shape[:-1] + (4, 4))
+    maps[..., :2, :2] = maps[..., 2:, 2:] = actions.reshape(actions.shape[:-1] + (2, 2))
+    return maps
 
-    Every map factors as identity on qubit 1 times a 2x2 action taking
-    qubit 2 to qubit 4, scaled by f(n)/sqrt(2).
-    """
-    n = _check_n(n)
-    g = w_normalization(n) / sqrt(2.0)
-    rn = np.sqrt(n)
-    rn1 = np.sqrt(n + 1.0)
-    one = np.ones_like(n)
-    zero = np.zeros_like(n)
+
+def _branch_actions(n: np.ndarray) -> np.ndarray:
+    """The one definition of the branch maps: a, b, c, d = ``_branch_actions(n)``,
+    each (len(n), 8), are the entries of every branch's 2x2 action [[a, b], [c, d]]
+    from qubit 2 to qubit 4, scaled by f(n)/sqrt(2).  No action has two non-zero
+    entries in a row or column, which the engines rely on."""
+    rn, rn1 = np.sqrt(n), np.sqrt(n + 1.0)
+    one, zero = np.ones_like(n), np.zeros_like(n)
     actions = np.array(
-        [
-            [[zero, one], [rn, zero]],  # Phi+, Bob 0
-            [[rn1, zero], [zero, zero]],  # Phi+, Bob 1
-            [[zero, -one], [rn, zero]],  # Phi-, Bob 0
-            [[rn1, zero], [zero, zero]],  # Phi-, Bob 1
-            [[one, zero], [zero, rn]],  # Psi+, Bob 0
-            [[zero, rn1], [zero, zero]],  # Psi+, Bob 1
-            [[one, zero], [zero, -rn]],  # Psi-, Bob 0
-            [[zero, -rn1], [zero, zero]],  # Psi-, Bob 1
+        [  # a, b, c, d
+            [zero, one, rn, zero],  # Phi+, Bob 0
+            [rn1, zero, zero, zero],  # Phi+, Bob 1
+            [zero, -one, rn, zero],  # Phi-, Bob 0
+            [rn1, zero, zero, zero],  # Phi-, Bob 1
+            [one, zero, zero, rn],  # Psi+, Bob 0
+            [zero, rn1, zero, zero],  # Psi+, Bob 1
+            [one, zero, zero, -rn],  # Psi-, Bob 0
+            [zero, -rn1, zero, zero],  # Psi-, Bob 1
         ]
     )
-    actions = np.moveaxis(actions, -1, 0) * g[:, None, None, None]
-    maps = np.zeros((len(n), len(BRANCH_ORDER), 4, 4))
-    maps[..., :2, :2] = actions
-    maps[..., 2:, 2:] = actions
-    return maps
+    return np.transpose(actions * (w_normalization(n) / sqrt(2.0)), (1, 2, 0))
 
 
 def _in_blocks(branch_block, value: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,20 +315,20 @@ def pure_branches(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndar
     """Branch probabilities and concurrences for pure inputs, batched over points.
 
     ``alpha`` and ``n`` hold one value per point; both results have shape
-    (points, 8), branches in ``BRANCH_ORDER``.  The image w = M v of the
-    input v = (alpha, 0, 0, beta) has probability |w|^2, and the post-state
-    w/|w| gives the concurrence.  Dead branches follow ``run_protocol_pure``:
-    a Bell outcome below the cutoff zeroes both of its branches, and any
-    branch below the cutoff has concurrence 0.
+    (points, 8), branches in ``BRANCH_ORDER``.  Under action [[a, b], [c, d]]
+    the input alpha|00> + beta|11> has image w = (a alpha, c alpha, b beta,
+    d beta), with probability |w|^2; the post-state w/|w| gives the
+    concurrence.  Dead branches follow ``run_protocol_pure``: a Bell outcome
+    below the cutoff zeroes both of its branches, and any branch below the
+    cutoff has concurrence 0.
     """
     return _in_blocks(_pure_block, _check_alpha(alpha), _check_n(n))
 
 
 def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    v = np.zeros((len(alpha), 4))
-    v[:, 0b00] = alpha
-    v[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
-    w = np.einsum("bkij,bj->bki", branch_maps(n), v)
+    a, b, c, d = _branch_actions(n)
+    alpha, beta = alpha[:, np.newaxis], np.sqrt(1.0 - alpha * alpha)[:, np.newaxis]
+    w = np.stack((a * alpha, c * alpha, b * beta, d * beta), axis=-1)
     probability = np.einsum("bki,bki->bk", w, w)
     bell = probability[:, 0::2] + probability[:, 1::2]
     probability[np.repeat(bell < ZERO_PROBABILITY_CUTOFF, 2, axis=1)] = 0.0
@@ -343,21 +342,33 @@ def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch probabilities and concurrences for Werner inputs, batched over points.
 
-    Same shapes and dead-branch rule as ``pure_branches``.  Each live branch
-    post-state M rho M' / tr(M rho M') is an X-state, so
-    ``concurrence_x_batch`` validates it and gives its concurrence in closed
-    form; Wootters' eigenvalue formula is left to the scalar oracle.  Maps
-    and Werner matrices are real, so the whole computation is too.
+    Same shapes and dead-branch rule as ``pure_branches``.  Each M rho M' is
+    an X-state, its six entries formed straight from the action's and rho's;
+    ``concurrence_x_batch`` validates each live post-state M rho M' /
+    tr(M rho M') and gives its concurrence in closed form, leaving Wootters'
+    formula to the scalar oracle.  Actions and Werner matrices are real.
     """
     return _in_blocks(_werner_block, _check_p(p), _check_n(n))
 
 
 def _werner_block(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    maps = branch_maps(n)
-    weighted = maps @ _werner_entries(p)[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
-    probability = np.trace(weighted, axis1=-2, axis2=-1)
+    a, b, c, d = _branch_actions(n)
+    r = np.moveaxis(_werner_entries(p), 0, -1)[..., np.newaxis]  # r[i, j] has shape (points, 1)
+    # the X of M rho M', each entry the one product its matrix product would sum
+    x = {
+        (0, 0): (a * r[0, 0]) * a + (b * r[1, 1]) * b,
+        (1, 1): (c * r[0, 0]) * c + (d * r[1, 1]) * d,
+        (2, 2): (a * r[2, 2]) * a + (b * r[3, 3]) * b,
+        (3, 3): (c * r[2, 2]) * c + (d * r[3, 3]) * d,
+        (0, 3): (a * r[0, 3]) * d,
+        (1, 2): (c * r[0, 3]) * b,
+    }
+    probability = ((x[0, 0] + x[1, 1]) + x[2, 2]) + x[3, 3]
     alive = probability >= ZERO_PROBABILITY_CUTOFF
-    post = weighted[alive] / probability[alive][:, None, None]
+    live = probability[alive]
+    post = np.zeros((len(live), 4, 4))
+    for (i, j), entry in x.items():
+        post[:, i, j] = post[:, j, i] = entry[alive] / live
     concurrence = np.zeros_like(probability)
     concurrence[alive] = concurrence_x_batch(post)
     return probability, concurrence

@@ -288,3 +288,18 @@ class TestSweep:
             sweep("nonsense")
         with pytest.raises(InvalidInput):
             sweep("pure", n_values=(1.0,), alpha_sq_values=(-0.5,))
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            {"n_values": 2.0},  # a scalar n grid
+            {"n_values": [[1.0, 2.0]]},  # a 2-D n grid
+            {"n_values": [1.0, 2.0], "values": [[0.5, 0.2]]},  # a 2-D parameter grid
+        ],
+    )
+    @pytest.mark.parametrize("mode, key", [("pure", "alpha_sq_values"), ("werner", "p_values")])
+    def test_grids_must_be_one_dimensional(self, grids, mode, key):
+        grids = dict(grids)
+        values = grids.pop("values", (0.5,))
+        with pytest.raises(InvalidInput, match="grids must be 1-D"):
+            sweep(mode, **grids, **{key: values})

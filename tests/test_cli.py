@@ -15,7 +15,7 @@ import pytest
 import wteleport.analysis
 import wteleport.concurrence
 import wteleport.protocol
-from wteleport import DensityMatrix, InvalidInput, quartic, sweep
+from wteleport import BellOutcome, BobOutcome, DensityMatrix, InvalidInput, quartic, sweep
 from wteleport.cli import (
     RUN_COLUMNS,
     SWEEP_CSV_COLUMNS,
@@ -29,6 +29,7 @@ from wteleport.cli import (
     _sweep_block,
     main,
 )
+from wteleport.protocol import BRANCH_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -433,6 +434,26 @@ class TestVerify:
         # is caught by the engine-vs-enumeration spot check
         entries = wteleport.protocol._werner_entries
         monkeypatch.setattr(wteleport.protocol, "_werner_entries", lambda p: entries(0.9 * p))
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
+
+    def test_wrong_branch_action_fails(self, capsys, monkeypatch):
+        # both engines read every branch from the action table and the
+        # enumeration does not.  Swapping b and d of Psi+/Zero keeps each
+        # column norm, so every probability stays, but takes the action's
+        # determinant to 0: only the concurrences go wrong, and in the engine
+        # alone
+        actions = wteleport.protocol._branch_actions
+        k = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
+
+        def swapped(n):
+            table = actions(n).copy()
+            table[[1, 3], :, k] = table[[3, 1], :, k]
+            return table
+
+        monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out

@@ -97,6 +97,61 @@ def test_werner_bob_zero_matches_the_derived_form():
     assert np.abs(concurrence_x_batch(post) - concurrence_mixed_batch(post)).max() <= 1e-13
 
 
+# Reference: every branch from its dense 4x4 map, by einsum for pure inputs and
+# by M rho M' as two matrix products for Werner inputs.  Each non-zero entry of
+# these sums is a single product, which the engines form alone, so engines and
+# reference agree to the bit.
+REFERENCE_N = np.logspace(-12, 12, 49)
+REFERENCE_VALUES = np.append(np.linspace(0.0, 1.0, 21), 1.0 / 3.0)  # 0, 1/3 and 1 included
+
+
+def _dense_pure(alpha, n):
+    v = np.zeros((len(alpha), 4))
+    v[:, 0b00] = alpha
+    v[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
+    w = np.einsum("bkij,bj->bki", branch_maps(n), v)
+    probability = np.einsum("bki,bki->bk", w, w)
+    bell = probability[:, 0::2] + probability[:, 1::2]
+    probability[np.repeat(bell < ZERO_PROBABILITY_CUTOFF, 2, axis=1)] = 0.0
+    alive = probability >= ZERO_PROBABILITY_CUTOFF
+    concurrence = np.zeros_like(probability)
+    concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])
+    return probability, concurrence
+
+
+def _dense_werner(p, n):
+    maps = branch_maps(n)
+    rho = np.array([werner(q).entries.real for q in p])
+    weighted = maps @ rho[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
+    probability = np.trace(weighted, axis1=-2, axis2=-1)
+    alive = probability >= ZERO_PROBABILITY_CUTOFF
+    concurrence = np.zeros_like(probability)
+    concurrence[alive] = concurrence_x_batch(weighted[alive] / probability[alive][:, None, None])
+    return probability, concurrence
+
+
+@pytest.mark.parametrize(
+    "engine, reference, to_value",
+    [(pure_branches, _dense_pure, np.sqrt), (werner_branches, _dense_werner, lambda p: p)],
+)
+def test_engines_match_the_dense_maps_to_the_bit(engine, reference, to_value):
+    n, value = (a.ravel() for a in np.meshgrid(REFERENCE_N, REFERENCE_VALUES, indexing="ij"))
+    value = to_value(value)
+    for got, expected in zip(engine(value, n), reference(value, n)):
+        assert np.array_equal(got, expected)
+
+
+def test_no_action_has_two_non_zeros_in_a_row_or_column():
+    # the engines form each branch from the action's entries on this premise:
+    # it keeps M rho M' an X-state and the pure image (a alpha, c alpha, b beta,
+    # d beta)
+    a, b, c, d = wteleport.protocol._branch_actions(REFERENCE_N)
+    for first, second in ((a, b), (c, d), (a, c), (b, d)):
+        assert not np.any(first * second)
+    actions = branch_maps(REFERENCE_N)[..., :2, :2]
+    np.testing.assert_array_equal(actions, np.stack((a, b, c, d), -1).reshape(actions.shape))
+
+
 def test_x_kernel_rejects_entries_off_the_x():
     rho = np.eye(4) / 4.0
     rho[0, 1] = rho[1, 0] = 1e-300

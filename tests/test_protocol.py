@@ -307,7 +307,7 @@ class TestRunProtocolMixed:
         def unused(*args):
             raise AssertionError("run_protocol_mixed must not call the engine's helpers")
 
-        for name in ("branch_map", "branch_maps", "werner", "_werner_entries"):
+        for name in ("branch_map", "branch_maps", "_branch_actions", "werner", "_werner_entries"):
             monkeypatch.setattr(wteleport.protocol, name, unused)
         result = run_protocol_mixed(0.7, 2.0)
         assert result.total_probability == pytest.approx(1.0, abs=1e-12)
