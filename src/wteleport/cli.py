@@ -211,12 +211,15 @@ class Report:
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
     is consumed once, as it is written, so a sweep computes its next block
-    only after the last one is written.  An absent column is an empty CSV
-    field and a JSON ``null``.  ``document`` is the JSON output in key order;
-    the rows are spliced in at its ``"rows"`` key, and the keys after it are
-    rendered only once the rows are written, so a sweep's ``"summary"`` can
-    count the rows as they go by.  ``table`` holds the text of the table
-    format, one or more whole lines at a time, each ending in a newline.
+    only after the last one is written.  Each block is formatted in one pass
+    and written as strings of at most ``_JOIN_ROWS`` rows.  An absent column
+    is an empty CSV field and a JSON ``null``.  ``document`` is the JSON
+    output in key order; the rows are spliced in at its ``"rows"`` key, and
+    the keys after it are rendered only once the rows are written, so a
+    sweep's ``"summary"`` can count the rows as they go by.  ``table`` holds
+    the text of the table format, one or more whole lines at a time, each
+    ending in a newline; a sweep's table is written the same way as its
+    blocks.
     """
 
     comment: str
@@ -245,12 +248,18 @@ def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], h
     return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
 
 
-def _rows(block: Block, cells: Sequence[tuple], end: str, first: bool = False) -> str:
-    """The block's rows as one string: the ``_cells(block[name], text, head)``
-    of each ``(name, text, head)`` side by side, each row closed by ``end``.
+# Rows per string that ``_rows`` joins: bounds the text a block holds at once
+# to a fraction of the block, without more blocks or formatting passes.
+_JOIN_ROWS = 2048
 
-    The cells go into a (rows x (columns + 1)) grid, ``end`` in its last
-    column, which is joined once; ``first`` drops the grid's first character.
+
+def _rows(block: Block, cells: Sequence[tuple], end: str, first: bool = False) -> Iterator[str]:
+    """The block's rows as text: the ``_cells(block[name], text, head)`` of
+    each ``(name, text, head)`` side by side, each row closed by ``end``.
+
+    The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
+    column; ``first`` drops the grid's first character.  The grid is joined
+    and yielded at most ``_JOIN_ROWS`` rows at a time.
     """
     count = next(len(column) for column in block.values() if column is not None)
     grid = np.empty((count, len(cells) + 1), dtype=object)
@@ -259,7 +268,8 @@ def _rows(block: Block, cells: Sequence[tuple], end: str, first: bool = False) -
     grid[:, -1] = end
     if first:
         grid[0, 0] = grid[0, 0][1:]
-    return "".join(grid.ravel().tolist())
+    for start in range(0, count, _JOIN_ROWS):
+        yield "".join(grid[start : start + _JOIN_ROWS].ravel().tolist())
 
 
 def _csv_text(value) -> str:
@@ -282,7 +292,7 @@ def _csv_chunks(report: Report) -> Iterator[str]:
     yield f"# {report.comment}\n" + ",".join(report.columns) + "\n"
     cells = [(name, _csv_text, "," if j else "") for j, name in enumerate(report.columns)]
     for block in report.blocks:
-        yield _rows(block, cells, "\n")
+        yield from _rows(block, cells, "\n")
 
 
 def _json_chunks(report: Report) -> Iterator[str]:
@@ -306,7 +316,7 @@ def _json_chunks(report: Report) -> Iterator[str]:
         yield "["
         first = True
         for block in report.blocks:
-            yield _rows(block, cells, "\n    }", first)
+            yield from _rows(block, cells, "\n    }", first)
             first = False
         yield "]" if first else "\n  ]"
     yield "\n}\n"
@@ -398,7 +408,7 @@ def _sweep_lines(comment: str, tables: Iterable[SweepTable]) -> Iterator[str]:
     ]
     yield f"{comment}\n{header}\n{'-' * len(header)}\n"
     for table in tables:
-        yield _rows(_sweep_block(table), cells, "\n")
+        yield from _rows(_sweep_block(table), cells, "\n")
 
 
 # ---------------------------------------------------------------- run

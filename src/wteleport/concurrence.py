@@ -30,9 +30,6 @@ SIGMA_YY.setflags(write=False)
 EIGENVALUE_CLIP = 1e-10
 EIGENVALUE_HARD_FLOOR = 1e-8
 IMAG_TOL = 1e-9
-# The entries an X-state may hold: its diagonal and anti-diagonal.
-_X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
-_X_SHAPE.setflags(write=False)
 # Mixed states this close to pure are routed through the pure-state formula:
 # the sqrt of a near-zero eigenvalue amplifies roundoff to ~1e-8, while the
 # dominant-eigenvector overlap stays exact.
@@ -111,26 +108,20 @@ def concurrence_mixed_batch(matrices: np.ndarray) -> np.ndarray:
     return out
 
 
-def concurrence_x_batch(matrices: np.ndarray) -> np.ndarray:
-    """Concurrences of a stack of two-qubit X-state density matrices, shape (k, 4, 4).
+def concurrence_x_batch(diagonal: np.ndarray, coherence: np.ndarray) -> np.ndarray:
+    """Concurrences of a stack of two-qubit X-states, given by their six entries:
+    ``diagonal`` (k, 4) holds rho11..rho44 and ``coherence`` (k, 2) holds rho14
+    and rho23; rho41 and rho32 are their conjugates, and every other entry is 0.
 
     C = 2 max(0, |rho14| - sqrt(rho22 rho33), |rho23| - sqrt(rho11 rho44))
-    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  Each matrix is
-    validated in closed form: any non-zero entry off the X raises
-    ``NumericalFailure``; otherwise it is checked as ``check_density_matrices``
-    does, with the same ``InvalidInput`` messages, its eigenvalues being
-    those of the 2x2 blocks on {1, 4} and {2, 3}.
+    (Yu and Eberly, Quantum Inf. Comput. 7, 459 (2007)).  Each state is
+    checked as ``check_density_matrices`` checks its matrix, with the same
+    ``InvalidInput`` messages, its eigenvalues being those of the 2x2 blocks
+    on {1, 4} and {2, 3}.  The caller vouches for the X shape.
     """
-    if not np.all(np.isfinite(matrices)):
+    if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(coherence))):
         raise InvalidInput("matrix entries must be finite")
-    if np.any(matrices[:, ~_X_SHAPE]):
-        raise NumericalFailure("post-state has a non-zero entry off the X shape")
-    diagonal = np.diagonal(matrices, axis1=-2, axis2=-1)
-    coherence = matrices[:, [0, 1], [3, 2]]  # rho14, rho23
-    mirrored = matrices[:, [3, 2], [0, 1]]  # rho41, rho32
-    if np.any(np.abs(coherence - mirrored.conj()) > NORM_TOL) or np.any(
-        np.abs(diagonal - diagonal.conj()) > NORM_TOL
-    ):
+    if np.any(np.abs(diagonal - diagonal.conj()) > NORM_TOL):
         raise InvalidInput("density matrix must be Hermitian")
     tr = diagonal.sum(axis=-1)
     bad = (np.abs(tr.imag) > NORM_TOL) | (np.abs(tr.real - 1.0) > NORM_TOL)

@@ -443,8 +443,8 @@ class TestVerify:
         # both engines read every branch from the action table and the
         # enumeration does not.  Swapping b and d of Psi+/Zero keeps each
         # column norm, so every probability stays, but takes the action's
-        # determinant to 0: only the concurrences go wrong, and in the engine
-        # alone
+        # determinant to 0: only the pure engine's concurrences go wrong, and
+        # the Werner engine refuses the table (off the X)
         actions = wteleport.protocol._branch_actions
         k = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
 
@@ -597,6 +597,26 @@ class TestOutput:
         code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+
+    @pytest.mark.parametrize("join_rows", [1, 3])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", ["sweep-pure", "sweep-werner", "verify"])
+    def test_golden_written_in_chunks_of_join_rows(self, capsys, monkeypatch, name, fmt, join_rows):
+        rows = wteleport.cli._rows
+        counts = []
+
+        def counted(block, cells, end, first=False):
+            for chunk in rows(block, cells, end, first):
+                counts.append(chunk.count(end))  # every row, and nothing else, ends in end
+                yield chunk
+
+        monkeypatch.setattr(wteleport.cli, "_JOIN_ROWS", join_rows)
+        monkeypatch.setattr(wteleport.cli, "_rows", counted)
+        code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+        assert all(1 <= count <= join_rows for count in counts)
+        assert join_rows in counts or (name, fmt) == ("verify", "table")  # a summary, no rows
 
     def test_cells_are_repr_and_json_dumps(self):
         # np.unique merges -0.0 with 0.0 on float keys; the cells key on bits

@@ -47,6 +47,16 @@ from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_
 from wteleport.states import ZERO_PROBABILITY_CUTOFF, check_density_matrices
 
 N_LOG_GRID = np.logspace(-6, 6, 25)
+# The entries an X-state may hold: its diagonal and anti-diagonal.
+X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def _x_entries(matrices):
+    """The diagonal and (rho14, rho23) of a stack of 4x4 matrices, the six
+    entries ``concurrence_x_batch`` takes, once every entry off the X is
+    checked to be exactly zero."""
+    assert not np.any(matrices[:, ~X_SHAPE])
+    return np.diagonal(matrices, axis1=-2, axis2=-1), matrices[:, [0, 1], [3, 2]]
 
 
 def _grid(second):
@@ -94,7 +104,8 @@ def test_werner_bob_zero_matches_the_derived_form():
     trace = np.trace(weighted, axis1=-2, axis2=-1).real
     alive = trace >= ZERO_PROBABILITY_CUTOFF
     post = weighted[alive] / trace[alive][:, None, None]
-    assert np.abs(concurrence_x_batch(post) - concurrence_mixed_batch(post)).max() <= 1e-13
+    x_state = concurrence_x_batch(*_x_entries(post))
+    assert np.abs(x_state - concurrence_mixed_batch(post)).max() <= 1e-13
 
 
 # Reference: every branch from its dense 4x4 map, by einsum for pure inputs and
@@ -126,7 +137,8 @@ def _dense_werner(p, n):
     probability = np.trace(weighted, axis1=-2, axis2=-1)
     alive = probability >= ZERO_PROBABILITY_CUTOFF
     concurrence = np.zeros_like(probability)
-    concurrence[alive] = concurrence_x_batch(weighted[alive] / probability[alive][:, None, None])
+    post = weighted[alive] / probability[alive][:, None, None]
+    concurrence[alive] = concurrence_x_batch(*_x_entries(post))
     return probability, concurrence
 
 
@@ -152,11 +164,21 @@ def test_no_action_has_two_non_zeros_in_a_row_or_column():
     np.testing.assert_array_equal(actions, np.stack((a, b, c, d), -1).reshape(actions.shape))
 
 
-def test_x_kernel_rejects_entries_off_the_x():
-    rho = np.eye(4) / 4.0
-    rho[0, 1] = rho[1, 0] = 1e-300
-    with pytest.raises(NumericalFailure, match="off the X"):
-        concurrence_x_batch(rho[np.newaxis])
+def test_werner_engine_rejects_actions_off_the_x(monkeypatch):
+    # swapping b and d of Psi+/Zero puts a and b in one row: M rho M' is no
+    # longer an X-state, and the engine says so before the kernel would take
+    # its six entries
+    actions = wteleport.protocol._branch_actions
+    k = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
+
+    def swapped(n):
+        table = actions(n).copy()
+        table[[1, 3], :, k] = table[[3, 1], :, k]
+        return table
+
+    monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
+    with pytest.raises(NumericalFailure, match="post-state has a non-zero entry off the X shape"):
+        werner_branches(np.array([0.5]), np.array([2.0]))
 
 
 @pytest.mark.parametrize("engine", [pure_branches, werner_branches])
@@ -191,23 +213,23 @@ def test_batched_validators_raise_invalid_input():
     with pytest.raises(InvalidInput, match="channel parameter n"):
         sweep("werner", n_values=(1.0, np.inf))
     # X-states the kernel must reject as check_density_matrices does, message and all
-    bell = werner(1.0).entries.real
-    asymmetric, long_trace, negative = bell.copy(), bell.copy(), bell.copy()
-    asymmetric[0, 3] += 1e-9
+    bell = werner(1.0).entries
+    imaginary, long_trace, negative = bell.copy(), bell.copy(), bell.copy()
+    imaginary[1, 1] += 1e-9j
     long_trace[1, 1] += 1e-9
     negative[0, 3] = negative[3, 0] = 0.5 + 2e-10  # smallest eigenvalue -2e-10
     non_finite = bell.copy()
     non_finite[2, 2] = np.nan
-    for bad in (asymmetric, long_trace, negative, non_finite):
+    for bad in (imaginary, long_trace, negative, non_finite):
         with pytest.raises(InvalidInput) as expected:
             check_density_matrices(bad[np.newaxis])
         with pytest.raises(InvalidInput) as raised:
-            concurrence_x_batch(np.array([bell, bad]))
+            concurrence_x_batch(*_x_entries(np.array([bell, bad])))
         assert str(raised.value) == str(expected.value)
     # within NORM_TOL of positive semidefinite passes both
     negative[0, 3] = negative[3, 0] = 0.5 + 4e-11
     check_density_matrices(negative[np.newaxis])
-    assert concurrence_x_batch(negative[np.newaxis]) == pytest.approx(1.0, abs=1e-9)
+    assert concurrence_x_batch(*_x_entries(negative[np.newaxis])) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_scalar_concurrences_delegate_to_the_kernels():
