@@ -30,7 +30,7 @@ from .protocol import (
     pure_branches,
     werner_branches,
 )
-from .states import InvalidInput, NumericalFailure
+from .states import ZERO_PROBABILITY_CUTOFF, InvalidInput, NumericalFailure
 
 MATCH_TOL = 1e-8
 
@@ -124,8 +124,10 @@ def _bob_zero_form(x, y, n):
 
     The printed denominator (n-1) alpha^2 + 1 equals n x + y but cancels when
     n is small and alpha^2 near 1; n x + y is positive for every n > 0.
+    Where n x y underflows (tiny n and x) the root is sqrt(n x) sqrt(y), not 0.
     """
-    return 2.0 * np.sqrt(n * x * y) / (n * x + y)
+    split = n * x * y < ZERO_PROBABILITY_CUTOFF
+    return 2.0 * np.where(split, np.sqrt(n * x) * np.sqrt(y), np.sqrt(n * x * y)) / (n * x + y)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

@@ -199,8 +199,8 @@ def _enumerate(pair: StateVector, n: float) -> list[tuple[float, StateVector | N
 
     Alice's four Bell outcomes and Bob's two computational outcomes yield
     exactly eight branches; joint probabilities multiply along the chain.  A
-    Bell outcome below the zero-probability cutoff gives both of its
-    branches probability 0 and no post-state.
+    Bell outcome below ``ZERO_PROBABILITY_CUTOFF`` (so both of its branches
+    are below it too) gives both probability 0 and no post-state.
     """
     joint = compose_joint(pair, w_state(n))
     branches: list[tuple[float, StateVector | None]] = []
@@ -218,10 +218,10 @@ def _result(
 ) -> ProtocolResult:
     """The eight branches of one run, in ``BRANCH_ORDER``.
 
-    The probabilities must sum to 1.  A branch below the zero-probability
-    cutoff carries ``sentinel`` and concurrence 0; a live branch k carries
-    ``post_state(k)``, and ``kernel`` gives the concurrences of all live
-    post-states in one call.
+    The probabilities must sum to 1.  A branch below ``ZERO_PROBABILITY_CUTOFF``
+    (not a normal double) carries ``sentinel`` and concurrence 0; a live branch
+    k carries ``post_state(k)``, and ``kernel`` gives the concurrences of all
+    live post-states in one call.
     """
     total = sum(probabilities)
     _check_probability_sums(total, "branch")
@@ -239,8 +239,8 @@ def _result(
 def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
     """Run the protocol on the pure input pair by full five-qubit enumeration.
 
-    Branches below the zero-probability cutoff carry the zero sentinel and
-    concurrence 0.
+    Branches whose probability is not a normal double carry the zero
+    sentinel and concurrence 0; all others, however unlikely, are live.
     """
     alpha = _check_alpha(alpha)
     n = _check_n(n)
@@ -318,9 +318,8 @@ def pure_branches(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndar
     (points, 8), branches in ``BRANCH_ORDER``.  Under action [[a, b], [c, d]]
     the input alpha|00> + beta|11> has image w = (a alpha, c alpha, b beta,
     d beta), with probability |w|^2; the post-state w/|w| gives the
-    concurrence.  Dead branches follow ``run_protocol_pure``: a Bell outcome
-    below the cutoff zeroes both of its branches, and any branch below the
-    cutoff has concurrence 0.
+    concurrence.  As in ``run_protocol_pure``, a branch below
+    ``ZERO_PROBABILITY_CUTOFF`` (not a normal double) is dead, with concurrence 0.
     """
     return _in_blocks(_pure_block, _check_alpha(alpha), _check_n(n))
 
@@ -330,8 +329,6 @@ def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     alpha, beta = alpha[:, np.newaxis], np.sqrt(1.0 - alpha * alpha)[:, np.newaxis]
     w = np.stack((a * alpha, c * alpha, b * beta, d * beta), axis=-1)
     probability = np.einsum("bki,bki->bk", w, w)
-    bell = probability[:, 0::2] + probability[:, 1::2]
-    probability[np.repeat(bell < ZERO_PROBABILITY_CUTOFF, 2, axis=1)] = 0.0
     alive = probability >= ZERO_PROBABILITY_CUTOFF
     concurrence = np.zeros_like(probability)
     concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])

@@ -19,7 +19,9 @@ import numpy as np
 NORM_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
-ZERO_PROBABILITY_CUTOFF = 1e-14
+# A branch is dead exactly when its probability is not a normal double (zero
+# or underflowed): branch probabilities have no fixed scale, underflow does.
+ZERO_PROBABILITY_CUTOFF = float(np.finfo(float).tiny)
 MAX_QUBITS = 5
 
 
@@ -52,8 +54,8 @@ class StateVector:
 
     Values crossing module boundaries are unit norm, except the all-zero
     "impossible branch" sentinel emitted for measurement outcomes whose
-    probability falls below ``ZERO_PROBABILITY_CUTOFF``.  The empty register
-    (a bare scalar) can only arise when a measurement consumes every qubit.
+    probability is not a normal double (``ZERO_PROBABILITY_CUTOFF``).  The
+    empty register (a bare scalar) arises only when a measurement takes every qubit.
     """
 
     labels: tuple[int, ...]
@@ -256,10 +258,9 @@ def measure(
 
     Returns one ``(outcome_index, probability, post_state)`` triple per basis
     vector, in basis order.  The post-state drops the measured qubits (the
-    remaining labels keep their register order) and is renormalized; outcomes
-    with probability below ``ZERO_PROBABILITY_CUTOFF`` carry the zero
-    sentinel.  This enumerates all branches deterministically rather than
-    sampling one.  Outcome probabilities that do not sum to 1 within
+    remaining labels keep their register order) and is renormalized; only an
+    outcome below ``ZERO_PROBABILITY_CUTOFF``, zero or underflowed, carries
+    the zero sentinel.  Outcome probabilities that do not sum to 1 within
     ``PROBABILITY_SUM_TOL``, or sum to NaN, raise ``NumericalFailure``.
     """
     if not state.is_normalized():

@@ -1,4 +1,6 @@
 """Closed forms, classification, the rating quartic, and verification sweeps."""
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from wteleport import (
     state_independent_alpha_sq,
     sweep,
 )
+from wteleport.analysis import PHI_ZERO_COLUMNS, PSI_ZERO_COLUMNS
 from wteleport.protocol import BRANCH_ORDER
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
@@ -26,6 +29,29 @@ N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 # frozen from an independent high-precision root search
 ROOT_LOW = 0.016694849973322434
 ROOT_HIGH = 2.5871608510577097
+
+# n from the smallest subnormal decade to just below where 2 + 2n overflows,
+# and the edges of alpha^2 and p
+EXTREME_N = (1e-323, 1e-300, 1e-16, 1.0, 1e16, 1e300, 8.9e307)
+EDGE_VALUES = (
+    0.0, 1e-300, 1e-200, 1e-100, 1e-30, 1e-16, 1e-12, 1e-6,
+    1.0 / 3.0, 0.5, 1.0 - 1e-12, 1.0 - 1e-16, 1.0,
+)
+
+
+def _fifty_digits(form, *values):
+    """``form`` over the exact decimal values of the doubles ``values``, at 50 digits."""
+    with localcontext() as context:
+        context.prec = 50
+        return float(form(*map(Decimal, values)))
+
+
+def _bob_zero(x, y, n):
+    return 2 * (n * x * y).sqrt() / (n * x + y)
+
+
+def _derived_werner(p, n):
+    return max(Decimal(0), n.sqrt() * (3 * p - 1) / (n + 1))
 
 
 class TestPredictedPhi:
@@ -276,6 +302,26 @@ class TestSweep:
         assert np.isfinite(table.formula).all()
         assert table.formula.min() >= 0.0 and table.formula.max() <= 1.0
         assert table.match.all(), table.abs_diff.max()
+
+    def test_fifty_digit_reference_beyond_the_old_domain(self):
+        # at the point the sweep computes, x = fl(sqrt(alpha^2))^2, every
+        # Bob-0 closed form and oracle is within 1e-15 of a 50-digit
+        # evaluation, down to subnormal n and up to the overflow of 2 + 2n
+        pure = sweep("pure", n_values=EXTREME_N, alpha_sq_values=EDGE_VALUES)
+        werner = sweep("werner", n_values=EXTREME_N, p_values=EDGE_VALUES)
+        m = len(EDGE_VALUES)
+        bob_zero = PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS
+        for i, n in enumerate(np.repeat(EXTREME_N, m)):
+            x = float(np.sqrt(pure.alpha_sq[i])) ** 2
+            phi = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), x, n)
+            psi = _fifty_digits(lambda x, n: _bob_zero(1 - x, x, n), x, n)
+            derived = _fifty_digits(_derived_werner, werner.p[i], n)
+            for columns, expected in ((PHI_ZERO_COLUMNS, phi), (PSI_ZERO_COLUMNS, psi)):
+                for column in (pure.formula, pure.oracle):
+                    assert np.abs(column[i, columns] - expected).max() <= 1e-15, (n, x)
+            # the printed Werner form is the documented discrepancy; the
+            # oracle follows the derived one
+            assert np.abs(werner.oracle[i, bob_zero] - derived).max() <= 1e-15, (n, werner.p[i])
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):

@@ -112,7 +112,10 @@ def test_werner_bob_zero_matches_the_derived_form():
 # by M rho M' as two matrix products for Werner inputs.  Each non-zero entry of
 # these sums is a single product, which the engines form alone, so engines and
 # reference agree to the bit.
-REFERENCE_N = np.logspace(-12, 12, 49)
+# n from the smallest subnormal to just below where 2 + 2n overflows.
+REFERENCE_N = np.concatenate(
+    ([5e-324, 1e-320], np.logspace(-12, 12, 49), np.logspace(-300, 300, 61), [8.9e307])
+)
 REFERENCE_VALUES = np.append(np.linspace(0.0, 1.0, 21), 1.0 / 3.0)  # 0, 1/3 and 1 included
 
 
@@ -122,8 +125,6 @@ def _dense_pure(alpha, n):
     v[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
     w = np.einsum("bkij,bj->bki", branch_maps(n), v)
     probability = np.einsum("bki,bki->bk", w, w)
-    bell = probability[:, 0::2] + probability[:, 1::2]
-    probability[np.repeat(bell < ZERO_PROBABILITY_CUTOFF, 2, axis=1)] = 0.0
     alive = probability >= ZERO_PROBABILITY_CUTOFF
     concurrence = np.zeros_like(probability)
     concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])

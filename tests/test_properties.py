@@ -1,6 +1,8 @@
 """Properties of every branch over the supported domain, drawn by hypothesis:
-n log-uniform in [1e-12, 1e12], alpha^2 and p in [0, 1] with the edges
-included.
+n log-uniform in [1e-323, 8.9e307] (from the smallest subnormal decade to
+just below where 2 + 2n overflows), alpha^2 and p in [0, 1] with the edges
+included.  The pure sweep's closed forms also draw alpha^2 log-uniform in
+[1e-323, 1], where n alpha^2 (1 - alpha^2) can underflow.
 
 The runs are derandomized and keep no example database, so every run draws
 the same points and writes no files.
@@ -11,12 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wteleport import BobOutcome, run_protocol_mixed, run_protocol_pure, sweep
+from wteleport.analysis import PSI_ZERO_COLUMNS
 from wteleport.protocol import BRANCH_ORDER, pure_branches, werner_branches
 
 REPEATABLE = settings(derandomize=True, database=None, deadline=None)
 
-N = st.floats(-12.0, 12.0).map(lambda exponent: 10.0**exponent)
+N = st.floats(-323.0, 307.95).map(lambda exponent: 10.0**exponent)
 UNIT = st.floats(0.0, 1.0)
+ALPHA_SQ = UNIT | st.floats(-323.0, 0.0).map(lambda exponent: 10.0**exponent)
 MODES = pytest.mark.parametrize("mode", ["pure", "werner"])
 
 BOB_ZERO = [k for k, (_, bob) in enumerate(BRANCH_ORDER) if bob is BobOutcome.ZERO]
@@ -70,7 +74,7 @@ def test_engine_equals_the_scalar_oracle(mode, n, value):
 
 
 @REPEATABLE
-@given(n=N, alpha_sq=UNIT)
+@given(n=N, alpha_sq=ALPHA_SQ)
 def test_pure_sweep_matches_the_closed_forms(n, alpha_sq):
     assert sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,)).match.all()
 
@@ -83,19 +87,20 @@ def test_werner_bob_zero_matches_the_derived_form(n, p):
     assert np.abs(concurrence[0, BOB_ZERO] - derived).max() <= 1e-15
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the absolute zero-probability cutoff marks a live branch dead at extreme n",
-)
 def test_extreme_n_rows_match():
-    """Why the properties above stop at n = 1e12.
+    """Regression for the n = 1e16 row and for the underflowing closed form.
 
     At n = 1e16 and alpha^2 = 1e-16 the Phi Bob-0 branches have probability
-    about 5e-17, below the absolute zero-probability cutoff of 1e-14, so
-    they are reported with probability 0 and concurrence 0 against a closed
-    form of 0.9999999999999999.  A dead-branch rule without an absolute
-    scale turns this into an unexpected pass, which fails the run until the
-    marker goes and the domain above widens.
+    about 5e-17.  An absolute zero-probability cutoff of 1e-14 once reported
+    them dead, with probability 0 and concurrence 0 against a closed form of
+    0.9999999999999999.  At n = alpha^2 = 1e-300 the Psi Bob-0 branches have
+    probability about 5e-301 and concurrence 1, while n alpha^2 (1 - alpha^2)
+    underflows; oracle and closed form must both give 1, not agree on 0.
     """
     table = sweep("pure", n_values=(1e16,), alpha_sq_values=(1e-16,))
     assert table.match.all()
+    assert (table.probability[0, BOB_ZERO] > 0.0).all()
+    table = sweep("pure", n_values=(1e-300,), alpha_sq_values=(1e-300,))
+    assert table.match.all()
+    for column in (table.oracle, table.formula):
+        assert np.abs(column[0, PSI_ZERO_COLUMNS] - 1.0).max() <= 1e-15

@@ -179,6 +179,17 @@ class TestMeasure:
         assert post_one.is_zero()
         assert post_one.labels == (1,)
 
+    def test_tiny_outcome_is_live(self):
+        # an outcome is dead only below the smallest normal double, so one of
+        # probability 1e-20 keeps its renormalized post-state
+        amps = np.array([np.sqrt(1.0 - 1e-20), 1e-10, 0.0, 0.0])
+        results = measure(StateVector((1, 2), amps), (2,), computational_basis((2,)))
+        _, p_one, post_one = results[1]
+        assert p_one == pytest.approx(1e-20, rel=1e-12)
+        assert not post_one.is_zero()
+        np.testing.assert_allclose(post_one.amplitudes, [1.0, 0.0], atol=1e-15)
+        assert post_one.labels == (1,)
+
     def test_target_not_in_register(self):
         with pytest.raises(InvalidInput):
             measure(ket([0], [1]), (2,), computational_basis((2,)))
