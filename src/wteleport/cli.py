@@ -379,6 +379,29 @@ def _sweep_block(table: SweepTable) -> Block:
     }
 
 
+_FAMILIES = (
+    ("phi_zero", PHI_ZERO_COLUMNS, "Phi+/Phi- with Bob 0"),
+    ("psi_zero", PSI_ZERO_COLUMNS, "Psi+/Psi- with Bob 0"),
+    ("bob_one", BOB_ONE_COLUMNS, "any Bell with Bob 1 "),
+)
+
+
+def _tally(table: SweepTable | None) -> dict:
+    """The table's verdict counts: ``rows``, ``match`` and ``discrepant``, then
+    ``match`` and ``discrepant`` per family.  None, a Werner sweep that failed
+    numerically, counts no rows."""
+    match = np.zeros((0, len(BRANCH_ORDER)), dtype=bool) if table is None else table.match
+
+    def counts(verdicts: np.ndarray) -> dict[str, int]:
+        return {"match": int(verdicts.sum()), "discrepant": int((~verdicts).sum())}
+
+    return {
+        "rows": match.size,
+        **counts(match),
+        "families": {family: counts(match[:, columns]) for family, columns, _ in _FAMILIES},
+    }
+
+
 def _table_text(align: str, spec: str) -> Callable[[object], str]:
     """A table cell: the value formatted by ``spec``, or "-" when absent, aligned by ``align``."""
     return lambda value: format("-" if value is None else format(value, spec), align)
@@ -479,13 +502,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _sweep_tables(
     mode: str, n_values: np.ndarray, values: np.ndarray, summary: dict
 ) -> Iterator[SweepTable]:
-    """The grid's tables from ``_grid_tables``, adding each one's verdicts to
-    the ``rows``, ``match`` and ``discrepant`` counts of ``summary``."""
+    """The grid's tables from ``_grid_tables``, adding each one's ``_tally`` to
+    the counts of ``summary``."""
     for table in _grid_tables(mode, n_values, values):
-        match = int(table.match.sum())
-        summary["rows"] += len(table)
-        summary["match"] += match
-        summary["discrepant"] += len(table) - match
+        tally = _tally(table)
+        for key in summary:
+            summary[key] += tally[key]
         yield table
 
 
@@ -510,7 +532,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "summary": summary,
     }
     tables = _sweep_tables(args.mode, n_values, values, summary)
-    tables = itertools.chain([next(tables)], tables)  # the first block, before any output
+    # The first block, before any output; a list iterator, unlike a list, lets go
+    # of it once the next block is asked for.
+    tables = itertools.chain(iter([next(tables)]), tables)
     blocks = map(_sweep_block, tables)
     return _write(
         Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, tables)), args
@@ -520,28 +544,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-_FAMILIES = (
-    ("phi_zero", PHI_ZERO_COLUMNS, "Phi+/Phi- with Bob 0"),
-    ("psi_zero", PSI_ZERO_COLUMNS, "Psi+/Psi- with Bob 0"),
-    ("bob_one", BOB_ONE_COLUMNS, "any Bell with Bob 1 "),
-)
-
-
-def _family_counts(table: SweepTable | None) -> dict[str, dict[str, int]]:
-    counts = {}
-    for family, columns, _ in _FAMILIES:
-        match = table.match[:, columns] if table is not None else np.zeros(0, dtype=bool)
-        counts[family] = {"match": int(match.sum()), "discrepant": int((~match).sum())}
-    return counts
-
-
-def _engine_error(result: ProtocolResult, table: SweepTable, point: int) -> float:
-    """Largest probability or concurrence gap between enumeration and engine at one point."""
-    probability = [b.probability for b in result.branches]
-    concurrence = [b.concurrence for b in result.branches]
+def _engine_error(results: Sequence[ProtocolResult], table: SweepTable, rows: np.ndarray) -> float:
+    """Largest probability or concurrence gap between the enumerated ``results``
+    and the engine's ``table`` at ``rows``, one row per result, in order."""
+    if len(results) != len(rows):
+        raise NumericalFailure(f"engine check: {len(rows)} rows for {len(results)} results")
+    probability = [[b.probability for b in result.branches] for result in results]
+    concurrence = [[b.concurrence for b in result.branches] for result in results]
     return max(
-        float(np.abs(table.probability[point] - probability).max()),
-        float(np.abs(table.oracle[point] - concurrence).max()),
+        float(np.abs(table.probability[rows] - probability).max()),
+        float(np.abs(table.oracle[rows] - concurrence).max()),
     )
 
 
@@ -549,48 +561,33 @@ def _check(name: str, max_error: float) -> dict:
     return {"name": name, "max_error": max_error, "passed": max_error <= SPOT_CHECK_TOL}
 
 
-def _werner_engine_error(werner: SweepTable) -> float:
-    """Largest gap between the Werner sweep engine and the enumeration at n = 1."""
-    points = {key: i for i, key in enumerate(zip(werner.n.tolist(), werner.p.tolist()))}
-    results = _mixed_results(DEFAULT_P_GRID, 1.0)
-    return max(
-        _engine_error(result, werner, points[1.0, p]) for p, result in zip(DEFAULT_P_GRID, results)
-    )
-
-
 def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
     """Concurrence preservation at the state-independent points, and the sweep
     engine against the scalar enumeration: pure here, and Werner as measured
-    by ``_werner_engine_error`` (0 when the Werner checks did not run)."""
-    pure_points = {key: i for i, key in enumerate(zip(pure.n.tolist(), pure.alpha_sq.tolist()))}
+    in ``cmd_verify`` (0 when the Werner checks did not run).
 
-    worst = engine_worst = 0.0
-    for alpha_sq in DEFAULT_ALPHA_SQ_GRID:
-        alpha = sqrt(alpha_sq)
-        result = run_protocol_pure(alpha, 1.0)
-        branch = result.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
-        worst = max(worst, abs(branch.concurrence - input_concurrence(alpha)))
-        engine_worst = max(engine_worst, _engine_error(result, pure, pure_points[1.0, alpha_sq]))
-    checks = [_check("n=1 preserves concurrence for every grid input", worst)]
-
-    for n, alpha_sq in ((4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)):
-        alpha = sqrt(alpha_sq)
-        result = run_protocol_pure(alpha, n)
-        branch = result.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO)
-        checks.append(
-            _check(
-                f"n={_sig6(n)}, alpha_sq={_sig6(alpha_sq)} preserves concurrence",
-                abs(branch.concurrence - input_concurrence(alpha)),
-            )
-        )
-        point = sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
-        engine_worst = max(engine_worst, _engine_error(result, point, 0))
-
+    The pure points, enumerated once, are every grid input at n = 1, in the
+    order the n-major ``pure`` table holds them, and alpha^2 = 1/(sqrt(n) + 1)
+    at n = 4 and 9, the diagonal of their own 2 x 2 sweep.
+    """
+    points = [(1.0, alpha_sq) for alpha_sq in DEFAULT_ALPHA_SQ_GRID]
+    grid = len(points)
+    points += [(4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)]
+    results = [run_protocol_pure(sqrt(alpha_sq), n) for n, alpha_sq in points]
+    phi_zero = [r.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO).concurrence for r in results]
+    gaps = [abs(c - input_concurrence(sqrt(x))) for c, (_, x) in zip(phi_zero, points)]
+    checks = [_check("n=1 preserves concurrence for every grid input", max(gaps[:grid]))]
+    for (n, alpha_sq), gap in zip(points[grid:], gaps[grid:]):
+        name = f"n={_sig6(n)}, alpha_sq={_sig6(alpha_sq)} preserves concurrence"
+        checks.append(_check(name, gap))
+    special = sweep("pure", *zip(*points[grid:]))
+    engine = max(
+        _engine_error(results[:grid], pure, np.flatnonzero(pure.n == 1.0)),
+        _engine_error(results[grid:], special, np.array([0, 3])),
+        werner_engine,
+    )
     checks.append(
-        _check(
-            "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)",
-            max(engine_worst, werner_engine),
-        )
+        _check("sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)", engine)
     )
     return checks
 
@@ -643,12 +640,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
     werner_failure: NumericalFailure | None = None
     try:
         werner = sweep("werner")
-        werner_engine = _werner_engine_error(werner)
+        werner_engine = _engine_error(
+            _mixed_results(DEFAULT_P_GRID, 1.0), werner, np.flatnonzero(werner.n == 1.0)
+        )
     except NumericalFailure as exc:
         werner, werner_failure = None, exc
     spot_checks = _spot_checks(pure, werner_engine)
-    pure_discrepant = int((~pure.match).sum())
-    pure_failed = bool(pure_discrepant) or not all(c["passed"] for c in spot_checks)
+    pure_tally = _tally(pure)
+    pure_failed = bool(pure_tally["discrepant"]) or not all(c["passed"] for c in spot_checks)
     # A pure-side failure outranks a numerical failure in the werner phase,
     # sweep or enumeration: a corrupted oracle should report as a
     # verification failure.
@@ -659,20 +658,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     dead_worst = max(float(t.oracle[:, BOB_ONE_COLUMNS].max()) for t in tables)
     dead_ok = dead_worst <= DEADNESS_TOL
     exit_code = 1 if pure_failed or not dead_ok else 0
-    werner_rows = 0 if werner is None else len(werner)
-    werner_match = 0 if werner is None else int(werner.match.sum())
     summary = {
-        "pure": {
-            "rows": len(pure),
-            "match": len(pure) - pure_discrepant,
-            "discrepant": pure_discrepant,
-            "families": _family_counts(pure),
-        },
+        "pure": pure_tally,
         "werner": {
-            "rows": werner_rows,
-            "match": werner_match,
-            "discrepant": werner_rows - werner_match,
-            "families": _family_counts(werner),
+            **_tally(werner),
             "numerical_failure": None if werner_failure is None else str(werner_failure),
         },
         "spot_checks": spot_checks,

@@ -323,6 +323,29 @@ class TestSweep:
             # oracle follows the derived one
             assert np.abs(werner.oracle[i, bob_zero] - derived).max() <= 1e-15, (n, werner.p[i])
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="near overflow the Phi Bob-0 probability (n alpha^2 + 1)/(4n) is subnormal "
+        "though the branch's image is not, so the dead-branch rule reads it as dead",
+    )
+    def test_near_overflow_corner_matches(self):
+        # probability 5.6e-309 and oracle 0.0, against a formula of 0.9999999999999999
+        table = sweep("pure", n_values=(8.9e307,), alpha_sq_values=(1 / 8.9e307,))
+        assert table.match.all(), table.oracle[0, PHI_ZERO_COLUMNS]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="beta is rebuilt as sqrt(1 - alpha*alpha) from alpha = sqrt(alpha^2), so near "
+        "alpha^2 = 1 the sweep evaluates another point than the printed alpha^2",
+    )
+    def test_sweep_evaluates_the_printed_alpha_sq(self):
+        # oracle and formula both read 0.92541; at the printed alpha^2 it is 0.99861
+        n, alpha_sq = 1e-16, 0.9999999999999999
+        table = sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
+        expected = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), alpha_sq, n)
+        for column in (table.formula, table.oracle):
+            assert np.abs(column[0, PHI_ZERO_COLUMNS] - expected).max() <= 1e-12
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):
             sweep("pure", n_values=())

@@ -7,15 +7,25 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wteleport.analysis
+import wteleport.cli
 import wteleport.concurrence
 import wteleport.protocol
-from wteleport import BellOutcome, BobOutcome, DensityMatrix, InvalidInput, quartic, sweep
+from wteleport import (
+    BellOutcome,
+    BobOutcome,
+    DensityMatrix,
+    InvalidInput,
+    NumericalFailure,
+    quartic,
+    sweep,
+)
 from wteleport.cli import (
     RUN_COLUMNS,
     SWEEP_CSV_COLUMNS,
@@ -329,6 +339,33 @@ class TestSweep:
         assert code == 0
         assert 1 <= len(calls) <= 2  # of the 100 blocks
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_each_block_is_released_once_written(self, monkeypatch, tmp_path, fmt):
+        # the first block is computed before any output is written; like
+        # every later block, it must be let go once it is written
+        refs, alive = [], []
+        table = wteleport.analysis._table
+        sweep_block = wteleport.cli._sweep_block
+
+        def tracked(*args):
+            result = table(*args)
+            refs.append(weakref.ref(result))
+            return result
+
+        def formatted(block_table):
+            alive.append([ref() is not None for ref in refs])
+            return sweep_block(block_table)
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
+        monkeypatch.setattr(wteleport.analysis, "_table", tracked)
+        monkeypatch.setattr(wteleport.cli, "_sweep_block", formatted)
+        code = main([
+            "sweep", "--mode", "pure", "--n", "0.1:10:5", "--alpha-sq", "0:1:4",
+            "--format", fmt, "--output", str(tmp_path / "rows"),
+        ])
+        assert code == 0
+        assert alive == [[j == i for j in range(i + 1)] for i in range(5)]
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only"
     )
@@ -487,6 +524,74 @@ class TestVerify:
         assert code == 1
         assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
         assert "result: FAIL (exit 1)" in out
+
+    @pytest.mark.parametrize(
+        "mode, n, value",
+        [
+            ("pure", 1.0, 0.95),
+            ("pure", 4.0, 1.0 / 3.0),
+            ("pure", 9.0, 1.0 / 4.0),
+            ("werner", 1.0, 1.0),
+        ],
+    )
+    def test_one_wrong_engine_point_fails(self, capsys, monkeypatch, mode, n, value):
+        # one point's probabilities are scaled, after the engine's own
+        # probability-sum check: the engine check must compare each
+        # enumerated point with its own table row
+        engine = getattr(wteleport.analysis, f"{mode}_branches")
+        first = np.sqrt(value) if mode == "pure" else value  # the pure engine takes alpha
+
+        def scaled(first_values, n_values):
+            probability, concurrence = engine(first_values, n_values)
+            point = (first_values == first) & (n_values == n)
+            return np.where(point[:, None], 0.9 * probability, probability), concurrence
+
+        monkeypatch.setattr(wteleport.analysis, f"{mode}_branches", scaled)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        checks = json.loads(out)["summary"]["spot_checks"]
+        assert [c["passed"] for c in checks] == [True, True, True, False]
+
+    @pytest.mark.parametrize("grid", ["DEFAULT_ALPHA_SQ_GRID", "DEFAULT_P_GRID"])
+    def test_engine_check_needs_a_row_per_enumerated_point(self, capsys, monkeypatch, grid):
+        # one point fewer enumerated than the table holds at n = 1 must not
+        # be compared as far as it goes
+        monkeypatch.setattr(wteleport.cli, grid, getattr(wteleport.cli, grid)[:-1])
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, out) == (3, "")
+        count = len(getattr(wteleport.cli, grid)) + 1
+        assert err == f"numerical failure: engine check: {count} rows for {count - 1} results\n"
+
+    @staticmethod
+    def _failing_werner_engine(p, n):
+        raise NumericalFailure("werner engine failed")
+
+    def test_werner_numerical_failure_exits_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(wteleport.analysis, "werner_branches", self._failing_werner_engine)
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, out, err) == (3, "", "numerical failure: werner engine failed\n")
+
+    def test_pure_failure_outranks_a_werner_numerical_failure(self, capsys, monkeypatch):
+        engine = wteleport.analysis.pure_branches
+
+        def scaled(alpha, n):
+            probability, concurrence = engine(alpha, n)
+            return 0.9 * probability, concurrence
+
+        monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
+        monkeypatch.setattr(wteleport.analysis, "werner_branches", self._failing_werner_engine)
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 1
+        summary = json.loads(out)["summary"]
+        no_rows = {"match": 0, "discrepant": 0}
+        assert summary["werner"] == {
+            "rows": 0,
+            **no_rows,
+            "families": {"phi_zero": no_rows, "psi_zero": no_rows, "bob_one": no_rows},
+            "numerical_failure": "werner engine failed",
+        }
+        assert summary["pure"]["rows"] == 7 * 19 * 8
+        assert [c["passed"] for c in summary["spot_checks"]] == [True, True, True, False]
 
     def test_mutated_spin_flip_fails(self, capsys, monkeypatch):
         # flipping one sign in the spin-flip operator corrupts the oracle and
