@@ -349,11 +349,9 @@ def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:
     """The sweep table of validated points (n[i], value[i]), value being alpha^2 or p."""
     formula = np.zeros((len(n), len(BRANCH_ORDER)))
     if mode == "pure":
-        alpha = np.sqrt(value)
-        probability, oracle = pure_branches(alpha, n)
-        x = alpha * alpha
-        formula[:, PHI_ZERO_COLUMNS] = _bob_zero_form(x, 1.0 - x, n)[:, None]
-        formula[:, PSI_ZERO_COLUMNS] = _bob_zero_form(1.0 - x, x, n)[:, None]
+        probability, oracle = pure_branches(value, n)
+        formula[:, PHI_ZERO_COLUMNS] = _bob_zero_form(value, 1.0 - value, n)[:, None]
+        formula[:, PSI_ZERO_COLUMNS] = _bob_zero_form(1.0 - value, value, n)[:, None]
     else:
         probability, oracle = werner_branches(value, n)
         formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]

@@ -5,8 +5,8 @@ eta~ = (sigma_y x sigma_y) conj(eta).  Mixed states use the Wootters
 formula C = max(0, l1 - l2 - l3 - l4), the l_i being the decreasingly
 sorted square roots of the eigenvalues of rho * rho~.  X-states, whose
 entries off the diagonal and anti-diagonal vanish, have a closed form; the
-Werner sweep engine uses it, and Wootters' formula stays with the scalar
-oracle.
+sweep engine uses it for both input families, and the spin-flip and
+Wootters formulas stay with the scalar oracle.
 """
 from __future__ import annotations
 

@@ -11,10 +11,11 @@ There is one scalar execution and one batched engine.  The scalar runs
 enumerate the full five-qubit state vector; a Werner input is the mixture
 of the four Bell states it is made of, each enumerated on its own, once
 per n for any number of p.  Each run computes the concurrences of its live
-branches in one kernel call.  The batched engines ``pure_branches`` and
-``werner_branches`` compute all eight branches of whole parameter grids at
-once, straight from the entries of each branch's 2x2 action; sweeps use
-them, and the scalar runs stay as the independent oracle that checks them.
+branches in one kernel call.  The batched engine computes all eight
+branches of whole parameter grids at once, straight from the entries of
+each branch's 2x2 action, for pure and Werner inputs alike through
+``pure_branches`` and ``werner_branches``; sweeps use it, and the scalar
+runs stay as the independent oracle that checks it.
 """
 from __future__ import annotations
 
@@ -101,7 +102,7 @@ class ProtocolResult:
         raise KeyError((bell, bob))
 
 
-# Grid points per block of the batched engines and of a CLI sweep, which
+# Grid points per block of the batched engine and of a CLI sweep, which
 # computes and writes one block at a time; bounds their working memory, so a
 # sweep's peak memory does not grow with its grid.  Blocks of 512 to 4096
 # points ran equally fast, and peak memory grows with the block size.
@@ -277,7 +278,7 @@ def _branch_actions(n: np.ndarray) -> np.ndarray:
     """The one definition of the branch maps: a, b, c, d = ``_branch_actions(n)``,
     each (len(n), 8), are the entries of every branch's 2x2 action [[a, b], [c, d]]
     from qubit 2 to qubit 4, scaled by f(n)/sqrt(2).  No action has two non-zero
-    entries in a row or column, which the engines rely on."""
+    entries in a row or column, which the engine relies on."""
     rn, rn1 = np.sqrt(n), np.sqrt(n + 1.0)
     one, zero = np.ones_like(n), np.zeros_like(n)
     actions = np.array(
@@ -295,82 +296,78 @@ def _branch_actions(n: np.ndarray) -> np.ndarray:
     return np.transpose(actions * (w_normalization(n) / sqrt(2.0)), (1, 2, 0))
 
 
-def _in_blocks(branch_block, value: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``branch_block`` over blocks of at most ``BLOCK_POINTS`` points and
+def _in_blocks(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``_x_block`` over blocks of at most ``BLOCK_POINTS`` points and
     check that every point's branch probabilities sum to 1."""
-    value, n = np.atleast_1d(value), np.atleast_1d(n)
     probability = np.empty((len(n), len(BRANCH_ORDER)))
     concurrence = np.empty_like(probability)
     for start in range(0, len(n), BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
-        probability[block], concurrence[block] = branch_block(value[block], n[block])
+        probability[block], concurrence[block] = _x_block(rho[:, block], n[block])
     _check_probability_sums(probability.sum(axis=-1), "branch")
     return probability, concurrence
+
+
+def pure_branches(alpha_sq: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probabilities and concurrences for pure inputs, batched over points.
+
+    ``alpha_sq`` and ``n`` hold one value per point; both results have shape
+    (points, 8), branches in ``BRANCH_ORDER``.  The input alpha|00> +
+    beta|11> is the X-state with rho11 = alpha^2, rho44 = 1 - alpha^2 and
+    rho14 = sqrt(alpha^2 (1 - alpha^2)), evaluated at alpha^2 as given; see
+    ``_x_block``.
+    """
+    x = np.atleast_1d(_check_alpha_sq(alpha_sq))
+    rho = np.zeros((5, len(x)))
+    rho[0], rho[3] = x, 1.0 - x
+    rho[4] = np.sqrt(rho[0] * rho[3])
+    return _in_blocks(rho, np.atleast_1d(_check_n(n)))
+
+
+def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probabilities and concurrences for Werner inputs, batched over
+    points; same shapes as ``pure_branches``, see ``_x_block``."""
+    r = _werner_entries(np.atleast_1d(_check_p(p)))
+    rho = np.stack([r[:, 0, 0], r[:, 1, 1], r[:, 2, 2], r[:, 3, 3], r[:, 0, 3]])
+    return _in_blocks(rho, np.atleast_1d(_check_n(n)))
 
 
 # Overflow at extreme n (2 + 2n beyond the float range) zeroes the maps; the
 # probability-sum check then raises NumericalFailure instead of a warning.
 @np.errstate(all="ignore")
-def pure_branches(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branch probabilities and concurrences for pure inputs, batched over points.
+def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The eight branches of real X-state inputs with rho23 = 0, given by
+    ``rho`` (5, points): rho11, rho22, rho33, rho44 and rho14 of each point.
 
-    ``alpha`` and ``n`` hold one value per point; both results have shape
-    (points, 8), branches in ``BRANCH_ORDER``.  Under action [[a, b], [c, d]]
-    the input alpha|00> + beta|11> has image w = (a alpha, c alpha, b beta,
-    d beta), with probability |w|^2; the post-state w/|w| gives the
-    concurrence.  As in ``run_protocol_pure``, a branch below
-    ``ZERO_PROBABILITY_CUTOFF`` (not a normal double) is dead, with concurrence 0.
-    """
-    return _in_blocks(_pure_block, _check_alpha(alpha), _check_n(n))
-
-
-def _pure_block(alpha: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a, b, c, d = _branch_actions(n)
-    alpha, beta = alpha[:, np.newaxis], np.sqrt(1.0 - alpha * alpha)[:, np.newaxis]
-    w = np.stack((a * alpha, c * alpha, b * beta, d * beta), axis=-1)
-    probability = np.einsum("bki,bki->bk", w, w)
-    alive = probability >= ZERO_PROBABILITY_CUTOFF
-    concurrence = np.zeros_like(probability)
-    concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])
-    return probability, concurrence
-
-
-@np.errstate(all="ignore")
-def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branch probabilities and concurrences for Werner inputs, batched over points.
-
-    Same shapes and dead-branch rule as ``pure_branches``.  Each M rho M' is
-    an X-state as long as no action has two non-zero entries in a row or
-    column; a table that breaks this premise raises ``NumericalFailure``.  Its
-    six entries are formed straight from the action's and rho's, and
+    Each M rho M' is then an X-state as long as no action has two non-zero
+    entries in a row or column; a table that breaks this premise raises
+    ``NumericalFailure``.  Its six entries are formed straight from the
+    action's and rho's; its trace is the branch probability.
     ``concurrence_x_batch`` takes those of each live post-state M rho M' /
     tr(M rho M'), validates them and gives its concurrence in closed form,
-    leaving Wootters' formula to the scalar oracle.  Actions and Werner
-    matrices are real.
+    leaving the spin-flip and Wootters formulas to the scalar oracle.  As in
+    the scalar runs, a branch below ``ZERO_PROBABILITY_CUTOFF`` (not a normal
+    double) is dead, with concurrence 0.
     """
-    return _in_blocks(_werner_block, _check_p(p), _check_n(n))
-
-
-def _werner_block(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, b, c, d = _branch_actions(n)
     if np.any(a * b) or np.any(c * d) or np.any(a * c) or np.any(b * d):
         raise NumericalFailure("post-state has a non-zero entry off the X shape")
-    r = np.moveaxis(_werner_entries(p), 0, -1)[..., np.newaxis]  # r[i, j] has shape (points, 1)
+    r11, r22, r33, r44, r14 = rho[:, :, np.newaxis]  # each (points, 1)
     # the X of M rho M', each entry the one product its matrix product would sum
-    x = {
-        (0, 0): (a * r[0, 0]) * a + (b * r[1, 1]) * b,
-        (1, 1): (c * r[0, 0]) * c + (d * r[1, 1]) * d,
-        (2, 2): (a * r[2, 2]) * a + (b * r[3, 3]) * b,
-        (3, 3): (c * r[2, 2]) * c + (d * r[3, 3]) * d,
-        (0, 3): (a * r[0, 3]) * d,
-        (1, 2): (c * r[0, 3]) * b,
-    }
-    probability = ((x[0, 0] + x[1, 1]) + x[2, 2]) + x[3, 3]
+    x = (
+        (a * r11) * a + (b * r22) * b,
+        (c * r11) * c + (d * r22) * d,
+        (a * r33) * a + (b * r44) * b,
+        (c * r33) * c + (d * r44) * d,
+        (a * r14) * d,
+        (c * r14) * b,
+    )
+    probability = ((x[0] + x[1]) + x[2]) + x[3]
     alive = probability >= ZERO_PROBABILITY_CUTOFF
     # rho11..rho44, rho14 and rho23 of each live post-state, one row per entry,
     # so that each column the kernel reads is contiguous: with one row per
     # post-state instead, the kernel ran about 3x slower
-    entries = np.stack([entry[alive] for entry in x.values()])
+    entries = np.stack([entry[alive] for entry in x])
     entries /= probability[alive]
     concurrence = np.zeros_like(probability)
     concurrence[alive] = concurrence_x_batch(entries[:4].T, entries[4:].T)

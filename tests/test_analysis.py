@@ -21,7 +21,7 @@ from wteleport import (
     state_independent_alpha_sq,
     sweep,
 )
-from wteleport.analysis import PHI_ZERO_COLUMNS, PSI_ZERO_COLUMNS
+from wteleport.analysis import PHI_ZERO_COLUMNS, PSI_ZERO_COLUMNS, _columns
 from wteleport.protocol import BRANCH_ORDER
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
@@ -52,6 +52,19 @@ def _bob_zero(x, y, n):
 
 def _derived_werner(p, n):
     return max(Decimal(0), n.sqrt() * (3 * p - 1) / (n + 1))
+
+
+# The pure input's branch probabilities by branch columns: (n x + y) / (4 (n + 1))
+# for Phi Bob 0, (x + n y) / (4 (n + 1)) for Psi Bob 0, x / 4 and y / 4 for Phi
+# and Psi Bob 1, with x = alpha^2 and y = 1 - x.
+PHI = (BellOutcome.PHI_PLUS, BellOutcome.PHI_MINUS)
+PSI = (BellOutcome.PSI_PLUS, BellOutcome.PSI_MINUS)
+_PURE_PROBABILITIES = (
+    (PHI_ZERO_COLUMNS, lambda x, n: (n * x + (1 - x)) / (4 * (n + 1))),
+    (PSI_ZERO_COLUMNS, lambda x, n: (x + n * (1 - x)) / (4 * (n + 1))),
+    (_columns(PHI, BobOutcome.ONE), lambda x, n: x / 4),
+    (_columns(PSI, BobOutcome.ONE), lambda x, n: (1 - x) / 4),
+)
 
 
 class TestPredictedPhi:
@@ -304,21 +317,26 @@ class TestSweep:
         assert table.match.all(), table.abs_diff.max()
 
     def test_fifty_digit_reference_beyond_the_old_domain(self):
-        # at the point the sweep computes, x = fl(sqrt(alpha^2))^2, every
-        # Bob-0 closed form and oracle is within 1e-15 of a 50-digit
-        # evaluation, down to subnormal n and up to the overflow of 2 + 2n
+        # at the printed alpha^2, every Bob-0 closed form and oracle is within
+        # 1e-15 of a 50-digit evaluation, and every branch probability within
+        # 1e-15 of it relative, down to subnormal n and up to the overflow of
+        # 2 + 2n
         pure = sweep("pure", n_values=EXTREME_N, alpha_sq_values=EDGE_VALUES)
         werner = sweep("werner", n_values=EXTREME_N, p_values=EDGE_VALUES)
         m = len(EDGE_VALUES)
         bob_zero = PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS
         for i, n in enumerate(np.repeat(EXTREME_N, m)):
-            x = float(np.sqrt(pure.alpha_sq[i])) ** 2
+            x = pure.alpha_sq[i]
             phi = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), x, n)
             psi = _fifty_digits(lambda x, n: _bob_zero(1 - x, x, n), x, n)
             derived = _fifty_digits(_derived_werner, werner.p[i], n)
             for columns, expected in ((PHI_ZERO_COLUMNS, phi), (PSI_ZERO_COLUMNS, psi)):
                 for column in (pure.formula, pure.oracle):
                     assert np.abs(column[i, columns] - expected).max() <= 1e-15, (n, x)
+            for columns, form in _PURE_PROBABILITIES:
+                expected = _fifty_digits(form, x, n)
+                got = pure.probability[i, columns]
+                assert np.abs(got - expected).max() <= 1e-15 * expected, (n, x, columns)
             # the printed Werner form is the documented discrepancy; the
             # oracle follows the derived one
             assert np.abs(werner.oracle[i, bob_zero] - derived).max() <= 1e-15, (n, werner.p[i])
@@ -333,13 +351,9 @@ class TestSweep:
         table = sweep("pure", n_values=(8.9e307,), alpha_sq_values=(1 / 8.9e307,))
         assert table.match.all(), table.oracle[0, PHI_ZERO_COLUMNS]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="beta is rebuilt as sqrt(1 - alpha*alpha) from alpha = sqrt(alpha^2), so near "
-        "alpha^2 = 1 the sweep evaluates another point than the printed alpha^2",
-    )
     def test_sweep_evaluates_the_printed_alpha_sq(self):
-        # oracle and formula both read 0.92541; at the printed alpha^2 it is 0.99861
+        # 0.99863 at the printed alpha^2; at fl(sqrt(alpha^2))^2, where 1 - x is
+        # twice the printed 1 - alpha^2, oracle and formula would read 0.92541
         n, alpha_sq = 1e-16, 0.9999999999999999
         table = sweep("pure", n_values=(n,), alpha_sq_values=(alpha_sq,))
         expected = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), alpha_sq, n)

@@ -442,8 +442,8 @@ class TestVerify:
         # the sweep engine is caught by the engine-vs-enumeration spot check
         engine = wteleport.analysis.pure_branches
 
-        def scaled(alpha, n):
-            probability, concurrence = engine(alpha, n)
+        def scaled(alpha_sq, n):
+            probability, concurrence = engine(alpha_sq, n)
             return 0.9 * probability, concurrence
 
         monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
@@ -477,17 +477,35 @@ class TestVerify:
         assert "result: FAIL (exit 1)" in out
 
     def test_wrong_branch_action_fails(self, capsys, monkeypatch):
-        # both engines read every branch from the action table and the
+        # the engine reads every branch from the action table and the
         # enumeration does not.  Swapping b and d of Psi+/Zero keeps each
-        # column norm, so every probability stays, but takes the action's
-        # determinant to 0: only the pure engine's concurrences go wrong, and
-        # the Werner engine refuses the table (off the X)
+        # column norm, so every probability stays, but puts a and b in one
+        # row: the engine refuses the table (off the X) for the pure sweep,
+        # which runs first
         actions = wteleport.protocol._branch_actions
         k = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
 
         def swapped(n):
             table = actions(n).copy()
             table[[1, 3], :, k] = table[[3, 1], :, k]
+            return table
+
+        monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
+        code, out, err = run_cli(capsys, "verify")
+        assert (code, out) == (3, "")
+        assert "off the X shape" in err
+
+    def test_swapped_branch_actions_fail(self, capsys, monkeypatch):
+        # swapping the whole Phi+/Zero and Psi+/Zero actions keeps the X shape
+        # and completeness, so the engine takes the table; only the engine
+        # check against the enumeration can see it
+        actions = wteleport.protocol._branch_actions
+        phi = BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))
+        psi = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
+
+        def swapped(n):
+            table = actions(n).copy()
+            table[..., [phi, psi]] = table[..., [psi, phi]]
             return table
 
         monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
@@ -539,11 +557,10 @@ class TestVerify:
         # probability-sum check: the engine check must compare each
         # enumerated point with its own table row
         engine = getattr(wteleport.analysis, f"{mode}_branches")
-        first = np.sqrt(value) if mode == "pure" else value  # the pure engine takes alpha
 
-        def scaled(first_values, n_values):
-            probability, concurrence = engine(first_values, n_values)
-            point = (first_values == first) & (n_values == n)
+        def scaled(values, n_values):
+            probability, concurrence = engine(values, n_values)
+            point = (values == value) & (n_values == n)
             return np.where(point[:, None], 0.9 * probability, probability), concurrence
 
         monkeypatch.setattr(wteleport.analysis, f"{mode}_branches", scaled)
@@ -574,8 +591,8 @@ class TestVerify:
     def test_pure_failure_outranks_a_werner_numerical_failure(self, capsys, monkeypatch):
         engine = wteleport.analysis.pure_branches
 
-        def scaled(alpha, n):
-            probability, concurrence = engine(alpha, n)
+        def scaled(alpha_sq, n):
+            probability, concurrence = engine(alpha_sq, n)
             return 0.9 * probability, concurrence
 
         monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)

@@ -74,7 +74,8 @@ def _enumerated(results):
 def test_pure_engine_matches_enumeration():
     n, alpha_sq = _grid(np.linspace(0.0, 1.0, 21))
     alpha = np.sqrt(alpha_sq)
-    probability, concurrence = pure_branches(alpha, n)
+    # the oracle takes alpha, the engine the alpha^2 it evaluates
+    probability, concurrence = pure_branches(alpha * alpha, n)
     expected_p, expected_c = _enumerated(run_protocol_pure(a, m) for a, m in zip(alpha, n))
     assert np.abs(probability - expected_p).max() <= 1e-15
     assert np.abs(concurrence - expected_c).max() <= 1e-13
@@ -108,9 +109,9 @@ def test_werner_bob_zero_matches_the_derived_form():
     assert np.abs(x_state - concurrence_mixed_batch(post)).max() <= 1e-13
 
 
-# Reference: every branch from its dense 4x4 map, by einsum for pure inputs and
-# by M rho M' as two matrix products for Werner inputs.  Each non-zero entry of
-# these sums is a single product, which the engines form alone, so engines and
+# Reference: every branch from its dense 4x4 map, by M rho M' as two matrix
+# products, for pure and Werner inputs alike.  Each non-zero entry of these
+# sums is a single product, which the engine forms alone, so engine and
 # reference agree to the bit.
 # n from the smallest subnormal to just below where 2 + 2n overflows.
 REFERENCE_N = np.concatenate(
@@ -119,21 +120,21 @@ REFERENCE_N = np.concatenate(
 REFERENCE_VALUES = np.append(np.linspace(0.0, 1.0, 21), 1.0 / 3.0)  # 0, 1/3 and 1 included
 
 
-def _dense_pure(alpha, n):
-    v = np.zeros((len(alpha), 4))
-    v[:, 0b00] = alpha
-    v[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
-    w = np.einsum("bkij,bj->bki", branch_maps(n), v)
-    probability = np.einsum("bki,bki->bk", w, w)
-    alive = probability >= ZERO_PROBABILITY_CUTOFF
-    concurrence = np.zeros_like(probability)
-    concurrence[alive] = concurrence_pure_batch(w[alive] / np.sqrt(probability[alive])[:, None])
-    return probability, concurrence
+def _pure_rho(x):
+    """The density matrices of the pure inputs with alpha^2 = x."""
+    y = 1.0 - x
+    rho = np.zeros((len(x), 4, 4))
+    rho[:, 0b00, 0b00], rho[:, 0b11, 0b11] = x, y
+    rho[:, 0b00, 0b11] = rho[:, 0b11, 0b00] = np.sqrt(x * y)
+    return rho
 
 
-def _dense_werner(p, n):
+def _werner_rho(p):
+    return np.array([werner(q).entries.real for q in p])
+
+
+def _dense(rho, n):
     maps = branch_maps(n)
-    rho = np.array([werner(q).entries.real for q in p])
     weighted = maps @ rho[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
     probability = np.trace(weighted, axis1=-2, axis2=-1)
     alive = probability >= ZERO_PROBABILITY_CUTOFF
@@ -144,20 +145,19 @@ def _dense_werner(p, n):
 
 
 @pytest.mark.parametrize(
-    "engine, reference, to_value",
-    [(pure_branches, _dense_pure, np.sqrt), (werner_branches, _dense_werner, lambda p: p)],
+    "engine, rho",
+    [(pure_branches, _pure_rho), (werner_branches, _werner_rho)],
+    ids=["pure", "werner"],
 )
-def test_engines_match_the_dense_maps_to_the_bit(engine, reference, to_value):
+def test_engines_match_the_dense_maps_to_the_bit(engine, rho):
     n, value = (a.ravel() for a in np.meshgrid(REFERENCE_N, REFERENCE_VALUES, indexing="ij"))
-    value = to_value(value)
-    for got, expected in zip(engine(value, n), reference(value, n)):
+    for got, expected in zip(engine(value, n), _dense(rho(value), n)):
         assert np.array_equal(got, expected)
 
 
 def test_no_action_has_two_non_zeros_in_a_row_or_column():
-    # the engines form each branch from the action's entries on this premise:
-    # it keeps M rho M' an X-state and the pure image (a alpha, c alpha, b beta,
-    # d beta)
+    # the engine forms each branch from the action's entries on this premise:
+    # it keeps M rho M' an X-state
     a, b, c, d = wteleport.protocol._branch_actions(REFERENCE_N)
     for first, second in ((a, b), (c, d), (a, c), (b, d)):
         assert not np.any(first * second)
@@ -165,10 +165,11 @@ def test_no_action_has_two_non_zeros_in_a_row_or_column():
     np.testing.assert_array_equal(actions, np.stack((a, b, c, d), -1).reshape(actions.shape))
 
 
-def test_werner_engine_rejects_actions_off_the_x(monkeypatch):
+@pytest.mark.parametrize("engine", [pure_branches, werner_branches], ids=["pure", "werner"])
+def test_engine_rejects_actions_off_the_x(monkeypatch, engine):
     # swapping b and d of Psi+/Zero puts a and b in one row: M rho M' is no
-    # longer an X-state, and the engine says so before the kernel would take
-    # its six entries
+    # longer an X-state, and the engine says so for either input family
+    # before the kernel would take its six entries
     actions = wteleport.protocol._branch_actions
     k = BRANCH_ORDER.index((BellOutcome.PSI_PLUS, BobOutcome.ZERO))
 
@@ -179,7 +180,7 @@ def test_werner_engine_rejects_actions_off_the_x(monkeypatch):
 
     monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
     with pytest.raises(NumericalFailure, match="post-state has a non-zero entry off the X shape"):
-        werner_branches(np.array([0.5]), np.array([2.0]))
+        engine(np.array([0.5]), np.array([2.0]))
 
 
 @pytest.mark.parametrize("engine", [pure_branches, werner_branches])
@@ -207,7 +208,7 @@ def test_branch_map_is_a_slice_of_branch_maps():
 def test_batched_validators_raise_invalid_input():
     with pytest.raises(InvalidInput, match="channel parameter n"):
         branch_maps(np.array([1.0, 0.0]))
-    with pytest.raises(InvalidInput, match="alpha must lie"):
+    with pytest.raises(InvalidInput, match="alpha\\^2 must lie"):
         pure_branches(np.array([0.5, 1.5]), np.array([1.0, 1.0]))
     with pytest.raises(InvalidInput, match="mixing weight p"):
         werner_branches(np.array([np.nan]), np.array([1.0]))

@@ -33,8 +33,9 @@ def _point(mode: str, n: float, value: float):
     """(probability, concurrence) of the engine and of the scalar oracle, each
     shape (8,), at one point; value is alpha^2 or p."""
     if mode == "pure":
+        # the oracle takes alpha, the engine the alpha^2 it evaluates
         alpha = np.sqrt(value)
-        probability, concurrence = pure_branches(np.array([alpha]), np.array([n]))
+        probability, concurrence = pure_branches(np.array([alpha * alpha]), np.array([n]))
         result = run_protocol_pure(float(alpha), n)
     else:
         probability, concurrence = werner_branches(np.array([value]), np.array([n]))
