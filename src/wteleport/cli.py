@@ -42,6 +42,7 @@ from .protocol import (
     ProtocolResult,
     _check_alpha_sq,
     _mixed_results,
+    _pure_results,
     run_protocol_mixed,
     run_protocol_pure,
 )
@@ -544,17 +545,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- verify
 
 
-def _engine_error(results: Sequence[ProtocolResult], table: SweepTable, rows: np.ndarray) -> float:
-    """Largest probability or concurrence gap between the enumerated ``results``
-    and the engine's ``table`` at ``rows``, one row per result, in order."""
-    if len(results) != len(rows):
-        raise NumericalFailure(f"engine check: {len(rows)} rows for {len(results)} results")
-    probability = [[b.probability for b in result.branches] for result in results]
-    concurrence = [[b.concurrence for b in result.branches] for result in results]
-    return max(
-        float(np.abs(table.probability[rows] - probability).max()),
-        float(np.abs(table.oracle[rows] - concurrence).max()),
-    )
+def _engine_error(oracle: np.ndarray, table: SweepTable, rows: np.ndarray) -> float:
+    """Largest gap between the enumerated ``oracle``, probabilities and
+    concurrences stacked (2, points, 8), and the engine's ``table`` at
+    ``rows``, one row per point, in order."""
+    if oracle.shape[1] != len(rows):
+        raise NumericalFailure(f"engine check: {len(rows)} rows for {oracle.shape[1]} results")
+    return float(np.abs(np.stack([table.probability[rows], table.oracle[rows]]) - oracle).max())
 
 
 def _check(name: str, max_error: float) -> dict:
@@ -573,17 +570,19 @@ def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
     points = [(1.0, alpha_sq) for alpha_sq in DEFAULT_ALPHA_SQ_GRID]
     grid = len(points)
     points += [(4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)]
-    results = [run_protocol_pure(sqrt(alpha_sq), n) for n, alpha_sq in points]
-    phi_zero = [r.branch(BellOutcome.PHI_PLUS, BobOutcome.ZERO).concurrence for r in results]
-    gaps = [abs(c - input_concurrence(sqrt(x))) for c, (_, x) in zip(phi_zero, points)]
+    n_values, alpha_sq_values = zip(*points)
+    probability, _, concurrence = _pure_results(np.sqrt(alpha_sq_values), n_values)
+    oracle = np.stack([probability, concurrence])
+    phi_zero = concurrence[:, BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))]
+    gaps = np.abs(phi_zero - [input_concurrence(sqrt(x)) for x in alpha_sq_values]).tolist()
     checks = [_check("n=1 preserves concurrence for every grid input", max(gaps[:grid]))]
     for (n, alpha_sq), gap in zip(points[grid:], gaps[grid:]):
         name = f"n={_sig6(n)}, alpha_sq={_sig6(alpha_sq)} preserves concurrence"
         checks.append(_check(name, gap))
     special = sweep("pure", *zip(*points[grid:]))
     engine = max(
-        _engine_error(results[:grid], pure, np.flatnonzero(pure.n == 1.0)),
-        _engine_error(results[grid:], special, np.array([0, 3])),
+        _engine_error(oracle[:, :grid], pure, np.flatnonzero(pure.n == 1.0)),
+        _engine_error(oracle[:, grid:], special, np.array([0, 3])),
         werner_engine,
     )
     checks.append(
@@ -640,8 +639,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     werner_failure: NumericalFailure | None = None
     try:
         werner = sweep("werner")
+        probability, _, _, concurrence = _mixed_results(DEFAULT_P_GRID, 1.0)
         werner_engine = _engine_error(
-            _mixed_results(DEFAULT_P_GRID, 1.0), werner, np.flatnonzero(werner.n == 1.0)
+            np.stack([probability, concurrence]), werner, np.flatnonzero(werner.n == 1.0)
         )
     except NumericalFailure as exc:
         werner, werner_failure = None, exc

@@ -7,15 +7,15 @@ lives on (1, 4).  Every one of the 4 x 2 = 8 outcome branches is enumerated
 exactly, with its probability, renormalized post-state and concurrence;
 nothing is sampled.
 
-There is one scalar execution and one batched engine.  The scalar runs
-enumerate the full five-qubit state vector; a Werner input is the mixture
-of the four Bell states it is made of, each enumerated on its own, once
-per n for any number of p.  Each run computes the concurrences of its live
-branches in one kernel call.  The batched engine computes all eight
-branches of whole parameter grids at once, straight from the entries of
-each branch's 2x2 action, for pure and Werner inputs alike through
-``pure_branches`` and ``werner_branches``; sweeps use it, and the scalar
-runs stay as the independent oracle that checks it.
+There is one enumeration and one engine.  The enumeration projects full
+five-qubit state vectors, a whole stack of inputs in one pass, with one
+concurrence kernel call for all live branches; a Werner input is the mixture
+of the four Bell states, enumerated as one stack once per n for any number
+of p.  The scalar runs are one-point views of it.  The engine computes all
+eight branches of whole parameter grids at once, straight from the entries
+of each branch's 2x2 action, for pure and Werner inputs alike through
+``pure_branches`` and ``werner_branches``; sweeps use it, and the
+enumeration stays as the independent oracle that checks it.
 """
 from __future__ import annotations
 
@@ -28,16 +28,17 @@ import numpy as np
 
 from .concurrence import concurrence_mixed_batch, concurrence_pure_batch, concurrence_x_batch
 from .states import (
+    NORM_TOL,
     DensityMatrix,
     InvalidInput,
     NumericalFailure,
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
     _check_probability_sums,
+    _measure_stack,
     bell_basis,
+    check_density_matrices,
     computational_basis,
-    density_from_pure,
-    measure,
     tensor,
 )
 
@@ -144,12 +145,15 @@ def _check_n(n):
 
 def input_pair(alpha: float) -> StateVector:
     """The input pair alpha|00> + sqrt(1-alpha^2)|11> on qubits (1, 2)."""
-    alpha = _check_alpha(alpha)
-    beta = sqrt(1.0 - alpha * alpha)
-    amps = np.zeros(4, dtype=complex)
-    amps[0b00] = alpha
-    amps[0b11] = beta
-    return StateVector(INPUT_LABELS, amps)
+    return StateVector(INPUT_LABELS, _input_pairs(np.array([_check_alpha(alpha)]))[0])
+
+
+def _input_pairs(alpha: np.ndarray) -> np.ndarray:
+    """Amplitudes (k, 4) of the input pairs of a stack of validated alpha."""
+    pairs = np.zeros((len(alpha), 4), dtype=complex)
+    pairs[:, 0b00] = alpha
+    pairs[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
+    return pairs
 
 
 def w_normalization(n):
@@ -159,17 +163,23 @@ def w_normalization(n):
 
 def w_state(n: float) -> StateVector:
     """|W_n> = f(n) (|100> + sqrt(n)|010> + sqrt(n+1)|001>) on qubits (3, 4, 5)."""
-    n = _check_n(n)
+    return StateVector(CHANNEL_LABELS, _w_amplitudes(np.array([_check_n(n)]))[0])
+
+
+@np.errstate(over="ignore")
+def _w_amplitudes(n: np.ndarray) -> np.ndarray:
+    """Amplitudes (k, 8) of |W_n> for a stack of validated n."""
     f = w_normalization(n)
-    amps = np.zeros(8, dtype=complex)
-    amps[0b100] = f
-    amps[0b010] = f * sqrt(n)
-    amps[0b001] = f * sqrt(n + 1.0)
-    state = StateVector(CHANNEL_LABELS, amps)
-    if not state.is_normalized():
-        # 2 + 2n overflows to inf, which zeroes every amplitude
-        raise NumericalFailure(f"|W_n> does not normalize at n={n}, norm is {state.norm()}")
-    return state
+    amps = np.zeros((len(n), 8), dtype=complex)
+    amps[:, 0b100] = f
+    amps[:, 0b010] = f * np.sqrt(n)
+    amps[:, 0b001] = f * np.sqrt(n + 1.0)
+    norms = np.linalg.norm(amps, axis=-1)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if off.any():  # 2 + 2n overflows to inf, which zeroes every amplitude
+        n, norm = n[off][0], norms[off][0]
+        raise NumericalFailure(f"|W_n> does not normalize at n={n}, norm is {norm}")
+    return amps
 
 
 def werner(p: float) -> DensityMatrix:
@@ -194,47 +204,40 @@ def compose_joint(pair: StateVector, channel: StateVector) -> StateVector:
     return tensor(pair, channel)
 
 
-def _enumerate(pair: StateVector, n: float) -> list[tuple[float, StateVector | None]]:
-    """Probability and post-state of every branch, in ``BRANCH_ORDER``, of one
-    pure input pair, by full five-qubit enumeration.
+def _enumerate(pairs: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Probabilities (k, 8) and post-state amplitudes (k, 8, 4) of every branch,
+    in ``BRANCH_ORDER``, of a stack of pure input pairs (k, 4) at channel
+    parameters n (k,), by full five-qubit enumeration.
 
+    Each joint state is ``compose_joint``'s product of its pair and |W_n>.
     Alice's four Bell outcomes and Bob's two computational outcomes yield
     exactly eight branches; joint probabilities multiply along the chain.  A
-    Bell outcome below ``ZERO_PROBABILITY_CUTOFF`` (so both of its branches
-    are below it too) gives both probability 0 and no post-state.
+    Bell outcome below ``ZERO_PROBABILITY_CUTOFF`` gives both of its branches
+    probability 0, and a branch below it carries the all-zero sentinel.
     """
-    joint = compose_joint(pair, w_state(n))
-    branches: list[tuple[float, StateVector | None]] = []
-    for _, p_bell, mid_state in measure(joint, (2, 3), bell_basis((2, 3))):
-        if p_bell < ZERO_PROBABILITY_CUTOFF:
-            branches += [(0.0, None)] * len(BobOutcome)
-            continue
-        bob_results = measure(mid_state, (5,), computational_basis((5,)))
-        branches += [(p_bell * p_bob, post) for _, p_bob, post in bob_results]
-    return branches
+    k = len(pairs)
+    joint = (pairs[:, :, np.newaxis] * _w_amplitudes(n)[:, np.newaxis, :]).reshape(k, 32)
+    p_bell, mid = _measure_stack(joint, (1, 2, 3, 4, 5), (2, 3), bell_basis((2, 3)))
+    alive = p_bell >= ZERO_PROBABILITY_CUTOFF
+    p_bob, post = np.zeros((k, 4, 2)), np.zeros((k, 4, 2, 4), dtype=complex)
+    bob = computational_basis((5,))
+    p_bob[alive], post[alive] = _measure_stack(mid[alive], (1, 4, 5), (5,), bob)
+    probability = (p_bell[..., np.newaxis] * p_bob).reshape(k, 8)
+    post = post.reshape(k, 8, 4)
+    post[probability < ZERO_PROBABILITY_CUTOFF] = 0.0
+    return probability, post
 
 
-def _result(
-    n, alpha, p, probabilities, post_state, kernel, sentinel, weighted=None
-) -> ProtocolResult:
-    """The eight branches of one run, in ``BRANCH_ORDER``.
-
-    The probabilities must sum to 1.  A branch below ``ZERO_PROBABILITY_CUTOFF``
-    (not a normal double) carries ``sentinel`` and concurrence 0; a live branch
-    k carries ``post_state(k)``, and ``kernel`` gives the concurrences of all
-    live post-states in one call.
-    """
-    total = sum(probabilities)
-    _check_probability_sums(total, "branch")
-    live = [k for k, q in enumerate(probabilities) if q >= ZERO_PROBABILITY_CUTOFF]
-    posts = {k: post_state(k) for k in live}
-    concurrence = dict(zip(live, kernel([posts[k] for k in live]).tolist()))
-    matrices = weighted or (None,) * len(BRANCH_ORDER)
+def _protocol_result(n, alpha, p, probability, post, concurrence, weighted=(None,) * 8):
+    """One point's ``ProtocolResult`` from its rows of the enumeration's arrays;
+    each post-state is validated as a ``StateVector``, or a ``DensityMatrix``
+    for 4x4 rows."""
+    kind = StateVector if post.ndim == 2 else DensityMatrix
+    rows = zip(BRANCH_ORDER, probability.tolist(), post, concurrence.tolist(), weighted)
     branches = tuple(
-        Branch(bell, bob, q, posts.get(k, sentinel), concurrence.get(k, 0.0), matrix)
-        for k, ((bell, bob), q, matrix) in enumerate(zip(BRANCH_ORDER, probabilities, matrices))
+        Branch(bell, bob, q, kind(OUTPUT_LABELS, v), c, m) for (bell, bob), q, v, c, m in rows
     )
-    return ProtocolResult(n, alpha, p, branches, total)
+    return ProtocolResult(n, alpha, p, branches, float(sum(probability)))
 
 
 def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
@@ -242,16 +245,25 @@ def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
 
     Branches whose probability is not a normal double carry the zero
     sentinel and concurrence 0; all others, however unlikely, are live.
+    This is ``_pure_results`` at one point.
     """
-    alpha = _check_alpha(alpha)
-    n = _check_n(n)
-    probabilities, posts = zip(*_enumerate(input_pair(alpha), n))
-    sentinel = StateVector(OUTPUT_LABELS, np.zeros(4, dtype=complex))
-    return _result(n, alpha, None, probabilities, posts.__getitem__, _pure_kernel, sentinel)
+    alpha, n = _check_alpha(alpha), _check_n(n)
+    return _protocol_result(n, alpha, None, *(a[0] for a in _pure_results(alpha, n)))
 
 
-def _pure_kernel(posts: list[StateVector]) -> np.ndarray:
-    return concurrence_pure_batch(np.array([post.amplitudes for post in posts]))
+def _pure_results(alpha, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``run_protocol_pure`` over a stack of points, one per entry of ``alpha``
+    and ``n``: probabilities (k, 8), post-state amplitudes (k, 8, 4) and
+    concurrences (k, 8), those of all live branches from one kernel call.
+    Each point's branch probabilities, summed in ``BRANCH_ORDER``, must be 1
+    (NaN fails)."""
+    pairs = _input_pairs(np.atleast_1d(_check_alpha(alpha)))
+    probability, post = _enumerate(pairs, np.atleast_1d(_check_n(n)))
+    _check_probability_sums(sum(probability.T), "branch")
+    live = probability >= ZERO_PROBABILITY_CUTOFF
+    concurrence = np.zeros_like(probability)
+    concurrence[live] = concurrence_pure_batch(post[live])
+    return probability, post, concurrence
 
 
 def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
@@ -382,51 +394,50 @@ def run_protocol_mixed(p: float, n: float) -> ProtocolResult:
     enumerated as a pure input, so each branch's unnormalized M rho M'
     (``weighted_matrix``) is the weighted sum of the Bell states' branch
     probabilities times their post-state projectors; its trace is the branch
-    probability.  Each branch also reports the renormalized post-state
-    density matrix and its Wootters concurrence, all from one
-    ``concurrence_mixed_batch`` call.  This is ``_mixed_results`` at one p;
-    that function enumerates the Bell states once per n for a whole p grid.
+    probability.  Each branch also reports the renormalized post-state and
+    its Wootters concurrence.  This is ``_mixed_results`` at one p.
     """
-    return _mixed_results((p,), n)[0]
+    p, n = _check_p(p), _check_n(n)
+    probability, weighted, post, concurrence = (a[0] for a in _mixed_results((p,), n))
+    return _protocol_result(n, None, p, probability, post, concurrence, weighted)
 
 
-def _mixed_results(p_values, n: float) -> list[ProtocolResult]:
-    """``run_protocol_mixed(p, n)`` for every p in ``p_values``, in order.
+def _mixed_results(p_values, n: float) -> tuple[np.ndarray, ...]:
+    """``run_protocol_mixed(p, n)`` for every p in ``p_values``, in order, as
+    arrays: probabilities (P, 8), weighted matrices M rho M' (P, 8, 4, 4),
+    post-states (P, 8, 4, 4) and concurrences (P, 8).
 
-    Only the mixing weights depend on p, so each Bell state is enumerated
-    once per call and each live branch's projector is built once; the
-    projectors are read-only and shared across p.  Each p sums them in the
-    same order as a run of its own, so its result is the same to the bit.
+    Only the mixing weights depend on p, so ``_bell_projectors`` runs once per
+    call.  Every p sums the Bell states' weights in the same order as a call
+    of its own, so its result is the same to the bit.  The branch sums are
+    checked as in ``_pure_results``; all live post-states are validated
+    together and take one Wootters kernel call.
     """
-    p_values = [_check_p(p) for p in p_values]
-    n = _check_n(n)
-    enumerated = [
-        [
-            (q, density_from_pure(post).entries if q >= ZERO_PROBABILITY_CUTOFF else None)
-            for q, post in _enumerate(bell_state, n)
-        ]
-        for bell_state in bell_basis(INPUT_LABELS).vectors
-    ]
-    sentinel = DensityMatrix(OUTPUT_LABELS, np.zeros((4, 4), dtype=complex))
-    results = []
-    for p in p_values:
-        weights = ((1.0 + 3.0 * p) / 4.0,) + ((1.0 - p) / 4.0,) * 3
-        weighted = [np.zeros((4, 4), dtype=complex) for _ in BRANCH_ORDER]
-        probabilities = [0.0] * len(BRANCH_ORDER)
-        for weight, branches in zip(weights, enumerated):
-            for k, (q, projector) in enumerate(branches):
-                probabilities[k] += weight * q
-                if projector is not None:
-                    weighted[k] += weight * q * projector
-
-        def post_state(k: int) -> DensityMatrix:
-            return DensityMatrix(OUTPUT_LABELS, weighted[k] / probabilities[k])
-
-        results.append(
-            _result(n, None, p, probabilities, post_state, _mixed_kernel, sentinel, weighted)
-        )
-    return results
+    p = np.atleast_1d(_check_p(p_values))
+    q, projectors = _bell_projectors(_check_n(n))
+    weights = ((1.0 + 3.0 * p) / 4.0,) + ((1.0 - p) / 4.0,) * 3
+    probability, weighted = np.zeros((len(p), 8)), np.zeros((len(p), 8, 4, 4), dtype=complex)
+    for weight, q_bell, projector in zip(weights, q, projectors):
+        contribution = weight[:, np.newaxis] * q_bell
+        probability += contribution
+        weighted += contribution[..., np.newaxis, np.newaxis] * projector
+    _check_probability_sums(sum(probability.T), "branch")
+    live = probability >= ZERO_PROBABILITY_CUTOFF
+    post = np.zeros_like(weighted)
+    post[live] = weighted[live] / probability[live][:, np.newaxis, np.newaxis]
+    check_density_matrices(post[live])
+    concurrence = np.zeros_like(probability)
+    concurrence[live] = concurrence_mixed_batch(post[live])
+    return probability, weighted, post, concurrence
 
 
-def _mixed_kernel(posts: list[DensityMatrix]) -> np.ndarray:
-    return concurrence_mixed_batch(np.array([post.entries for post in posts]))
+def _bell_projectors(n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Branch probabilities (4, 8) and read-only post-state projectors
+    (4, 8, 4, 4) of the four Bell states as pure inputs at one n, enumerated as
+    one stack; a dead branch's projector is 0, the live ones are validated."""
+    bells = np.array([v.amplitudes for v in bell_basis(INPUT_LABELS).vectors])
+    q, post = _enumerate(bells, np.full(len(bells), n))
+    projectors = post[..., :, np.newaxis] * post[..., np.newaxis, :].conj()
+    check_density_matrices(projectors[q >= ZERO_PROBABILITY_CUTOFF])
+    projectors.setflags(write=False)
+    return q, projectors

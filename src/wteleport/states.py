@@ -88,10 +88,6 @@ class StateVector:
     def is_normalized(self, tol: float = NORM_TOL) -> bool:
         return abs(self.norm() - 1.0) <= tol
 
-    def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per qubit, in register order."""
-        return self.amplitudes.reshape((2,) * self.num_qubits)
-
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -254,45 +250,58 @@ def measure(
     targets: Iterable[int],
     basis: MeasurementBasis,
 ) -> list[tuple[int, float, StateVector]]:
-    """Projective measurement of ``targets``, enumerating every outcome.
-
-    Returns one ``(outcome_index, probability, post_state)`` triple per basis
-    vector, in basis order.  The post-state drops the measured qubits (the
-    remaining labels keep their register order) and is renormalized; only an
-    outcome below ``ZERO_PROBABILITY_CUTOFF``, zero or underflowed, carries
-    the zero sentinel.  Outcome probabilities that do not sum to 1 within
-    ``PROBABILITY_SUM_TOL``, or sum to NaN, raise ``NumericalFailure``.
-    """
-    if not state.is_normalized():
-        raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
+    """Projective measurement of ``targets``, enumerating every outcome: one
+    ``(outcome_index, probability, post_state)`` triple per basis vector, in
+    basis order.  This is ``_measure_stack`` on a stack of one state."""
     targets = _as_labels(targets)
-    missing = [t for t in targets if t not in state.labels]
+    remaining = tuple(q for q in state.labels if q not in targets)
+    (probs,), (posts,) = _measure_stack(state.amplitudes[np.newaxis], state.labels, targets, basis)
+    return [(i, float(p), StateVector(remaining, v)) for i, (p, v) in enumerate(zip(probs, posts))]
+
+
+def _measure_stack(
+    amplitudes: np.ndarray,
+    labels: tuple[int, ...],
+    targets: tuple[int, ...],
+    basis: MeasurementBasis,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Projective measurement of ``targets`` on a stack of states, one per row
+    of ``amplitudes`` (k, 2^len(labels)).
+
+    Returns the probabilities (k, outcomes), in basis order, and the
+    post-state amplitudes (k, outcomes, 2^remaining), which drop the measured
+    qubits (the remaining labels keep their register order) and are
+    renormalized; only an outcome below ``ZERO_PROBABILITY_CUTOFF``, zero or
+    underflowed, carries the zero sentinel.  Each state is projected as on its
+    own: one ``tensordot`` per basis vector, one ``vdot`` per probability.  An
+    unnormalized state raises ``InvalidInput``; outcome probabilities that do
+    not sum to 1 within ``PROBABILITY_SUM_TOL``, or sum to NaN, raise
+    ``NumericalFailure``.
+    """
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if off.any():
+        raise InvalidInput(f"state must be normalized, norm is {norms[off][0]}")
+    missing = [t for t in targets if t not in labels]
     if missing:
-        raise InvalidInput(f"targets {missing} not in register {state.labels}")
+        raise InvalidInput(f"targets {missing} not in register {labels}")
     if basis.labels != targets:
         raise InvalidBasis(f"basis is over {basis.labels}, measurement targets {targets}")
 
-    positions = tuple(state.labels.index(t) for t in targets)
-    remaining = tuple(q for q in state.labels if q not in targets)
-    st = state.tensor_view()
-    m = len(targets)
+    m, k = len(targets), len(amplitudes)
+    stack = amplitudes.reshape((k,) + (2,) * len(labels))
+    axes = (tuple(range(m)), tuple(1 + labels.index(t) for t in targets))
+    kets = [v.amplitudes.conj().reshape((2,) * m) for v in basis.vectors]
+    projections = np.stack([np.tensordot(ket, stack, axes=axes) for ket in kets], axis=1)
+    projections = projections.reshape(k, len(kets), 2 ** (len(labels) - m))
+    probabilities = np.array([[np.vdot(x, x).real for x in s] for s in projections])
+    probabilities = probabilities.reshape(k, len(kets))
+    _check_probability_sums(sum(probabilities.T), "outcome")
 
-    axes = (tuple(range(m)), positions)
-    projections = [
-        np.tensordot(bvec.amplitudes.conj().reshape((2,) * m), st, axes=axes)
-        for bvec in basis.vectors
-    ]
-    probabilities = [float(np.vdot(x, x).real) for x in projections]
-    _check_probability_sums(sum(probabilities), "outcome")
-
-    results: list[tuple[int, float, StateVector]] = []
-    for index, (prob, projected) in enumerate(zip(probabilities, projections)):
-        if prob < ZERO_PROBABILITY_CUTOFF:
-            post = StateVector(remaining, np.zeros(2 ** len(remaining), dtype=complex))
-        else:
-            post = StateVector(remaining, projected.reshape(-1) / np.sqrt(prob))
-        results.append((index, prob, post))
-    return results
+    alive = probabilities >= ZERO_PROBABILITY_CUTOFF
+    posts = np.zeros_like(projections)
+    posts[alive] = projections[alive] / np.sqrt(probabilities[alive])[:, np.newaxis]
+    return probabilities, posts
 
 
 def density_from_pure(state: StateVector) -> DensityMatrix:

@@ -21,11 +21,11 @@ from wteleport import (
     predicted_concurrence_psi,
     quartic,
     quartic_roots,
+    run_protocol_mixed,
     run_protocol_pure,
     werner,
 )
 from wteleport.cli import main
-from wteleport.protocol import _mixed_results
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 ALPHA_SQ_GRID = tuple(np.linspace(0.05, 0.95, 19))
@@ -48,12 +48,7 @@ def pure_results():
 
 @pytest.fixture(scope="module")
 def werner_results():
-    # one oracle call per n; it equals one run_protocol_mixed call per point
-    return {
-        (n, p): result
-        for n in N_GRID
-        for p, result in zip(P_GRID, _mixed_results(P_GRID, n))
-    }
+    return {(n, p): run_protocol_mixed(p, n) for n in N_GRID for p in P_GRID}
 
 
 def test_criterion_01_phi_branch_closed_form(pure_results):

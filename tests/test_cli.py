@@ -20,7 +20,6 @@ import wteleport.protocol
 from wteleport import (
     BellOutcome,
     BobOutcome,
-    DensityMatrix,
     InvalidInput,
     NumericalFailure,
     quartic,
@@ -533,11 +532,28 @@ class TestVerify:
         # the Werner oracle builds each Bell state's branch projectors once and
         # shares them across p; a wrong projector corrupts every p at once and
         # must trip the engine spot check
-        monkeypatch.setattr(
-            wteleport.protocol,
-            "density_from_pure",
-            lambda state: DensityMatrix(state.labels, np.eye(4) / 4.0),
-        )
+        bell_projectors = wteleport.protocol._bell_projectors
+
+        def mixed(n):
+            q, projectors = bell_projectors(n)
+            return q, np.broadcast_to(np.eye(4) / 4.0, projectors.shape)
+
+        monkeypatch.setattr(wteleport.protocol, "_bell_projectors", mixed)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 1
+        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
+        assert "result: FAIL (exit 1)" in out
+
+    def test_rolled_pure_stack_fails(self, capsys, monkeypatch):
+        # the pure oracle enumerates all its points as one stack; rolling the
+        # stack by one point hands every point its neighbour's input, which
+        # the engine check must see row by row
+        input_pairs = wteleport.protocol._input_pairs
+
+        def rolled(alpha):
+            return np.roll(input_pairs(alpha), 1, axis=0)
+
+        monkeypatch.setattr(wteleport.protocol, "_input_pairs", rolled)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out

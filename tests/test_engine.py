@@ -22,8 +22,6 @@ from wteleport import (
     computational_basis,
     concurrence_mixed,
     concurrence_pure,
-    run_protocol_mixed,
-    run_protocol_pure,
     sweep,
     werner,
 )
@@ -43,7 +41,14 @@ from wteleport.concurrence import (
     concurrence_pure_batch,
     concurrence_x_batch,
 )
-from wteleport.protocol import BRANCH_ORDER, branch_maps, pure_branches, werner_branches
+from wteleport.protocol import (
+    BRANCH_ORDER,
+    _mixed_results,
+    _pure_results,
+    branch_maps,
+    pure_branches,
+    werner_branches,
+)
 from wteleport.states import ZERO_PROBABILITY_CUTOFF, check_density_matrices
 
 N_LOG_GRID = np.logspace(-6, 6, 25)
@@ -64,27 +69,25 @@ def _grid(second):
     return (a.ravel() for a in np.meshgrid(N_LOG_GRID, second, indexing="ij"))
 
 
-def _enumerated(results):
-    results = list(results)
-    probability = np.array([[b.probability for b in r.branches] for r in results])
-    concurrence = np.array([[b.concurrence for b in r.branches] for r in results])
-    return probability, concurrence
-
-
 def test_pure_engine_matches_enumeration():
     n, alpha_sq = _grid(np.linspace(0.0, 1.0, 21))
     alpha = np.sqrt(alpha_sq)
-    # the oracle takes alpha, the engine the alpha^2 it evaluates
+    # the oracle takes alpha, the engine the alpha^2 it evaluates; the oracle
+    # enumerates the whole grid as one stack
     probability, concurrence = pure_branches(alpha * alpha, n)
-    expected_p, expected_c = _enumerated(run_protocol_pure(a, m) for a, m in zip(alpha, n))
+    expected_p, _, expected_c = _pure_results(alpha, n)
     assert np.abs(probability - expected_p).max() <= 1e-15
     assert np.abs(concurrence - expected_c).max() <= 1e-13
 
 
 def test_werner_engine_matches_enumeration():
-    n, p = _grid(np.linspace(0.0, 1.0, 21))
+    p_grid = np.linspace(0.0, 1.0, 21)
+    n, p = _grid(p_grid)
     probability, concurrence = werner_branches(p, n)
-    expected_p, expected_c = _enumerated(run_protocol_mixed(q, m) for q, m in zip(p, n))
+    # one oracle call per n, for the whole p grid; n-major, as _grid is
+    oracle = [_mixed_results(p_grid, m) for m in N_LOG_GRID]
+    expected_p = np.concatenate([arrays[0] for arrays in oracle])
+    expected_c = np.concatenate([arrays[-1] for arrays in oracle])
     assert np.abs(probability - expected_p).max() <= 1e-15
     # the Wootters square roots amplify eigenvalue roundoff
     assert np.abs(concurrence - expected_c).max() <= 1e-10

@@ -9,12 +9,19 @@ the same points and writes no files.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wteleport import BobOutcome, run_protocol_mixed, run_protocol_pure, sweep
 from wteleport.analysis import PSI_ZERO_COLUMNS
-from wteleport.protocol import BRANCH_ORDER, pure_branches, werner_branches
+from wteleport.protocol import (
+    BRANCH_ORDER,
+    ZERO_PROBABILITY_CUTOFF,
+    _mixed_results,
+    _pure_results,
+    pure_branches,
+    werner_branches,
+)
 
 REPEATABLE = settings(derandomize=True, database=None, deadline=None)
 
@@ -72,6 +79,62 @@ def test_engine_equals_the_scalar_oracle(mode, n, value):
     (probability, concurrence), (expected_p, expected_c) = _point(mode, n, value)
     assert np.abs(probability - expected_p).max() <= 1e-15
     assert np.abs(concurrence - expected_c).max() <= CONCURRENCE_TOL[mode]
+
+
+def _rows(*arrays):
+    """Each point's row of every array, as raw bytes, so equality is bit for bit."""
+    return [b"".join(a[i].tobytes() for a in arrays) for i in range(len(arrays[0]))]
+
+
+def _result_bits(result, *fields):
+    """The same bytes for one run: each branch field in ``fields``, stacked."""
+    return b"".join(
+        np.array([getattr(b, field) for b in result.branches]).tobytes() for field in fields
+    )
+
+
+# Points whose stack holds dead branches: exactly 0 (Psi/One at alpha^2 = 1),
+# underflowed but not 0 (Psi/Zero at n = alpha^2 = 1e-323), and all four Phi
+# branches at the near-overflow corner.
+DEAD_BRANCH_POINTS = [(1.0, 1.0), (1e-323, 1e-323), (8.9e307, 1.0 / 8.9e307), (4.0, 1.0 / 3.0)]
+
+
+@REPEATABLE
+@given(points=st.lists(st.tuples(N, ALPHA_SQ), min_size=1, max_size=8))
+@example(points=DEAD_BRANCH_POINTS)
+def test_pure_stack_equals_one_point_runs(points):
+    n, alpha_sq = (np.array(values) for values in zip(*points))
+    alpha = np.sqrt(alpha_sq)
+    probability, post, concurrence = _pure_results(alpha, n)
+    runs = [run_protocol_pure(a, m) for a, m in zip(alpha.tolist(), n.tolist())]
+    post_amplitudes = [
+        np.array([b.post_state.amplitudes for b in run.branches]).tobytes() for run in runs
+    ]
+    assert _rows(probability, concurrence) == [
+        _result_bits(run, "probability", "concurrence") for run in runs
+    ]
+    assert [row.tobytes() for row in post] == post_amplitudes
+
+
+def test_the_explicit_stack_holds_dead_branches():
+    n, alpha_sq = zip(*DEAD_BRANCH_POINTS)
+    probability, post, concurrence = _pure_results(np.sqrt(alpha_sq), n)
+    dead = probability < ZERO_PROBABILITY_CUTOFF
+    assert dead.sum(axis=-1).tolist() == [2, 4, 4, 0]
+    assert (probability[dead] == 0.0).any() and (probability[dead] > 0.0).any()
+    assert not post[dead].any() and not concurrence[dead].any()
+
+
+@REPEATABLE
+@given(n=N, p_values=st.lists(UNIT, min_size=1, max_size=8))
+def test_werner_grid_equals_one_point_runs(n, p_values):
+    probability, weighted, post, concurrence = _mixed_results(p_values, n)
+    runs = [run_protocol_mixed(p, n) for p in p_values]
+    assert _rows(probability, concurrence, weighted, post) == [
+        _result_bits(run, "probability", "concurrence", "weighted_matrix")
+        + np.array([b.post_state.entries for b in run.branches]).tobytes()
+        for run in runs
+    ]
 
 
 @REPEATABLE

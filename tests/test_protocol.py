@@ -383,12 +383,10 @@ class TestRunProtocolMixed:
                 assert c_phi == pytest.approx(c_psi, abs=1e-10)
 
 
-def _bits(result):
-    """Every number a run reports, as raw bytes, so equality is bit for bit."""
-    parts = [np.array([result.channel_n, result.input_p, result.total_probability])]
-    for b in result.branches:
-        parts += [np.array([b.probability, b.concurrence]), b.post_state.entries, b.weighted_matrix]
-    return b"".join(np.ascontiguousarray(part).tobytes() for part in parts)
+def _bits(arrays, i):
+    """Every number row i of ``_mixed_results`` holds, as raw bytes, so equality
+    is bit for bit."""
+    return b"".join(np.ascontiguousarray(a[i]).tobytes() for a in arrays)
 
 
 class TestMixedResults:
@@ -397,41 +395,46 @@ class TestMixedResults:
     @pytest.mark.parametrize("n", [1e-6, 1.0, 4.0, 1e6])
     def test_grid_equals_one_call_per_p(self, n):
         results = wteleport.protocol._mixed_results(self.P_VALUES, n)
-        assert [_bits(r) for r in results] == [
-            _bits(run_protocol_mixed(p, n)) for p in self.P_VALUES
+        assert [_bits(results, i) for i in range(len(self.P_VALUES))] == [
+            _bits(wteleport.protocol._mixed_results((p,), n), 0) for p in self.P_VALUES
         ]
 
     def test_reversed_grid_reverses_the_results(self):
         forward = wteleport.protocol._mixed_results(self.P_VALUES, 2.0)
         backward = wteleport.protocol._mixed_results(self.P_VALUES[::-1], 2.0)
-        assert [_bits(r) for r in backward] == [_bits(r) for r in forward[::-1]]
+        rows = range(len(self.P_VALUES))
+        assert [_bits(backward, i) for i in rows] == [_bits(forward, i) for i in rows][::-1]
 
     def test_projectors_are_built_once_and_shared_read_only(self, monkeypatch):
         built = []
+        bell_projectors = wteleport.protocol._bell_projectors
 
-        def recorded(state):
-            built.append(density_from_pure(state))
+        def recorded(n):
+            built.append(bell_projectors(n))
             return built[-1]
 
-        monkeypatch.setattr(wteleport.protocol, "density_from_pure", recorded)
+        monkeypatch.setattr(wteleport.protocol, "_bell_projectors", recorded)
         wteleport.protocol._mixed_results(self.P_VALUES[:1], 2.0)
-        once = len(built)
         wteleport.protocol._mixed_results(self.P_VALUES, 2.0)
-        assert len(built) == 2 * once  # the same count for 1 and for 6 values of p
-        for projector in built:
+        assert len(built) == 2  # once per call, for 1 and for 6 values of p
+        for _, projectors in built:
+            assert projectors.shape == (4, 8, 4, 4)
             with pytest.raises(ValueError):
-                projector.entries[0, 0] = 0.5
+                projectors[0, 0, 0, 0] = 0.5
 
 
-def test_nan_probability_is_a_numerical_failure():
-    # a NaN sum passes `abs(total - 1) > tol`, so the check must fail NaN itself
-    result = run_protocol_pure(0.6, 2.0)
-    probabilities = [b.probability for b in result.branches]
-    probabilities[-1] = float("nan")
-    posts = [b.post_state for b in result.branches]
-    sentinel = StateVector((1, 4), np.zeros(4))
+def test_nan_probability_is_a_numerical_failure(monkeypatch):
+    # a NaN sum passes `abs(total - 1) > tol`, so the check must fail NaN itself,
+    # in the pure enumeration and in the Werner one built on it
+    enumerate_branches = wteleport.protocol._enumerate
+
+    def nan_branch(pairs, n):
+        probability, post = enumerate_branches(pairs, n)
+        probability[-1, -1] = float("nan")
+        return probability, post
+
+    monkeypatch.setattr(wteleport.protocol, "_enumerate", nan_branch)
     with pytest.raises(NumericalFailure, match="sum to nan"):
-        wteleport.protocol._result(
-            2.0, 0.6, None, probabilities, posts.__getitem__,
-            wteleport.protocol._pure_kernel, sentinel,
-        )
+        wteleport.protocol._pure_results([0.6, 0.6], [2.0, 2.0])
+    with pytest.raises(NumericalFailure, match="sum to nan"):
+        wteleport.protocol._mixed_results([0.7], 2.0)

@@ -18,6 +18,7 @@ from wteleport import (
     tensor,
     w_state,
 )
+from wteleport.states import _measure_stack
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -189,6 +190,22 @@ class TestMeasure:
         assert not post_one.is_zero()
         np.testing.assert_allclose(post_one.amplitudes, [1.0, 0.0], atol=1e-15)
         assert post_one.labels == (1,)
+
+    @pytest.mark.parametrize("targets", [(2, 3), (5,), (1, 4)])
+    def test_stack_equals_one_state_calls(self, targets):
+        # the kernel projects every state of a stack as it would project it
+        # alone, to the bit, whatever the stack size
+        rng = np.random.default_rng(41)
+        labels = (1, 2, 3, 4, 5)
+        states = [random_state(rng, labels) for _ in range(13)]
+        basis = bell_basis(targets) if len(targets) == 2 else computational_basis(targets)
+        probabilities, posts = _measure_stack(
+            np.array([s.amplitudes for s in states]), labels, targets, basis
+        )
+        for state, probability, post in zip(states, probabilities, posts):
+            results = measure(state, targets, basis)
+            assert np.array([p for _, p, _ in results]).tobytes() == probability.tobytes()
+            assert np.array([q.amplitudes for _, _, q in results]).tobytes() == post.tobytes()
 
     def test_target_not_in_register(self):
         with pytest.raises(InvalidInput):
