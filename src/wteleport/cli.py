@@ -4,9 +4,10 @@ verification, and the channel-rating quartic.
 Exit codes: 0 success; 1 ``verify`` failure: a DISCREPANT pure row, a failed
 spot check (engine against enumeration, pure or Werner, among them) or a
 Bob-1 concurrence above ``DEADNESS_TOL``; 2 usage error; 3 numerical
-failure.  CSV and JSON outputs carry full double precision and are
-byte-stable for identical configurations; tables round to six significant
-digits.
+failure.  Every format renders the same report: CSV and JSON carry full
+double precision and are byte-stable for identical configurations; a table
+rounds its rows to six significant digits (twelve for a quartic root) and
+ends with the summary as indented ``key: value`` lines.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ from .analysis import (
     DEFAULT_P_GRID,
     PHI_ZERO_COLUMNS,
     PSI_ZERO_COLUMNS,
-    QuarticReport,
     SweepTable,
     _grid_tables,
     input_concurrence,
@@ -39,7 +39,6 @@ from .protocol import (
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
-    ProtocolResult,
     _check_alpha_sq,
     _mixed_results,
     _pure_results,
@@ -79,58 +78,26 @@ def _full(x: float) -> str:
     return repr(float(x))
 
 
-def _sig6(x: float) -> str:
-    return f"{x:.6g}"
-
-
-def _bits(index: int, width: int) -> str:
-    return format(index, f"0{width}b")
-
-
-def _format_pure_state(state: StateVector) -> str:
-    if state.is_zero():
-        return "(zero)"
-    terms = []
-    for index, amp in enumerate(state.amplitudes):
-        if abs(amp) < 1e-12:
-            continue
-        if abs(amp.imag) < 1e-12:
-            coeff = _sig6(amp.real)
-        else:
-            coeff = f"({_sig6(amp.real)}{amp.imag:+.6g}j)"
-        terms.append(f"{coeff}|{_bits(index, state.num_qubits)}>")
-    return " + ".join(terms).replace("+ -", "- ")
-
-
-def _format_matrix_lines(entries: np.ndarray, indent: str) -> list[str]:
-    lines = []
-    for row in entries:
-        cells = []
-        for value in row:
-            if abs(value.imag) < 1e-12:
-                cells.append(f"{value.real:>12.6g}")
-            else:
-                cells.append(f"{value.real:.6g}{value.imag:+.6g}j")
-        lines.append(indent + "[" + "  ".join(cells) + "]")
-    return lines
-
-
 @dataclass(frozen=True)
 class _PostState:
-    """A run row's post-state cell: complex reprs in CSV, ``[re, im]`` pairs in
-    JSON."""
+    """A run row's post-state cell: its amplitudes, or its density-matrix
+    entries row-major, each formatted by the cell's format spec and joined by
+    spaces (so complex reprs in CSV); ``[re, im]`` pairs in JSON."""
 
-    text: str
+    values: tuple[complex, ...]
     pairs: list = field(compare=False)
 
     @classmethod
     def of(cls, post: StateVector | DensityMatrix) -> _PostState:
         values = post.amplitudes if isinstance(post, StateVector) else post.entries
-        text = " ".join(repr(complex(v)) for v in values.reshape(-1))
-        return cls(text, np.stack([values.real, values.imag], axis=-1).tolist())
+        pairs = np.stack([values.real, values.imag], axis=-1).tolist()
+        return cls(tuple(values.reshape(-1).tolist()), pairs)
+
+    def __format__(self, spec: str) -> str:
+        return " ".join(format(value, spec) for value in self.values)
 
     def __str__(self) -> str:
-        return self.text
+        return format(self, "")
 
 
 def _parse_values(text: str, name: str, points: int = 1) -> tuple[np.ndarray, bool]:
@@ -208,26 +175,25 @@ Block = Mapping[str, np.ndarray | _Labels | None]
 @dataclass(frozen=True)
 class Report:
     """What a subcommand prints, in every format.  Each subcommand builds one
-    and hands it to ``_write``, the only code that renders and writes output.
+    and hands it to ``_write``, the only code that renders and writes output;
+    CSV, JSON and the table all render the same ``comment``, ``columns``,
+    ``blocks`` and ``document``.
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
     is consumed once, as it is written, so a sweep computes its next block
     only after the last one is written.  Each block is formatted in one pass
     and written as strings of at most ``_JOIN_ROWS`` rows.  An absent column
-    is an empty CSV field and a JSON ``null``.  ``document`` is the JSON
-    output in key order; the rows are spliced in at its ``"rows"`` key, and
-    the keys after it are rendered only once the rows are written, so a
-    sweep's ``"summary"`` can count the rows as they go by.  ``table`` holds
-    the text of the table format, one or more whole lines at a time, each
-    ending in a newline; a sweep's table is written the same way as its
-    blocks.
+    is an empty CSV field, a JSON ``null`` and a "-" table cell.
+    ``document`` is the JSON output in key order; the rows are spliced in at
+    its ``"rows"`` key, and the keys after it are rendered only once the rows
+    are written, so a sweep's ``"summary"`` can count the rows as they go by.
+    The table prints those keys after its rows.
     """
 
     comment: str
     columns: tuple[str, ...]
     blocks: Iterable[Block]
     document: dict
-    table: Iterable[str]
     exit_code: int = 0
 
 
@@ -323,14 +289,74 @@ def _json_chunks(report: Report) -> Iterator[str]:
     yield "\n}\n"
 
 
+def _table_text(align: str, spec: str) -> Callable[[object], str]:
+    """A table cell: the value formatted by ``spec``, or "-" when absent, aligned by ``align``."""
+    return lambda value: format("-" if value is None else format(value, spec), align)
+
+
+# (title, alignment, format spec) of each column a table can hold.
+_TABLE_COLUMNS = {
+    "mode": ("mode", "<6", ""),
+    "n": ("n", ">8", ".6g"),
+    "alpha_sq": ("alpha_sq", ">9", ".6g"),
+    "p": ("p", ">6", ".6g"),
+    "bell": ("bell", "<8", ""),
+    "bob": ("bob", "<4", ""),
+    "probability": ("prob", ">10", ".6g"),
+    "oracle_concurrence": ("oracle", ">10", ".6g"),
+    "formula_concurrence": ("formula", ">10", ".6g"),
+    "abs_diff": ("abs_diff", ">10", ".3e"),
+    "verdict": ("verdict", "", ""),
+    "concurrence": ("concurrence", ">11", ".6g"),
+    "post_state": ("post_state", "", ".6g"),
+    "root": ("root", ">16", ".12g"),
+    "quartic_value": ("quartic_value", ">13", ".3e"),
+}
+
+
+def _summary_lines(document: dict, indent: str = "") -> Iterator[str]:
+    """Each ``key: value`` of ``document`` as a line at ``indent``: a float to
+    six significant digits, None as "-".  A dict value opens a block of its
+    items two spaces deeper; a list of dicts, one such block per dict, its
+    first line marked "- "."""
+    for key, value in document.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:\n"
+            yield from _summary_lines(value, indent + "  ")
+        elif isinstance(value, list):
+            yield f"{indent}{key}:\n"
+            for item in value:
+                lines = _summary_lines(item, indent + "    ")
+                yield f"{indent}  - {next(lines)[len(indent) + 4 :]}"
+                yield from lines
+        else:
+            text = format(value, ".6g") if isinstance(value, float) else value
+            yield f"{indent}{key}: {'-' if value is None else text}\n"
+
+
+def _table_chunks(report: Report) -> Iterator[str]:
+    """The report as a table: the comment, a header and a rule, a line per row
+    with the cells of ``_TABLE_COLUMNS``, then the document's keys after
+    ``"rows"`` as ``_summary_lines``."""
+    specs = [_TABLE_COLUMNS[name] for name in report.columns]
+    header = " ".join(format(title, align) for title, align, _ in specs)
+    yield f"{report.comment}\n{header}\n{'-' * len(header)}\n"
+    cells = [
+        (name, _table_text(align, spec), " " if j else "")
+        for j, (name, (_, align, spec)) in enumerate(zip(report.columns, specs))
+    ]
+    for block in report.blocks:
+        yield from _rows(block, cells, "\n")
+    keys = list(report.document)
+    yield "".join(_summary_lines({k: report.document[k] for k in keys[keys.index("rows") + 1 :]}))
+
+
+_WRITERS = {"csv": _csv_chunks, "json": _json_chunks, "table": _table_chunks}
+
+
 def _write(report: Report, args: argparse.Namespace) -> int:
     """Render the report in ``args.format`` to ``args.output`` or stdout."""
-    if args.format == "csv":
-        chunks = _csv_chunks(report)
-    elif args.format == "json":
-        chunks = _json_chunks(report)
-    else:
-        chunks = report.table
+    chunks = _WRITERS[args.format](report)
     if args.output is not None:
         try:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
@@ -380,11 +406,9 @@ def _sweep_block(table: SweepTable) -> Block:
     }
 
 
-_FAMILIES = (
-    ("phi_zero", PHI_ZERO_COLUMNS, "Phi+/Phi- with Bob 0"),
-    ("psi_zero", PSI_ZERO_COLUMNS, "Psi+/Psi- with Bob 0"),
-    ("bob_one", BOB_ONE_COLUMNS, "any Bell with Bob 1 "),
-)
+_FAMILIES = {
+    "phi_zero": PHI_ZERO_COLUMNS, "psi_zero": PSI_ZERO_COLUMNS, "bob_one": BOB_ONE_COLUMNS
+}
 
 
 def _tally(table: SweepTable | None) -> dict:
@@ -399,63 +423,11 @@ def _tally(table: SweepTable | None) -> dict:
     return {
         "rows": match.size,
         **counts(match),
-        "families": {family: counts(match[:, columns]) for family, columns, _ in _FAMILIES},
+        "families": {family: counts(match[:, columns]) for family, columns in _FAMILIES.items()},
     }
 
 
-def _table_text(align: str, spec: str) -> Callable[[object], str]:
-    """A table cell: the value formatted by ``spec``, or "-" when absent, aligned by ``align``."""
-    return lambda value: format("-" if value is None else format(value, spec), align)
-
-
-# (column, title, alignment, number format) of each sweep table column.
-_SWEEP_TABLE = (
-    ("mode", "mode", "<6", ""),
-    ("n", "n", ">8", ".6g"),
-    ("alpha_sq", "alpha_sq", ">9", ".6g"),
-    ("p", "p", ">6", ".6g"),
-    ("bell", "bell", "<8", ""),
-    ("bob", "bob", "<4", ""),
-    ("probability", "prob", ">10", ".6g"),
-    ("oracle_concurrence", "oracle", ">10", ".6g"),
-    ("formula_concurrence", "formula", ">10", ".6g"),
-    ("abs_diff", "abs_diff", ">10", ".3e"),
-    ("verdict", "verdict", "", ""),
-)
-
-
-def _sweep_lines(comment: str, tables: Iterable[SweepTable]) -> Iterator[str]:
-    header = " ".join(format(title, align) for _, title, align, _ in _SWEEP_TABLE)
-    cells = [
-        (name, _table_text(align, spec), " " if j else "")
-        for j, (name, _, align, spec) in enumerate(_SWEEP_TABLE)
-    ]
-    yield f"{comment}\n{header}\n{'-' * len(header)}\n"
-    for table in tables:
-        yield from _rows(_sweep_block(table), cells, "\n")
-
-
 # ---------------------------------------------------------------- run
-
-
-def _run_lines(comment: str, result: ProtocolResult) -> list[str]:
-    lines = [comment, ""]
-    for b in result.branches:
-        outcome = f"{b.bell.value}/{b.bob.value}"
-        lines.append(
-            f"branch {outcome:<14} "
-            f"probability={_sig6(b.probability):<12} concurrence={b.concurrence:.6f}"
-        )
-        if isinstance(b.post_state, StateVector):
-            lines.append(f"  post-state: {_format_pure_state(b.post_state)}")
-        elif b.post_state.is_zero():
-            lines.append("  post-state: (zero)")
-        else:
-            lines.append("  post-state matrix:")
-            lines.extend(_format_matrix_lines(b.post_state.entries, "    "))
-    lines.append("")
-    lines.append(f"total probability: {_sig6(result.total_probability)}")
-    return [line + "\n" for line in lines]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -494,7 +466,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "rows": None,
         "summary": {"total_probability": result.total_probability},
     }
-    return _write(Report(comment, RUN_COLUMNS, [rows], document, _run_lines(comment, result)), args)
+    return _write(Report(comment, RUN_COLUMNS, [rows], document), args)
 
 
 # ---------------------------------------------------------------- sweep
@@ -537,9 +509,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # of it once the next block is asked for.
     tables = itertools.chain(iter([next(tables)]), tables)
     blocks = map(_sweep_block, tables)
-    return _write(
-        Report(comment, SWEEP_CSV_COLUMNS, blocks, document, _sweep_lines(comment, tables)), args
-    )
+    return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document), args)
 
 
 # ---------------------------------------------------------------- verify
@@ -577,7 +547,7 @@ def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
     gaps = np.abs(phi_zero - [input_concurrence(sqrt(x)) for x in alpha_sq_values]).tolist()
     checks = [_check("n=1 preserves concurrence for every grid input", max(gaps[:grid]))]
     for (n, alpha_sq), gap in zip(points[grid:], gaps[grid:]):
-        name = f"n={_sig6(n)}, alpha_sq={_sig6(alpha_sq)} preserves concurrence"
+        name = f"n={n:.6g}, alpha_sq={alpha_sq:.6g} preserves concurrence"
         checks.append(_check(name, gap))
     special = sweep("pure", *zip(*points[grid:]))
     engine = max(
@@ -589,47 +559,6 @@ def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
         _check("sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)", engine)
     )
     return checks
-
-
-def _verify_lines(summary: dict, werner: SweepTable | None) -> list[str]:
-    lines = ["wteleport verify", "================"]
-    for mode in ("pure", "werner"):
-        lines.append(f"{mode} sweep: {summary[mode]['rows']} rows")
-        for family, _, label in _FAMILIES:
-            c = summary[mode]["families"][family]
-            lines.append(f"  {label}: {c['match']} MATCH, {c['discrepant']} DISCREPANT")
-    if summary["werner"]["numerical_failure"] is not None:
-        lines.append(f"werner checks aborted: {summary['werner']['numerical_failure']}")
-    lines.append("spot checks:")
-    for check in summary["spot_checks"]:
-        state = "PASS" if check["passed"] else "FAIL"
-        lines.append(f"  {check['name']}: {state} (max error {check['max_error']:.3e})")
-    lines.append(
-        f"Bob-outcome-1 branches carry no entanglement: "
-        f"{'PASS' if summary['bob_one_dead'] else 'FAIL'} "
-        f"(max {summary['bob_one_max_concurrence']:.3e})"
-    )
-    # The werner closed form disagrees with the oracle wherever p > 1/3 (its
-    # value can even exceed 1); that mismatch is a reproducible property of
-    # the closed form itself, so it is reported but never fails the run.
-    werner_examples = [] if werner is None else np.flatnonzero(werner.p == 1.0).tolist()
-    if werner_examples:
-        lines.append(
-            "werner closed form vs oracle at p=1 "
-            "(documented mismatch, does not affect the exit code):"
-        )
-        bell, bob = BellOutcome.PHI_PLUS, BobOutcome.ZERO
-        k = BRANCH_ORDER.index((bell, bob))
-        for i in werner_examples:
-            formula, oracle = werner.formula[i, k], werner.oracle[i, k]
-            lines.append(
-                f"  n={_sig6(werner.n[i])} p={_sig6(werner.p[i])} {bell.value}/{bob.value}: "
-                f"formula={_sig6(formula)} oracle={_sig6(oracle)} "
-                f"{'MATCH' if werner.match[i, k] else 'DISCREPANT'}"
-            )
-    exit_code = summary["exit_code"]
-    lines.append(f"result: {'FAIL' if exit_code else 'PASS'} (exit {exit_code})")
-    return [line + "\n" for line in lines]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -657,6 +586,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tables = [pure] if werner is None else [pure, werner]
     dead_worst = max(float(t.oracle[:, BOB_ONE_COLUMNS].max()) for t in tables)
     dead_ok = dead_worst <= DEADNESS_TOL
+    # The Werner closed form disagrees with the oracle wherever p > 1/3 (its
+    # value can even exceed 1); that mismatch is a reproducible property of
+    # the closed form itself, so its rows are DISCREPANT but never fail the run.
     exit_code = 1 if pure_failed or not dead_ok else 0
     summary = {
         "pure": pure_tally,
@@ -674,25 +606,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         SWEEP_CSV_COLUMNS,
         map(_sweep_block, tables),
         {"config": _config_dict(args), "rows": None, "summary": summary},
-        _verify_lines(summary, werner),
         exit_code,
     )
     return _write(report, args)
 
 
 # ---------------------------------------------------------------- roots
-
-
-def _roots_lines(roots: QuarticReport) -> list[str]:
-    lines = ["quartic n^4 + 4n^3 + 6n^2 - 60n + 1"]
-    for i, r in enumerate(roots.roots_positive, start=1):
-        lines.append(f"  root {i}: {r:.12g}   (quartic value {quartic(r):.3e})")
-    lines.append("sign on (0, inf):")
-    for region in roots.sign_regions:
-        upper = "inf" if region.upper is None else f"{region.upper:.12g}"
-        sign = ">= 0 (inequality holds)" if region.sign > 0 else "< 0 (inequality fails)"
-        lines.append(f"  ({region.lower:.12g}, {upper}): {sign}")
-    return [line + "\n" for line in lines]
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
@@ -714,7 +633,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
         ("root", "quartic_value"),
         [rows],
         document,
-        _roots_lines(roots),
     )
     return _write(report, args)
 

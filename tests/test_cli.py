@@ -2,8 +2,10 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -49,15 +51,33 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def table_rows(out, columns):
+    """A table's rows as dicts of their cells keyed by ``columns``: the lines
+    after the comment, the header and the rule, up to the first summary key.
+    Only the last cell may hold blanks (a run's post-state)."""
+    lines = itertools.takewhile(lambda line: not re.match(r"\w+:", line), out.splitlines()[3:])
+    rows = [line.split(maxsplit=len(columns) - 1) for line in lines]
+    assert all(len(row) == len(columns) for row in rows)
+    return [dict(zip(columns, row)) for row in rows]
+
+
+ENGINE_CHECK = "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)"
+
+
+def failed_checks(out):
+    """The names of the spot checks a verify table's summary marks failed."""
+    return re.findall(r"^    - name: (.*)\n      max_error: .*\n      passed: False$", out, re.M)
+
+
 class TestRun:
     def test_pure_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", "--mode", "pure", "--n", "1", "--alpha-sq", "0.5"
         )
         assert code == 0
-        assert "PhiPlus/Zero" in out
-        assert "probability=0.125" in out
-        assert "concurrence=1" in out
+        row = table_rows(out, RUN_COLUMNS)[0]
+        assert (row["bell"], row["bob"]) == ("PhiPlus", "Zero")
+        assert (row["probability"], row["concurrence"]) == ("0.125", "1")
 
     def test_product_input_all_branches_dead(self, capsys):
         code, out, _ = run_cli(
@@ -306,7 +326,7 @@ class TestSweep:
         assert len(rows) == 2 * wteleport.protocol.BLOCK_POINTS * 8
         n_values = np.linspace(1.0, 1e308, 3000)[: len(rows) // 8]
         table = sweep("pure", n_values=n_values, alpha_sq_values=(0.5,))
-        chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, [_sweep_block(table)], {}, ())))
+        chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, [_sweep_block(table)], {})))
         assert "".join(rows) == "".join(chunks[1:])
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
@@ -403,12 +423,18 @@ class TestVerify:
     def test_exit_zero_and_summary(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
-        assert "pure sweep" in out
-        assert "0 DISCREPANT" in out
-        # the documented closed-form mismatch is listed but does not fail
-        assert "formula=2" in out and "oracle=1" in out
-        assert "DISCREPANT" in out
-        assert "result: PASS (exit 0)" in out
+        assert "\nsummary:\n  pure:\n    rows: 1064\n    match: 1064\n    discrepant: 0\n" in out
+        # the documented closed-form mismatch is a DISCREPANT row but does not fail
+        row = next(
+            r
+            for r in table_rows(out, SWEEP_CSV_COLUMNS)
+            if (r["mode"], r["n"], r["p"], r["bell"], r["bob"])
+            == ("werner", "1", "1", "PhiPlus", "Zero")
+        )
+        assert (row["formula_concurrence"], row["oracle_concurrence"]) == ("2", "1")
+        assert row["verdict"] == "DISCREPANT"
+        assert failed_checks(out) == []
+        assert out.endswith("\n  exit_code: 0\n")
 
     def test_json_counts(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
@@ -448,8 +474,8 @@ class TestVerify:
         monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        assert failed_checks(out) == [ENGINE_CHECK]
+        assert out.endswith("\n  exit_code: 1\n")
 
     def test_wrong_werner_engine_fails(self, capsys, monkeypatch):
         engine = wteleport.analysis.werner_branches
@@ -472,8 +498,8 @@ class TestVerify:
         monkeypatch.setattr(wteleport.protocol, "_werner_entries", lambda p: entries(0.9 * p))
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        assert failed_checks(out) == [ENGINE_CHECK]
+        assert out.endswith("\n  exit_code: 1\n")
 
     def test_wrong_branch_action_fails(self, capsys, monkeypatch):
         # the engine reads every branch from the action table and the
@@ -510,8 +536,8 @@ class TestVerify:
         monkeypatch.setattr(wteleport.protocol, "_branch_actions", swapped)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        assert failed_checks(out) == [ENGINE_CHECK]
+        assert out.endswith("\n  exit_code: 1\n")
 
     def test_wrong_mixed_kernel_fails(self, capsys, monkeypatch):
         # a corrupted Wootters kernel, wherever it is looked up, must not
@@ -525,8 +551,8 @@ class TestVerify:
         monkeypatch.setattr(wteleport.protocol, "concurrence_mixed_batch", scaled, raising=False)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        assert failed_checks(out) == [ENGINE_CHECK]
+        assert out.endswith("\n  exit_code: 1\n")
 
     def test_wrong_shared_projector_fails(self, capsys, monkeypatch):
         # the Werner oracle builds each Bell state's branch projectors once and
@@ -541,8 +567,8 @@ class TestVerify:
         monkeypatch.setattr(wteleport.protocol, "_bell_projectors", mixed)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        assert failed_checks(out) == [ENGINE_CHECK]
+        assert out.endswith("\n  exit_code: 1\n")
 
     def test_rolled_pure_stack_fails(self, capsys, monkeypatch):
         # the pure oracle enumerates all its points as one stack; rolling the
@@ -556,8 +582,9 @@ class TestVerify:
         monkeypatch.setattr(wteleport.protocol, "_input_pairs", rolled)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1): FAIL" in out
-        assert "result: FAIL (exit 1)" in out
+        # the preservation checks read the same rolled enumeration
+        assert ENGINE_CHECK in failed_checks(out)
+        assert out.endswith("\n  exit_code: 1\n")
 
     @pytest.mark.parametrize(
         "mode, n, value",
@@ -634,7 +661,7 @@ class TestVerify:
         monkeypatch.setattr(wteleport.concurrence, "SIGMA_YY", mutated)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "result: FAIL (exit 1)" in out
+        assert out.endswith("\n  exit_code: 1\n")
 
 
 class TestRoots:
@@ -643,9 +670,12 @@ class TestRoots:
         assert code == 0
         # 12 significant digits are printed; the last one sits inside the
         # bisection bracket width, so match a stable prefix
-        assert "0.01669484997" in out
-        assert "2.58716085106" in out
-        assert "inequality fails" in out
+        assert [row["root"][:13] for row in table_rows(out, ("root", "quartic_value"))] == [
+            "0.01669484997",
+            "2.58716085106",
+        ]
+        # the inequality fails between the roots only
+        assert re.findall(r"\n    sign: (.*)\n", out) == ["1", "-1", "1"]
 
     def test_json_round_trip(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--format", "json")
@@ -754,7 +784,18 @@ class TestOutput:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
         assert all(1 <= count <= join_rows for count in counts)
-        assert join_rows in counts or (name, fmt) == ("verify", "table")  # a summary, no rows
+        assert join_rows in counts
+
+    @pytest.mark.parametrize("name", [*GOLDEN_COMMANDS, "roots"])
+    def test_table_rows_are_the_csv_rows(self, capsys, name):
+        argv = ("roots",) if name == "roots" else GOLDEN_COMMANDS[name]
+        _, table, _ = run_cli(capsys, *argv, "--format", "table")
+        _, text, _ = run_cli(capsys, *argv, "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(text.split("\n", 1)[1])))
+        cells = table_rows(table, list(rows[0]))
+        assert len(cells) == len(rows)
+        for label in {"mode", "bell", "bob", "verdict"} & set(rows[0]):
+            assert [c[label] for c in cells] == [r[label] for r in rows]
 
     def test_cells_are_repr_and_json_dumps(self):
         # np.unique merges -0.0 with 0.0 on float keys; the cells key on bits

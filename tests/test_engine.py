@@ -33,7 +33,7 @@ from wteleport.cli import (
     _Labels,
     _parse_values,
     _sweep_block,
-    _sweep_lines,
+    _table_chunks,
     main,
 )
 from wteleport.concurrence import (
@@ -382,7 +382,7 @@ def test_bulk_rendering_matches_row_by_row_rendering(tables):
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        return Report("comment", SWEEP_CSV_COLUMNS, map(_sweep_block, tables), document, ())
+        return Report("comment", SWEEP_CSV_COLUMNS, map(_sweep_block, tables), document)
 
     assert "".join(_csv_chunks(report())) == _reference_csv(rows, "comment")
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
@@ -419,12 +419,12 @@ def test_sweep_streams_blocks_of_at_most_block_points(
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
-        return Report(comment, SWEEP_CSV_COLUMNS, [_sweep_block(whole)], document, ())
+        return Report(comment, SWEEP_CSV_COLUMNS, [_sweep_block(whole)], document)
 
     expected = {
         "csv": "".join(_csv_chunks(report())),
         "json": "".join(_json_chunks(report())),
-        "table": "".join(_sweep_lines(comment, [whole])),
+        "table": "".join(_table_chunks(report())),
     }
 
     monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
