@@ -10,7 +10,6 @@ DISCREPANT verdict rather than guessing which side is right.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
 from typing import Iterator, NamedTuple, Sequence
@@ -30,7 +29,7 @@ from .protocol import (
     pure_branches,
     werner_branches,
 )
-from .states import ZERO_PROBABILITY_CUTOFF, InvalidInput, NumericalFailure
+from .states import ZERO_PROBABILITY_CUTOFF, InvalidInput, NumericalFailure, _Frozen
 
 MATCH_TOL = 1e-8
 
@@ -67,8 +66,7 @@ class SignRegion(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class QuarticReport:
+class QuarticReport(NamedTuple):
     coefficients: tuple[float, ...]
     roots_positive: tuple[float, ...]
     sign_regions: tuple[SignRegion, ...]
@@ -256,8 +254,7 @@ def quartic_roots() -> QuarticReport:
     return QuarticReport(QUARTIC_COEFFICIENTS, (r1, r2), regions)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
+class SweepTable(_Frozen):
     """A sweep in columns: one entry per grid point, or per (point, branch).
 
     ``n`` and the mode's own parameter (``alpha_sq`` or ``p``; the other is
@@ -265,15 +262,11 @@ class SweepTable:
     branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.
     """
 
-    mode: str
-    n: np.ndarray
-    alpha_sq: np.ndarray | None
-    p: np.ndarray | None
-    probability: np.ndarray
-    oracle: np.ndarray
-    formula: np.ndarray
-    abs_diff: np.ndarray
-    match: np.ndarray
+    __slots__ = ("mode", "n", "alpha_sq", "p", "probability", "oracle", "formula", "abs_diff", "match")
+
+    def __init__(self, mode, n, alpha_sq, p, probability, oracle, formula, abs_diff, match) -> None:
+        self._set(mode=mode, n=n, alpha_sq=alpha_sq, p=p, probability=probability,
+                  oracle=oracle, formula=formula, abs_diff=abs_diff, match=match)
 
     def __len__(self) -> int:
         return self.probability.size

@@ -7,18 +7,21 @@ Bob-1 concurrence above ``DEADNESS_TOL``; 2 usage error; 3 numerical
 failure.  Every format renders the same report: CSV and JSON carry full
 double precision and are byte-stable for identical configurations; a table
 rounds its rows to six significant digits (twelve for a quartic root) and
-ends with the summary as indented ``key: value`` lines.
+ends with the summary as indented ``key: value`` lines.  Only ``entry``, the
+console script, freezes the collector (``gc.freeze``) before it exits, so
+the collections at interpreter exit skip the objects left by the imports;
+``main`` leaves the collector as it is.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from math import isfinite, sqrt
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .protocol import (
     run_protocol_mixed,
     run_protocol_pure,
 )
-from .states import DensityMatrix, InvalidBasis, InvalidInput, NumericalFailure, StateVector
+from .states import DensityMatrix, InvalidBasis, InvalidInput, NumericalFailure, StateVector, _Frozen
 
 SWEEP_CSV_COLUMNS = (
     "mode",
@@ -78,20 +81,17 @@ def _full(x: float) -> str:
     return repr(float(x))
 
 
-@dataclass(frozen=True)
-class _PostState:
+class _PostState(_Frozen):
     """A run row's post-state cell: its amplitudes, or its density-matrix
     entries row-major, each formatted by the cell's format spec and joined by
     spaces (so complex reprs in CSV); ``[re, im]`` pairs in JSON."""
 
-    values: tuple[complex, ...]
-    pairs: list = field(compare=False)
+    __slots__ = ("values", "pairs")
 
-    @classmethod
-    def of(cls, post: StateVector | DensityMatrix) -> _PostState:
+    def __init__(self, post: StateVector | DensityMatrix) -> None:
         values = post.amplitudes if isinstance(post, StateVector) else post.entries
         pairs = np.stack([values.real, values.imag], axis=-1).tolist()
-        return cls(tuple(values.reshape(-1).tolist()), pairs)
+        self._set(values=tuple(values.reshape(-1).tolist()), pairs=pairs)
 
     def __format__(self, spec: str) -> str:
         return " ".join(format(value, spec) for value in self.values)
@@ -155,13 +155,14 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
     return {"subcommand": args.subcommand, "format": args.format, **extra}
 
 
-@dataclass(frozen=True)
-class _Labels:
+class _Labels(_Frozen):
     """A label column as integer codes into a small tuple of names: row i's
     label is ``names[codes[i]]``."""
 
-    names: tuple
-    codes: np.ndarray
+    __slots__ = ("names", "codes")
+
+    def __init__(self, names: tuple, codes: np.ndarray) -> None:
+        self._set(names=names, codes=codes)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -172,8 +173,7 @@ class _Labels:
 Block = Mapping[str, np.ndarray | _Labels | None]
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """What a subcommand prints, in every format.  Each subcommand builds one
     and hands it to ``_write``, the only code that renders and writes output;
     CSV, JSON and the table all render the same ``comment``, ``columns``,
@@ -458,7 +458,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         "probability": np.array([b.probability for b in branches], dtype=float),
         "concurrence": np.array([b.concurrence for b in branches], dtype=float),
         "post_state": _Labels(
-            tuple(_PostState.of(b.post_state) for b in branches), np.arange(len(branches))
+            tuple(_PostState(b.post_state) for b in branches), np.arange(len(branches))
         ),
     }
     document = {
@@ -696,7 +696,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: run ``main``, freeze the collector, exit with
+    ``main``'s code (see the module docstring)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

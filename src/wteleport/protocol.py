@@ -19,10 +19,9 @@ enumeration stays as the independent oracle that checks it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -70,8 +69,7 @@ BRANCH_ORDER: tuple[tuple[BellOutcome, BobOutcome], ...] = tuple(
 PostState = Union[StateVector, DensityMatrix]
 
 
-@dataclass(frozen=True, eq=False)
-class Branch:
+class Branch(NamedTuple):
     """One measurement branch: outcome pair, probability, post-state, concurrence.
 
     ``weighted_matrix`` is only set for mixed runs; it is the unnormalized
@@ -86,8 +84,7 @@ class Branch:
     weighted_matrix: np.ndarray | None = None
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolResult:
+class ProtocolResult(NamedTuple):
     """All eight branches for one (input, channel) parameter point."""
 
     channel_n: float

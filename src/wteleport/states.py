@@ -10,7 +10,6 @@ across threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
 
@@ -48,8 +47,28 @@ def _as_labels(labels: Iterable[int], *, allow_empty: bool = False) -> tuple[int
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
+class _Frozen:
+    """Base of the package's immutable values: only ``__init__`` sets their
+    fields (slots), through ``_set``; assigning or deleting one afterwards
+    raises ``AttributeError``.  Equality is identity."""
+
+    __slots__ = ("__weakref__",)
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class StateVector(_Frozen):
     """Complex amplitudes over a labelled register.
 
     Values crossing module boundaries are unit norm, except the all-zero
@@ -58,10 +77,14 @@ class StateVector:
     empty register (a bare scalar) arises only when a measurement takes every qubit.
     """
 
-    labels: tuple[int, ...]
-    amplitudes: np.ndarray
+    __slots__ = ("labels", "amplitudes")
+
+    def __init__(self, labels: Iterable[int], amplitudes: np.ndarray) -> None:
+        self._set(labels=labels, amplitudes=amplitudes)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate and store the fields; ``bench/tracer.py`` wraps this to count constructions."""
         labels = _as_labels(self.labels, allow_empty=True)
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (2 ** len(labels),):
@@ -71,8 +94,7 @@ class StateVector:
         if not np.all(np.isfinite(amps)):
             raise InvalidInput("amplitudes must be finite")
         amps.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "amplitudes", amps)
+        self._set(labels=labels, amplitudes=amps)
 
     @property
     def num_qubits(self) -> int:
@@ -89,8 +111,7 @@ class StateVector:
         return abs(self.norm() - 1.0) <= tol
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian positive-semidefinite matrix over a labelled register.
 
     Trace must be 1 (normalized state) or 0 (the all-zero sentinel used for
@@ -98,10 +119,14 @@ class DensityMatrix:
     next to an explicit weight, never instances of this type.
     """
 
-    labels: tuple[int, ...]
-    entries: np.ndarray
+    __slots__ = ("labels", "entries")
+
+    def __init__(self, labels: Iterable[int], entries: np.ndarray) -> None:
+        self._set(labels=labels, entries=entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
+        """Validate and store the fields; ``bench/tracer.py`` wraps this to count constructions."""
         labels = _as_labels(self.labels)
         mat = np.asarray(self.entries, dtype=complex)
         dim = 2 ** len(labels)
@@ -110,8 +135,7 @@ class DensityMatrix:
         if np.any(mat != 0):  # the all-zero sentinel needs no further check
             check_density_matrices(mat[np.newaxis])
         mat.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "entries", mat)
+        self._set(labels=labels, entries=mat)
 
     @property
     def num_qubits(self) -> int:
@@ -141,8 +165,7 @@ def check_density_matrices(mats: np.ndarray) -> None:
         raise InvalidInput("density matrix must be positive semidefinite")
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
+class MeasurementBasis(_Frozen):
     """Orthonormal basis over the sub-register it measures.
 
     ``vectors`` must all live on the same register and span it: the count
@@ -150,11 +173,10 @@ class MeasurementBasis:
     ``ORTHONORMALITY_TOL`` are rejected.
     """
 
-    name: str
-    vectors: tuple[StateVector, ...]
+    __slots__ = ("name", "vectors")
 
-    def __post_init__(self) -> None:
-        vectors = tuple(self.vectors)
+    def __init__(self, name: str, vectors: Iterable[StateVector]) -> None:
+        vectors = tuple(vectors)
         if not vectors:
             raise InvalidBasis("basis needs at least one vector")
         labels = vectors[0].labels
@@ -167,7 +189,7 @@ class MeasurementBasis:
         gram = stacked @ stacked.conj().T
         if np.abs(gram - np.eye(dim)).max() > ORTHONORMALITY_TOL:
             raise InvalidBasis("basis vectors must be orthonormal")
-        object.__setattr__(self, "vectors", vectors)
+        self._set(name=name, vectors=vectors)
 
     @property
     def labels(self) -> tuple[int, ...]:

@@ -22,8 +22,11 @@ import wteleport.protocol
 from wteleport import (
     BellOutcome,
     BobOutcome,
+    DensityMatrix,
     InvalidInput,
     NumericalFailure,
+    StateVector,
+    computational_basis,
     quartic,
     sweep,
 )
@@ -867,3 +870,61 @@ class TestOutput:
         assert child.returncode == 2
         assert "Traceback" not in err
         assert err.startswith("error: cannot write to stdout:")
+
+
+def run_child(code, *argv):
+    """``python -c code *argv`` in a fresh interpreter: exit code, stdout, stderr."""
+    package = Path(wteleport.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(package)}
+    child = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+    )
+    return child.returncode, child.stdout, child.stderr
+
+
+def run_entry(*argv):
+    """The console script ``entry()`` in a fresh interpreter."""
+    return run_child("from wteleport.cli import entry; entry()", *argv)
+
+
+class TestEntry:
+    """The console script in a process of its own."""
+
+    @pytest.mark.parametrize("name, fmt", [("verify", "csv"), ("run-pure", "json")])
+    def test_golden_bytes_and_exit_zero(self, name, fmt):
+        # entry freezes the collector before it exits: no byte and no exit code may be lost
+        code, out, err = run_entry(*GOLDEN_COMMANDS[name], "--format", fmt)
+        assert (code, err) == (0, b"")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes()
+
+    def test_usage_error_exits_two(self):
+        code, out, err = run_entry("run", "--mode", "pure", "--n", "2", "--format", "csv")
+        assert (code, out) == (2, b"")
+        assert err == b"error: --alpha-sq is required with --mode pure\n"
+
+    def test_import_compiles_no_dataclasses(self):
+        # the value classes generate no code at import, so process start does not pay for it
+        code, out, _ = run_child("import sys, wteleport.cli; print('dataclasses' in sys.modules)")
+        assert (code, out) == (0, b"False\n")
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: StateVector((1,), np.array([1.0, 0.0])), ("labels", "amplitudes")),
+        (lambda: DensityMatrix((1,), np.eye(2) / 2), ("labels", "entries")),
+        (lambda: computational_basis((1,)), ("name", "vectors")),
+        (lambda: sweep("pure", n_values=(1.0,), alpha_sq_values=(0.5,)), ("mode", "n", "match")),
+        (lambda: Report("", (), [], {}), ("comment", "blocks", "exit_code")),
+    ],
+    ids=["StateVector", "DensityMatrix", "MeasurementBasis", "SweepTable", "Report"],
+)
+def test_value_fields_cannot_be_assigned(make, fields):
+    value = make()
+    for name in fields:
+        kept = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is kept
