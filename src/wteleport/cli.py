@@ -416,14 +416,16 @@ def _tally(table: SweepTable | None) -> dict:
     ``match`` and ``discrepant`` per family.  None, a Werner sweep that failed
     numerically, counts no rows."""
     match = np.zeros((0, len(BRANCH_ORDER)), dtype=bool) if table is None else table.match
+    per_branch = match.sum(axis=0)  # matching rows of each branch column
 
-    def counts(verdicts: np.ndarray) -> dict[str, int]:
-        return {"match": int(verdicts.sum()), "discrepant": int((~verdicts).sum())}
+    def counts(matched: np.ndarray) -> dict[str, int]:
+        total = int(matched.sum())
+        return {"match": total, "discrepant": len(match) * matched.size - total}
 
     return {
         "rows": match.size,
-        **counts(match),
-        "families": {family: counts(match[:, columns]) for family, columns in _FAMILIES.items()},
+        **counts(per_branch),
+        "families": {family: counts(per_branch.take(cols)) for family, cols in _FAMILIES.items()},
     }
 
 

@@ -318,7 +318,14 @@ class TestSweep:
         assert not path.exists()
 
     def test_later_block_failure_leaves_the_blocks_written(self, capsys):
-        # 2 + 2n overflows only in the last of the three blocks of n values
+        # one point per n; 2 + 2n overflows from the n at index first_bad on,
+        # so every block before the one that holds it is written
+        n_values = np.linspace(1.0, 1e308, 3000)
+        with np.errstate(over="ignore"):
+            first_bad = int(np.argmin(np.isfinite(2.0 + 2.0 * n_values)))
+        block = wteleport.analysis.BLOCK_POINTS
+        written = first_bad // block * block
+        assert written > 0  # the failure is in a later block
         code, out, err = run_cli(
             capsys, "sweep", "--mode", "pure", "--n", "1:1e308:3000", "--alpha-sq", "0.5",
             "--format", "csv",
@@ -326,9 +333,8 @@ class TestSweep:
         assert code == 3
         assert err.startswith("numerical failure:")
         rows = out.splitlines(keepends=True)[2:]  # after the comment and the header
-        assert len(rows) == 2 * wteleport.protocol.BLOCK_POINTS * 8
-        n_values = np.linspace(1.0, 1e308, 3000)[: len(rows) // 8]
-        table = sweep("pure", n_values=n_values, alpha_sq_values=(0.5,))
+        assert len(rows) == written * 8
+        table = sweep("pure", n_values=n_values[:written], alpha_sq_values=(0.5,))
         chunks = list(_csv_chunks(Report("", SWEEP_CSV_COLUMNS, [_sweep_block(table)], {})))
         assert "".join(rows) == "".join(chunks[1:])
 
@@ -359,7 +365,7 @@ class TestSweep:
                 "--format", fmt,
             ])
         assert code == 0
-        assert 1 <= len(calls) <= 2  # of the 100 blocks
+        assert 1 <= len(calls) <= 2  # of the blocks of a 102,400-point grid
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_each_block_is_released_once_written(self, monkeypatch, tmp_path, fmt):

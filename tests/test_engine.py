@@ -388,20 +388,9 @@ def test_bulk_rendering_matches_row_by_row_rendering(tables):
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
 
 
-@pytest.mark.parametrize(
-    "mode, n_spec, value_spec, sizes",
-    [
-        # consecutive ranges of 7 n-major points, the last one shorter; a
-        # range may start and end inside an n row
-        ("pure", "0.5:4:3", "0:1:9", [7, 7, 7, 6]),
-        ("werner", "0.1:10:4", "0:1:7", [7] * 4),  # each range one whole n row
-        ("pure", "0.2:5:5", "0.1:0.9:3", [7, 7, 1]),
-        ("werner", "1e-3:1e3:9", "0.5", [7, 2]),  # one value per n row
-    ],
-)
-def test_sweep_streams_blocks_of_at_most_block_points(
-    monkeypatch, capsys, mode, n_spec, value_spec, sizes
-):
+def _whole_grid_outputs(mode: str, n_spec: str, value_spec: str) -> dict[str, str]:
+    """What ``wteleport sweep`` writes in each format for this grid, rendered
+    from the whole-grid ``sweep()`` as one block."""
     key = "--alpha-sq" if mode == "pure" else "--p"
     grid = {"alpha_sq_values" if mode == "pure" else "p_values": _parse_values(value_spec, key)[0]}
     whole = sweep(mode, n_values=_parse_values(n_spec, "--n")[0], **grid)
@@ -421,12 +410,29 @@ def test_sweep_streams_blocks_of_at_most_block_points(
         document = {"config": config, "rows": None, "summary": summary}
         return Report(comment, SWEEP_CSV_COLUMNS, [_sweep_block(whole)], document)
 
-    expected = {
+    return {
         "csv": "".join(_csv_chunks(report())),
         "json": "".join(_json_chunks(report())),
         "table": "".join(_table_chunks(report())),
     }
 
+
+@pytest.mark.parametrize(
+    "mode, n_spec, value_spec, sizes",
+    [
+        # consecutive ranges of 7 n-major points, the last one shorter; a
+        # range may start and end inside an n row
+        ("pure", "0.5:4:3", "0:1:9", [7, 7, 7, 6]),
+        ("werner", "0.1:10:4", "0:1:7", [7] * 4),  # each range one whole n row
+        ("pure", "0.2:5:5", "0.1:0.9:3", [7, 7, 1]),
+        ("werner", "1e-3:1e3:9", "0.5", [7, 2]),  # one value per n row
+    ],
+)
+def test_sweep_streams_blocks_of_at_most_block_points(
+    monkeypatch, capsys, mode, n_spec, value_spec, sizes
+):
+    key = "--alpha-sq" if mode == "pure" else "--p"
+    expected = _whole_grid_outputs(mode, n_spec, value_spec)
     monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
     table = wteleport.analysis._table
     for fmt, text in expected.items():
@@ -441,3 +447,28 @@ def test_sweep_streams_blocks_of_at_most_block_points(
         assert code == 0
         assert capsys.readouterr().out == text
         assert calls == sizes
+
+
+@pytest.mark.parametrize(
+    "mode, n_spec, value_spec",
+    [
+        # 1,050 and 1,170 points, so each has a block of 512 and one of 1024
+        # points that ends inside an n row
+        ("pure", "0.1:10:7", "0:1:150"),
+        ("werner", "0.1:10:9", "0:1:130"),
+    ],
+)
+@pytest.mark.parametrize(
+    "block_points", sorted({7, 512, 1024, wteleport.analysis.BLOCK_POINTS})
+)
+def test_sweep_output_does_not_depend_on_the_block_size(
+    monkeypatch, capsys, mode, n_spec, value_spec, block_points
+):
+    key = "--alpha-sq" if mode == "pure" else "--p"
+    expected = _whole_grid_outputs(mode, n_spec, value_spec)
+    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+    for fmt, text in expected.items():
+        code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == text, fmt
