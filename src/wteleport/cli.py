@@ -20,7 +20,7 @@ import itertools
 import json
 import os
 import sys
-from math import isfinite, sqrt
+from math import isfinite
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -33,7 +33,6 @@ from .analysis import (
     PSI_ZERO_COLUMNS,
     SweepTable,
     _grid_tables,
-    input_concurrence,
     quartic,
     quartic_roots,
     sweep,
@@ -42,11 +41,10 @@ from .protocol import (
     BRANCH_ORDER,
     BellOutcome,
     BobOutcome,
-    _check_alpha_sq,
     _mixed_results,
+    _protocol_result,
     _pure_results,
     run_protocol_mixed,
-    run_protocol_pure,
 )
 from .states import DensityMatrix, InvalidBasis, InvalidInput, NumericalFailure, StateVector, _Frozen
 
@@ -441,7 +439,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     value = float(values[0])
 
     if args.mode == "pure":
-        result = run_protocol_pure(sqrt(_check_alpha_sq(value)), n)
+        result = _protocol_result(n, None, None, *(a[0] for a in _pure_results(value, n)))
         alpha_sq, p = value, None
         comment = f"wteleport run mode=pure n={_full(n)} alpha_sq={_full(value)}"
     else:
@@ -542,11 +540,11 @@ def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
     points = [(1.0, alpha_sq) for alpha_sq in DEFAULT_ALPHA_SQ_GRID]
     grid = len(points)
     points += [(4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)]
-    n_values, alpha_sq_values = zip(*points)
-    probability, _, concurrence = _pure_results(np.sqrt(alpha_sq_values), n_values)
+    n_values, x = np.array(points).T
+    probability, _, concurrence = _pure_results(x, n_values)
     oracle = np.stack([probability, concurrence])
     phi_zero = concurrence[:, BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))]
-    gaps = np.abs(phi_zero - [input_concurrence(sqrt(x)) for x in alpha_sq_values]).tolist()
+    gaps = np.abs(phi_zero - 2.0 * np.sqrt(x * (1.0 - x))).tolist()  # the input's concurrence
     checks = [_check("n=1 preserves concurrence for every grid input", max(gaps[:grid]))]
     for (n, alpha_sq), gap in zip(points[grid:], gaps[grid:]):
         name = f"n={n:.6g}, alpha_sq={alpha_sq:.6g} preserves concurrence"

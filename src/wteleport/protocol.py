@@ -142,14 +142,14 @@ def _check_n(n):
 
 def input_pair(alpha: float) -> StateVector:
     """The input pair alpha|00> + sqrt(1-alpha^2)|11> on qubits (1, 2)."""
-    return StateVector(INPUT_LABELS, _input_pairs(np.array([_check_alpha(alpha)]))[0])
+    return StateVector(INPUT_LABELS, _input_pairs(np.array([_check_alpha(alpha)]) ** 2)[0])
 
 
-def _input_pairs(alpha: np.ndarray) -> np.ndarray:
-    """Amplitudes (k, 4) of the input pairs of a stack of validated alpha."""
-    pairs = np.zeros((len(alpha), 4), dtype=complex)
-    pairs[:, 0b00] = alpha
-    pairs[:, 0b11] = np.sqrt(1.0 - alpha * alpha)
+def _input_pairs(alpha_sq: np.ndarray) -> np.ndarray:
+    """Amplitudes (k, 4) of the input pairs of a stack of validated alpha^2."""
+    pairs = np.zeros((len(alpha_sq), 4), dtype=complex)
+    pairs[:, 0b00] = np.sqrt(alpha_sq)
+    pairs[:, 0b11] = np.sqrt(1.0 - alpha_sq)
     return pairs
 
 
@@ -242,19 +242,19 @@ def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
 
     Branches whose probability is not a normal double carry the zero
     sentinel and concurrence 0; all others, however unlikely, are live.
-    This is ``_pure_results`` at one point.
+    This is ``_pure_results`` at one point, alpha^2 = alpha * alpha.
     """
     alpha, n = _check_alpha(alpha), _check_n(n)
-    return _protocol_result(n, alpha, None, *(a[0] for a in _pure_results(alpha, n)))
+    return _protocol_result(n, alpha, None, *(a[0] for a in _pure_results(alpha * alpha, n)))
 
 
-def _pure_results(alpha, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``run_protocol_pure`` over a stack of points, one per entry of ``alpha``
-    and ``n``: probabilities (k, 8), post-state amplitudes (k, 8, 4) and
+def _pure_results(alpha_sq, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pure runs of a stack of points, one per entry of ``alpha_sq`` and
+    ``n``: probabilities (k, 8), post-state amplitudes (k, 8, 4) and
     concurrences (k, 8), those of all live branches from one kernel call.
     Each point's branch probabilities, summed in ``BRANCH_ORDER``, must be 1
     (NaN fails)."""
-    pairs = _input_pairs(np.atleast_1d(_check_alpha(alpha)))
+    pairs = _input_pairs(np.atleast_1d(_check_alpha_sq(alpha_sq)))
     probability, post = _enumerate(pairs, np.atleast_1d(_check_n(n)))
     _check_probability_sums(sum(probability.T), "branch")
     live = probability >= ZERO_PROBABILITY_CUTOFF
@@ -276,8 +276,10 @@ def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
 
 def branch_maps(n: np.ndarray) -> np.ndarray:
     """All eight branch maps for every n, shape (len(n), 8, 4, 4), in ``BRANCH_ORDER``:
-    identity on qubit 1 times each 2x2 action of ``_branch_actions``."""
-    actions = np.moveaxis(_branch_actions(_check_n(n)), 0, -1)
+    identity on qubit 1 times f(n)/sqrt(2) times each action of ``_branch_actions``."""
+    n = _check_n(n)
+    scale = w_normalization(n)[:, np.newaxis] / sqrt(2.0)
+    actions = np.moveaxis(_branch_actions(n) * scale, 0, -1)
     maps = np.zeros(actions.shape[:-1] + (4, 4))
     maps[..., :2, :2] = maps[..., 2:, 2:] = actions.reshape(actions.shape[:-1] + (2, 2))
     return maps
@@ -286,11 +288,10 @@ def branch_maps(n: np.ndarray) -> np.ndarray:
 def _branch_actions(n: np.ndarray) -> np.ndarray:
     """The one definition of the branch maps: a, b, c, d = ``_branch_actions(n)``,
     each (len(n), 8), are the entries of every branch's 2x2 action [[a, b], [c, d]]
-    from qubit 2 to qubit 4, scaled by f(n)/sqrt(2).  No action has two non-zero
-    entries in a row or column, which the engine relies on."""
-    scale = w_normalization(n) / sqrt(2.0)
-    # scaled before the table is built: three products, not one per table entry
-    one, rn, rn1, zero = scale, np.sqrt(n) * scale, np.sqrt(n + 1.0) * scale, np.zeros_like(n)
+    from qubit 2 to qubit 4, built from the channel's amplitudes without f(n).
+    No action has two non-zero entries in a row or column, which the engine
+    relies on."""
+    one, rn, rn1, zero = np.ones_like(n), np.sqrt(n), np.sqrt(n + 1.0), np.zeros_like(n)
     actions = np.array(
         [  # a, b, c, d
             [zero, one, rn, zero],  # Phi+, Bob 0
@@ -342,28 +343,28 @@ def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _in_blocks(rho, np.atleast_1d(_check_n(n)))
 
 
-# Overflow at extreme n (2 + 2n beyond the float range) zeroes the maps; the
-# probability-sum check then raises NumericalFailure instead of a warning.
+# Where 2 + 2n overflows the scale is 0; the probability-sum check then
+# raises NumericalFailure instead of a warning.
 @np.errstate(all="ignore")
 def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eight branches of real X-state inputs with rho23 = 0, given by
     ``rho`` (5, points): rho11, rho22, rho33, rho44 and rho14 of each point.
 
-    Each M rho M' is then an X-state as long as no action has two non-zero
-    entries in a row or column; a table that breaks this premise raises
-    ``NumericalFailure``.  Its six entries are formed straight from the
-    action's and rho's; its trace is the branch probability.
-    ``concurrence_x_batch`` takes those of each live post-state M rho M' /
-    tr(M rho M'), validates them and gives its concurrence in closed form,
-    leaving the spin-flip and Wootters formulas to the scalar oracle.  As in
-    the scalar runs, a branch below ``ZERO_PROBABILITY_CUTOFF`` (not a normal
-    double) is dead, with concurrence 0.
+    Each A rho A', A an action of ``_branch_actions``, is then an X-state as
+    long as no action has two non-zero entries in a row or column, or
+    ``NumericalFailure`` is raised.  Its six entries are formed straight from
+    A's and rho's; its trace, the branch weight, times f(n)^2 / 2 is the branch
+    probability.  A branch whose weight is not a normal double is dead, with
+    concurrence 0; a live one stays live where its probability underflows.
+    ``concurrence_x_batch`` validates each live post-state A rho A' / weight
+    and gives its concurrence in closed form, leaving the spin-flip and
+    Wootters formulas to the scalar oracle.
     """
     a, b, c, d = _branch_actions(n)
     if np.any(a * b) or np.any(c * d) or np.any(a * c) or np.any(b * d):
         raise NumericalFailure("post-state has a non-zero entry off the X shape")
     r11, r22, r33, r44, r14 = rho[:, :, np.newaxis]  # each (points, 1)
-    # the X of M rho M', each entry the one product its matrix product would sum
+    # the X of A rho A', each entry the one product its matrix product would sum
     x = (
         (a * r11) * a + (b * r22) * b,
         (c * r11) * c + (d * r22) * d,
@@ -372,16 +373,16 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         (a * r14) * d,
         (c * r14) * b,
     )
-    probability = ((x[0] + x[1]) + x[2]) + x[3]
-    alive = probability >= ZERO_PROBABILITY_CUTOFF
+    weight = ((x[0] + x[1]) + x[2]) + x[3]
+    alive = weight >= ZERO_PROBABILITY_CUTOFF
     # rho11..rho44, rho14 and rho23 of each live post-state, one row per entry,
     # so that each column the kernel reads is contiguous: with one row per
     # post-state instead, the kernel ran about 3x slower
     entries = np.stack([entry[alive] for entry in x])
-    entries /= probability[alive]
-    concurrence = np.zeros_like(probability)
+    entries /= weight[alive]
+    concurrence = np.zeros_like(weight)
     concurrence[alive] = concurrence_x_batch(entries[:4].T, entries[4:].T)
-    return probability, concurrence
+    return weight * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis], concurrence
 
 
 def run_protocol_mixed(p: float, n: float) -> ProtocolResult:

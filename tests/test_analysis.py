@@ -23,6 +23,7 @@ from wteleport import (
 )
 from wteleport.analysis import PHI_ZERO_COLUMNS, PSI_ZERO_COLUMNS, _columns
 from wteleport.protocol import BRANCH_ORDER
+from wteleport.states import ZERO_PROBABILITY_CUTOFF
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 
@@ -341,15 +342,31 @@ class TestSweep:
             # oracle follows the derived one
             assert np.abs(werner.oracle[i, bob_zero] - derived).max() <= 1e-15, (n, werner.p[i])
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="near overflow the Phi Bob-0 probability (n alpha^2 + 1)/(4n) is subnormal "
-        "though the branch's image is not, so the dead-branch rule reads it as dead",
-    )
     def test_near_overflow_corner_matches(self):
-        # probability 5.6e-309 and oracle 0.0, against a formula of 0.9999999999999999
+        # the Phi Bob-0 probability (n alpha^2 + 1)/(4n) is subnormal, 5.6e-309,
+        # but the branch's unscaled weight is not, so it stays live: oracle and
+        # formula both read 0.9999999999999999
         table = sweep("pure", n_values=(8.9e307,), alpha_sq_values=(1 / 8.9e307,))
         assert table.match.all(), table.oracle[0, PHI_ZERO_COLUMNS]
+
+    def test_near_overflow_corner_scan_has_no_discrepant_row(self):
+        # n up to just below where 2 + 2n overflows, alpha^2 down to the
+        # smallest subnormal decade: wherever (n alpha^2 + 1)/(4n) is subnormal,
+        # a live Phi Bob-0 branch must still be read as live
+        n = np.logspace(300, 307.95, 40)
+        table = sweep("pure", n_values=n, alpha_sq_values=np.logspace(-323, -290, 40))
+        assert table.match.all(), np.count_nonzero(~table.match)
+
+    def test_subnormal_corner_reads_unresolvable_branches_as_dead(self):
+        # with n and alpha^2 both subnormal the Psi Bob-0 weight alpha^2 +
+        # n (1 - alpha^2) can be subnormal too, too few bits to normalize a
+        # post-state by; such a branch is dead (oracle 0, probability below
+        # the cutoff), never handed to the kernel, and every other row matches
+        grid = np.logspace(-323, -300, 24)
+        table = sweep("pure", n_values=grid, alpha_sq_values=grid)
+        off = ~table.match
+        assert not table.oracle[off].any()
+        assert (table.probability[off] < ZERO_PROBABILITY_CUTOFF).all()
 
     def test_sweep_evaluates_the_printed_alpha_sq(self):
         # 0.99863 at the printed alpha^2; at fl(sqrt(alpha^2))^2, where 1 - x is

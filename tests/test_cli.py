@@ -132,6 +132,19 @@ class TestRun:
         code, _, _ = run_cli(capsys)
         assert code == 2
 
+    def test_run_evaluates_the_printed_alpha_sq(self, capsys):
+        # 0.99863 to 50 digits at the printed alpha^2, as the sweep gives; at
+        # fl(sqrt(alpha^2))^2, where 1 - x is twice the printed 1 - alpha^2,
+        # the run would read 0.92541
+        code, out, _ = run_cli(
+            capsys, "run", "--mode", "pure", "--n", "1e-16",
+            "--alpha-sq", "0.9999999999999999", "--format", "csv",
+        )
+        assert code == 0
+        rows = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
+        phi = next(r for r in rows if (r["bell"], r["bob"]) == ("PhiPlus", "Zero"))
+        assert abs(float(phi["concurrence"]) - 0.99863493145187) <= 1e-12
+
     @pytest.mark.parametrize("alpha_sq", ["0.37", "0.5"])
     def test_every_format_writes_the_parsed_alpha_sq(self, capsys, alpha_sq):
         # sqrt(0.37)**2 is 0.36999999999999994: rows must not recompute it

@@ -47,6 +47,7 @@ from wteleport.protocol import (
     _pure_results,
     branch_maps,
     pure_branches,
+    w_normalization,
     werner_branches,
 )
 from wteleport.states import ZERO_PROBABILITY_CUTOFF, check_density_matrices
@@ -71,11 +72,10 @@ def _grid(second):
 
 def test_pure_engine_matches_enumeration():
     n, alpha_sq = _grid(np.linspace(0.0, 1.0, 21))
-    alpha = np.sqrt(alpha_sq)
-    # the oracle takes alpha, the engine the alpha^2 it evaluates; the oracle
-    # enumerates the whole grid as one stack
-    probability, concurrence = pure_branches(alpha * alpha, n)
-    expected_p, _, expected_c = _pure_results(alpha, n)
+    # both evaluate the alpha^2 given; the oracle enumerates the whole grid as
+    # one stack
+    probability, concurrence = pure_branches(alpha_sq, n)
+    expected_p, _, expected_c = _pure_results(alpha_sq, n)
     assert np.abs(probability - expected_p).max() <= 1e-15
     assert np.abs(concurrence - expected_c).max() <= 1e-13
 
@@ -112,10 +112,11 @@ def test_werner_bob_zero_matches_the_derived_form():
     assert np.abs(x_state - concurrence_mixed_batch(post)).max() <= 1e-13
 
 
-# Reference: every branch from its dense 4x4 map, by M rho M' as two matrix
-# products, for pure and Werner inputs alike.  Each non-zero entry of these
-# sums is a single product, which the engine forms alone, so engine and
-# reference agree to the bit.
+# Reference: every branch from its dense unscaled 4x4 map I x A, by A rho A'
+# as two matrix products, for pure and Werner inputs alike, with the engine's
+# dead-branch rule on the weight and its one scale f(n)^2 / 2.  Each non-zero
+# entry of these sums is a single product, which the engine forms alone, so
+# engine and reference agree to the bit.
 # n from the smallest subnormal to just below where 2 + 2n overflows.
 REFERENCE_N = np.concatenate(
     ([5e-324, 1e-320], np.logspace(-12, 12, 49), np.logspace(-300, 300, 61), [8.9e307])
@@ -137,14 +138,16 @@ def _werner_rho(p):
 
 
 def _dense(rho, n):
-    maps = branch_maps(n)
+    actions = np.moveaxis(wteleport.protocol._branch_actions(n), 0, -1).reshape(len(n), 8, 2, 2)
+    maps = np.zeros((len(n), 8, 4, 4))
+    maps[..., :2, :2] = maps[..., 2:, 2:] = actions
     weighted = maps @ rho[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
-    probability = np.trace(weighted, axis1=-2, axis2=-1)
-    alive = probability >= ZERO_PROBABILITY_CUTOFF
-    concurrence = np.zeros_like(probability)
-    post = weighted[alive] / probability[alive][:, None, None]
+    weight = np.trace(weighted, axis1=-2, axis2=-1)
+    alive = weight >= ZERO_PROBABILITY_CUTOFF
+    concurrence = np.zeros_like(weight)
+    post = weighted[alive] / weight[alive][:, None, None]
     concurrence[alive] = concurrence_x_batch(*_x_entries(post))
-    return probability, concurrence
+    return weight * (0.5 / (2.0 + 2.0 * n))[:, None], concurrence
 
 
 @pytest.mark.parametrize(
@@ -164,8 +167,11 @@ def test_no_action_has_two_non_zeros_in_a_row_or_column():
     a, b, c, d = wteleport.protocol._branch_actions(REFERENCE_N)
     for first, second in ((a, b), (c, d), (a, c), (b, d)):
         assert not np.any(first * second)
+    # each branch map is f(n)/sqrt(2) times its action
     actions = branch_maps(REFERENCE_N)[..., :2, :2]
-    np.testing.assert_array_equal(actions, np.stack((a, b, c, d), -1).reshape(actions.shape))
+    scale = (w_normalization(REFERENCE_N) / np.sqrt(2.0))[:, None, None, None]
+    expected = np.stack((a, b, c, d), -1).reshape(actions.shape) * scale
+    np.testing.assert_array_equal(actions, expected)
 
 
 @pytest.mark.parametrize("engine", [pure_branches, werner_branches], ids=["pure", "werner"])

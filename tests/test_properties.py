@@ -9,7 +9,7 @@ the same points and writes no files.
 """
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wteleport import BobOutcome, run_protocol_mixed, run_protocol_pure, sweep
@@ -76,6 +76,17 @@ def test_concurrence_lies_in_the_unit_interval(mode, n, value):
 @REPEATABLE
 @given(n=N, value=UNIT)
 def test_engine_equals_the_scalar_oracle(mode, n, value):
+    # Only inside the scalar oracle's domain: a pure input's Bob-0
+    # probabilities, (n x + 1 - x) / (4 (n + 1)) for Phi and (x + n (1 - x)) /
+    # (4 (n + 1)) for Psi, can be subnormal (above n = 1/(4 tiny), or with n
+    # and x = alpha^2 both below 4 tiny) where the branch's weight is not, and
+    # the oracle, unlike the engine, then reads the branch as dead.
+    # DEAD_BRANCH_POINTS pins the oracle's side of that; a margin of 2 covers
+    # the rounding of this estimate.
+    if mode == "pure":
+        x, y = value, 1.0 - value
+        bob_zero = np.array([n * x + y, x + n * y]) / (n + 1.0) / 4.0
+        assume((bob_zero >= 2.0 * ZERO_PROBABILITY_CUTOFF).all())
     (probability, concurrence), (expected_p, expected_c) = _point(mode, n, value)
     assert np.abs(probability - expected_p).max() <= 1e-15
     assert np.abs(concurrence - expected_c).max() <= CONCURRENCE_TOL[mode]
@@ -95,7 +106,8 @@ def _result_bits(result, *fields):
 
 # Points whose stack holds dead branches: exactly 0 (Psi/One at alpha^2 = 1),
 # underflowed but not 0 (Psi/Zero at n = alpha^2 = 1e-323), and all four Phi
-# branches at the near-overflow corner.
+# branches at the near-overflow corner, where the oracle, unlike the engine,
+# reads the Phi Bob-0 branches as dead.
 DEAD_BRANCH_POINTS = [(1.0, 1.0), (1e-323, 1e-323), (8.9e307, 1.0 / 8.9e307), (4.0, 1.0 / 3.0)]
 
 
@@ -104,8 +116,9 @@ DEAD_BRANCH_POINTS = [(1.0, 1.0), (1e-323, 1e-323), (8.9e307, 1.0 / 8.9e307), (4
 @example(points=DEAD_BRANCH_POINTS)
 def test_pure_stack_equals_one_point_runs(points):
     n, alpha_sq = (np.array(values) for values in zip(*points))
+    # each run squares its alpha once, so the stack takes that alpha^2
     alpha = np.sqrt(alpha_sq)
-    probability, post, concurrence = _pure_results(alpha, n)
+    probability, post, concurrence = _pure_results(alpha * alpha, n)
     runs = [run_protocol_pure(a, m) for a, m in zip(alpha.tolist(), n.tolist())]
     post_amplitudes = [
         np.array([b.post_state.amplitudes for b in run.branches]).tobytes() for run in runs
@@ -118,7 +131,7 @@ def test_pure_stack_equals_one_point_runs(points):
 
 def test_the_explicit_stack_holds_dead_branches():
     n, alpha_sq = zip(*DEAD_BRANCH_POINTS)
-    probability, post, concurrence = _pure_results(np.sqrt(alpha_sq), n)
+    probability, post, concurrence = _pure_results(alpha_sq, n)
     dead = probability < ZERO_PROBABILITY_CUTOFF
     assert dead.sum(axis=-1).tolist() == [2, 4, 4, 0]
     assert (probability[dead] == 0.0).any() and (probability[dead] > 0.0).any()
