@@ -179,9 +179,10 @@ class Report(NamedTuple):
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
     is consumed once, as it is written, so a sweep computes its next block
-    only after the last one is written.  Each block is formatted in one pass
-    and written as strings of at most ``_JOIN_ROWS`` rows.  An absent column
-    is an empty CSV field, a JSON ``null`` and a "-" table cell.
+    only after the last one is written and let go.  Each block is formatted
+    in one pass and written as strings of whole rows, about ``_JOIN_BYTES``
+    long (see ``_rows``).  An absent column is an empty CSV field, a JSON
+    ``null`` and a "-" table cell.
     ``document`` is the JSON output in key order; the rows are spliced in at
     its ``"rows"`` key, and the keys after it are rendered only once the rows
     are written, so a sweep's ``"summary"`` can count the rows as they go by.
@@ -213,28 +214,34 @@ def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], h
     return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
 
 
-# Rows per string that ``_rows`` joins: bounds the text a block holds at once
-# to a fraction of the block, without more blocks or formatting passes.
-_JOIN_ROWS = 2048
+# The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
+# glibc's default mmap threshold (128 KiB), so each string and its UTF-8 copy
+# come from the heap, not from mappings of their own.
+_JOIN_BYTES = 65536
 
 
-def _rows(block: Block, cells: Sequence[tuple], end: str, first: bool = False) -> Iterator[str]:
+def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
     """The block's rows as text: the ``_cells(block[name], text, head)`` of
     each ``(name, text, head)`` side by side, each row closed by ``end``.
 
     The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
-    column; ``first`` drops the grid's first character.  The grid is joined
-    and yielded at most ``_JOIN_ROWS`` rows at a time.
+    column.  The grid is joined and yielded ``max(1, _JOIN_BYTES // width)``
+    rows at a time, ``width`` the length of the block's first row.
     """
     count = next(len(column) for column in block.values() if column is not None)
     grid = np.empty((count, len(cells) + 1), dtype=object)
     for j, (name, text, head) in enumerate(cells):
         grid[:, j] = _cells(block[name], text, head)
     grid[:, -1] = end
-    if first:
-        grid[0, 0] = grid[0, 0][1:]
-    for start in range(0, count, _JOIN_ROWS):
-        yield "".join(grid[start : start + _JOIN_ROWS].ravel().tolist())
+    step = max(1, _JOIN_BYTES // sum(map(len, grid[0])))
+    for start in range(0, count, step):
+        yield "".join(grid[start : start + step].ravel().tolist())
+
+
+def _block_rows(blocks: Iterable[Block], cells: Sequence[tuple], end: str) -> Iterator[str]:
+    """``_rows`` of each block in turn, each block and its grid let go before the
+    next block is asked for (a ``for`` loop would hold the last one)."""
+    return itertools.chain.from_iterable(map(lambda block: _rows(block, cells, end), blocks))
 
 
 def _csv_text(value) -> str:
@@ -256,8 +263,7 @@ def _csv_chunks(report: Report) -> Iterator[str]:
     """The report as CSV: the bytes ``csv.writer`` writes, since no field needs quoting."""
     yield f"# {report.comment}\n" + ",".join(report.columns) + "\n"
     cells = [(name, _csv_text, "," if j else "") for j, name in enumerate(report.columns)]
-    for block in report.blocks:
-        yield from _rows(block, cells, "\n")
+    yield from _block_rows(report.blocks, cells, "\n")
 
 
 def _json_chunks(report: Report) -> Iterator[str]:
@@ -265,7 +271,7 @@ def _json_chunks(report: Report) -> Iterator[str]:
     one block at a time and spliced in at the ``"rows"`` key.
 
     Each row opens with the comma that separates it from the row before; the
-    first row of the document drops it.
+    first string of rows drops it.
     """
     cells = [
         (name, _json_text, (",\n    {" if j == 0 else ",") + f"\n      {json.dumps(name)}: ")
@@ -279,11 +285,12 @@ def _json_chunks(report: Report) -> Iterator[str]:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         yield "["
-        first = True
-        for block in report.blocks:
-            yield from _rows(block, cells, "\n    }", first)
-            first = False
-        yield "]" if first else "\n  ]"
+        rows = _block_rows(report.blocks, cells, "\n    }")
+        head = next(rows, None)
+        if head is not None:
+            yield head[1:]
+            yield from rows
+        yield "]" if head is None else "\n  ]"
     yield "\n}\n"
 
 
@@ -343,8 +350,7 @@ def _table_chunks(report: Report) -> Iterator[str]:
         (name, _table_text(align, spec), " " if j else "")
         for j, (name, (_, align, spec)) in enumerate(zip(report.columns, specs))
     ]
-    for block in report.blocks:
-        yield from _rows(block, cells, "\n")
+    yield from _block_rows(report.blocks, cells, "\n")
     keys = list(report.document)
     yield "".join(_summary_lines({k: report.document[k] for k in keys[keys.index("rows") + 1 :]}))
 
@@ -439,7 +445,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     value = float(values[0])
 
     if args.mode == "pure":
-        result = _protocol_result(n, None, None, *(a[0] for a in _pure_results(value, n)))
+        result = _protocol_result(n, *(a[0] for a in _pure_results(value, n)))
         alpha_sq, p = value, None
         comment = f"wteleport run mode=pure n={_full(n)} alpha_sq={_full(value)}"
     else:
@@ -472,18 +478,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
-def _sweep_tables(
-    mode: str, n_values: np.ndarray, values: np.ndarray, summary: dict
-) -> Iterator[SweepTable]:
-    """The grid's tables from ``_grid_tables``, adding each one's ``_tally`` to
-    the counts of ``summary``."""
-    for table in _grid_tables(mode, n_values, values):
-        tally = _tally(table)
-        for key in summary:
-            summary[key] += tally[key]
-        yield table
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Compute and write the sweep one grid block at a time.
 
@@ -504,7 +498,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "rows": None,
         "summary": summary,
     }
-    tables = _sweep_tables(args.mode, n_values, values, summary)
+
+    def tallied(table: SweepTable) -> SweepTable:  # adds the table's counts to the summary
+        tally = _tally(table)
+        for key in summary:
+            summary[key] += tally[key]
+        return table
+
+    tables = map(tallied, _grid_tables(args.mode, n_values, values))
     # The first block, before any output; a list iterator, unlike a list, lets go
     # of it once the next block is asked for.
     tables = itertools.chain(iter([next(tables)]), tables)

@@ -407,6 +407,28 @@ class TestSweep:
         assert code == 0
         assert alive == [[j == i for j in range(i + 1)] for i in range(5)]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_one_block_alive_at_a_time(self, monkeypatch, tmp_path, fmt):
+        # when a block is computed, no earlier block may still be held: not
+        # its SweepTable, and not the Block that views its arrays
+        probabilities, alive = [], []
+        table = wteleport.analysis._table
+
+        def tracked(*args):
+            alive.append(sum(ref() is not None for ref in probabilities))
+            result = table(*args)
+            probabilities.append(weakref.ref(result.probability))
+            return result
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
+        monkeypatch.setattr(wteleport.analysis, "_table", tracked)
+        code = main([
+            "sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:5",
+            "--format", fmt, "--output", str(tmp_path / "rows"),
+        ])
+        assert code == 0
+        assert alive == [0, 0, 0, 0]  # 15 points in blocks of 4
+
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only"
     )
@@ -748,6 +770,37 @@ GOLDEN_COMMANDS = {
 }
 
 
+def record_rows(monkeypatch) -> list:
+    """Record, for each block ``cli._rows`` renders, the strings it yields and
+    the ``end`` that closes each row."""
+    rows = wteleport.cli._rows
+    blocks = []
+
+    def recorded(block, cells, end):
+        strings = []
+        blocks.append((strings, end))
+        for chunk in rows(block, cells, end):
+            strings.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(wteleport.cli, "_rows", recorded)
+    return blocks
+
+
+def assert_strings_of_whole_rows(blocks: list, join_bytes: int) -> None:
+    """Every string holds whole rows, and all but a block's last hold exactly
+    ``max(1, join_bytes // width)``, ``width`` the block's first row."""
+    assert blocks
+    for strings, end in blocks:
+        # every row, and nothing else, ends in end
+        assert all(chunk.endswith(end) for chunk in strings)
+        width = strings[0].index(end) + len(end)
+        step = max(1, join_bytes // width)
+        counts = [chunk.count(end) for chunk in strings]
+        assert counts[:-1] == [step] * (len(counts) - 1)
+        assert 1 <= counts[-1] <= step
+
+
 class TestOutput:
     @pytest.mark.parametrize("command", RENDERED_COMMANDS)
     def test_json_is_json_dumps_of_its_document(self, capsys, command):
@@ -792,21 +845,46 @@ class TestOutput:
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize("name", ["sweep-pure", "sweep-werner", "verify"])
     def test_golden_written_in_chunks_of_join_rows(self, capsys, monkeypatch, name, fmt, join_rows):
-        rows = wteleport.cli._rows
-        counts = []
-
-        def counted(block, cells, end, first=False):
-            for chunk in rows(block, cells, end, first):
-                counts.append(chunk.count(end))  # every row, and nothing else, ends in end
-                yield chunk
-
-        monkeypatch.setattr(wteleport.cli, "_JOIN_ROWS", join_rows)
-        monkeypatch.setattr(wteleport.cli, "_rows", counted)
+        # 1 byte is less than any row, so each string holds one; 300 bytes
+        # hold three table rows and several CSV rows (a JSON row is wider)
+        join_bytes = {1: 1, 3: 300}[join_rows]
+        blocks = record_rows(monkeypatch)
+        monkeypatch.setattr(wteleport.cli, "_JOIN_BYTES", join_bytes)
         code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
         assert (code, err) == (0, "")
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
-        assert all(1 <= count <= join_rows for count in counts)
-        assert join_rows in counts
+        assert_strings_of_whole_rows(blocks, join_bytes)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", "json"),
+            (
+                "sweep", "--mode", "pure", "--n", "0.01:100:1000", "--alpha-sq", "0.05:0.95:10",
+                "--format", "csv",
+            ),
+        ],
+        ids=["werner-json", "pure-csv"],
+    )
+    def test_benchmark_sweeps_written_in_strings_of_at_most_128_kib(
+        self, monkeypatch, tmp_path, argv
+    ):
+        # the two benchmark sweeps at seed 0, at the real byte budget
+        fmt = argv[-1]
+        writer = wteleport.cli._WRITERS[fmt]
+        sizes = []
+
+        def measured(report):
+            for chunk in writer(report):
+                sizes.append(len(chunk.encode("utf-8")))
+                yield chunk
+
+        blocks = record_rows(monkeypatch)
+        monkeypatch.setitem(wteleport.cli._WRITERS, fmt, measured)
+        assert main([*argv, "--output", str(tmp_path / "rows")]) == 0
+        assert sum(sizes) == (tmp_path / "rows").stat().st_size
+        assert max(sizes) <= 128 * 1024
+        assert_strings_of_whole_rows(blocks, wteleport.cli._JOIN_BYTES)
 
     @pytest.mark.parametrize("name", [*GOLDEN_COMMANDS, "roots"])
     def test_table_rows_are_the_csv_rows(self, capsys, name):
