@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import sqrt
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -327,15 +327,20 @@ def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]
     return n_values, values
 
 
-def _grid_tables(mode: str, n_values, values) -> Iterator[SweepTable]:
-    """The sweep of the n-major grid ``n_values`` x ``values``, validated whole,
-    then computed lazily as one table per consecutive ``BLOCK_POINTS`` points."""
+def _grid_tables(mode: str, n_values, values) -> tuple[range, Callable]:
+    """The first point of each block of ``BLOCK_POINTS`` consecutive points of
+    the n-major grid ``n_values`` x ``values``, both validated whole, and a
+    function that lazily computes the table of each block at a slice of them."""
     n_grid, values = _checked_grids(mode, n_values, values)
     m = len(values)
     points = len(n_grid) * m
-    for start in range(0, points, BLOCK_POINTS):
-        i = np.arange(start, min(start + BLOCK_POINTS, points))
-        yield _table(mode, n_grid[i // m], values[i % m])
+
+    def tables(starts: range) -> Iterator[SweepTable]:
+        for start in starts:
+            i = np.arange(start, min(start + BLOCK_POINTS, points))
+            yield _table(mode, n_grid[i // m], values[i % m])
+
+    return range(0, points, BLOCK_POINTS), tables
 
 
 def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:

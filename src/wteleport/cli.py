@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import sys
+import warnings
 from math import isfinite
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -33,6 +34,7 @@ from .analysis import (
     PSI_ZERO_COLUMNS,
     SweepTable,
     _grid_tables,
+    _table,
     quartic,
     quartic_roots,
     sweep,
@@ -177,11 +179,11 @@ class Report(NamedTuple):
     CSV, JSON and the table all render the same ``comment``, ``columns``,
     ``blocks`` and ``document``.
 
-    ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``; it
-    is consumed once, as it is written, so a sweep computes its next block
-    only after the last one is written and let go.  Each block is formatted
-    in one pass and written as strings of whole rows, about ``_JOIN_BYTES``
-    long (see ``_rows``).  An absent column is an empty CSV field, a JSON
+    ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``, or
+    as text already rendered; it is consumed once, as it is written, so a
+    sweep computes its next block only after the last one is written and let
+    go.  Each block is formatted in one pass and written as strings of whole
+    rows (see ``_rows``).  An absent column is an empty CSV field, a JSON
     ``null`` and a "-" table cell.
     ``document`` is the JSON output in key order; the rows are spliced in at
     its ``"rows"`` key, and the keys after it are rendered only once the rows
@@ -191,27 +193,31 @@ class Report(NamedTuple):
 
     comment: str
     columns: tuple[str, ...]
-    blocks: Iterable[Block]
+    blocks: Iterable[Block | str]
     document: dict
     exit_code: int = 0
 
 
-def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
-    """``head + text(value)`` for every value of a 1-D column, with ``text``
-    called once per distinct value, or once per name of ``_Labels``; an
-    absent column is the one string ``head + text(None)``.
+def _texts(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
+    """The texts ``head + text(value)`` of a 1-D column, one per distinct value
+    or ``_Labels`` name, in an object array, and each value's index into it
+    (0 for an absent column, whose one text is ``head + text(None)``).
 
-    Floats are keyed on their bits, so -0.0 and 0.0 stay apart.  The column is
-    flattened first because the shape of ``np.unique``'s inverse for other
-    shapes differs between numpy releases.
+    Floats are keyed on their bits, so -0.0 and 0.0 stay apart, and flattened
+    first: the shape of ``np.unique``'s inverse differs between numpy releases.
     """
     if column is None:
-        return head + text(None)
+        return np.array([head + text(None)], dtype=object), 0
     if isinstance(column, _Labels):
-        return np.array([head + text(name) for name in column.names], dtype=object)[column.codes]
+        return np.array([head + text(name) for name in column.names], dtype=object), column.codes
     distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
     values = distinct.view(np.float64).tolist()
-    return np.array([head + text(v) for v in values], dtype=object)[inverse.reshape(-1)]
+    return np.array([head + text(v) for v in values], dtype=object), inverse.reshape(-1)
+
+
+def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
+    """Each value's text of ``_texts``; an absent column's is one string."""
+    return np.take(*_texts(column, text, head))
 
 
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
@@ -226,22 +232,29 @@ def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
 
     The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
     column.  The grid is joined and yielded ``max(1, _JOIN_BYTES // width)``
-    rows at a time, ``width`` the length of the block's first row.
+    rows at a time, ``width`` the sum of each column's longest ``_texts`` and
+    ``len(end)``: no row is wider, so only a string of one row can be longer.
     """
     count = next(len(column) for column in block.values() if column is not None)
     grid = np.empty((count, len(cells) + 1), dtype=object)
+    width = len(end)
     for j, (name, text, head) in enumerate(cells):
-        grid[:, j] = _cells(block[name], text, head)
+        texts, index = _texts(block[name], text, head)
+        grid[:, j] = texts[index]
+        width += max(map(len, texts))
     grid[:, -1] = end
-    step = max(1, _JOIN_BYTES // sum(map(len, grid[0])))
+    step = max(1, _JOIN_BYTES // width)
     for start in range(0, count, step):
         yield "".join(grid[start : start + step].ravel().tolist())
 
 
-def _block_rows(blocks: Iterable[Block], cells: Sequence[tuple], end: str) -> Iterator[str]:
+def _block_rows(blocks: Iterable[Block | str], cells: Sequence[tuple], end: str) -> Iterator[str]:
     """``_rows`` of each block in turn, each block and its grid let go before the
-    next block is asked for (a ``for`` loop would hold the last one)."""
-    return itertools.chain.from_iterable(map(lambda block: _rows(block, cells, end), blocks))
+    next block is asked for (a ``for`` loop would hold the last one).  A string
+    is rows already rendered with ``cells`` and ``end``, and passes as it is."""
+    return itertools.chain.from_iterable(
+        map(lambda block: (block,) if isinstance(block, str) else _rows(block, cells, end), blocks)
+    )
 
 
 def _csv_text(value) -> str:
@@ -262,21 +275,14 @@ def _json_text(value) -> str:
 def _csv_chunks(report: Report) -> Iterator[str]:
     """The report as CSV: the bytes ``csv.writer`` writes, since no field needs quoting."""
     yield f"# {report.comment}\n" + ",".join(report.columns) + "\n"
-    cells = [(name, _csv_text, "," if j else "") for j, name in enumerate(report.columns)]
-    yield from _block_rows(report.blocks, cells, "\n")
+    yield from _block_rows(report.blocks, *_row_cells("csv", report.columns))
 
 
 def _json_chunks(report: Report) -> Iterator[str]:
     """``json.dumps(report.document, indent=2) + "\\n"``, with the rows written
-    one block at a time and spliced in at the ``"rows"`` key.
-
-    Each row opens with the comma that separates it from the row before; the
-    first string of rows drops it.
+    one block at a time and spliced in at the ``"rows"`` key; the first
+    string of rows drops the comma that opens it (see ``_row_cells``).
     """
-    cells = [
-        (name, _json_text, (",\n    {" if j == 0 else ",") + f"\n      {json.dumps(name)}: ")
-        for j, name in enumerate(report.columns)
-    ]
     separator = "{"
     for key, value in report.document.items():
         yield f"{separator}\n  {json.dumps(key)}: "
@@ -285,7 +291,7 @@ def _json_chunks(report: Report) -> Iterator[str]:
             yield json.dumps(value, indent=2).replace("\n", "\n  ")
             continue
         yield "["
-        rows = _block_rows(report.blocks, cells, "\n    }")
+        rows = _block_rows(report.blocks, *_row_cells("json", report.columns))
         head = next(rows, None)
         if head is not None:
             yield head[1:]
@@ -319,6 +325,18 @@ _TABLE_COLUMNS = {
 }
 
 
+def _row_cells(fmt: str, columns: Sequence[str]) -> tuple[list, str]:
+    """The ``cells`` and ``end`` (see ``_rows``) of format ``fmt``'s rows of ``columns``."""
+    if fmt == "csv":
+        return [(name, _csv_text, "," if j else "") for j, name in enumerate(columns)], "\n"
+    if fmt == "json":
+        heads = [f",\n      {json.dumps(name)}: " for name in columns]
+        heads[0] = ",\n    {" + heads[0][1:]
+        return list(zip(columns, itertools.repeat(_json_text), heads)), "\n    }"
+    texts = [_table_text(*_TABLE_COLUMNS[name][1:]) for name in columns]
+    return [(name, texts[j], " " if j else "") for j, name in enumerate(columns)], "\n"
+
+
 def _summary_lines(document: dict, indent: str = "") -> Iterator[str]:
     """Each ``key: value`` of ``document`` as a line at ``indent``: a float to
     six significant digits, None as "-".  A dict value opens a block of its
@@ -343,14 +361,10 @@ def _table_chunks(report: Report) -> Iterator[str]:
     """The report as a table: the comment, a header and a rule, a line per row
     with the cells of ``_TABLE_COLUMNS``, then the document's keys after
     ``"rows"`` as ``_summary_lines``."""
-    specs = [_TABLE_COLUMNS[name] for name in report.columns]
+    specs = map(_TABLE_COLUMNS.get, report.columns)
     header = " ".join(format(title, align) for title, align, _ in specs)
     yield f"{report.comment}\n{header}\n{'-' * len(header)}\n"
-    cells = [
-        (name, _table_text(align, spec), " " if j else "")
-        for j, (name, (_, align, spec)) in enumerate(zip(report.columns, specs))
-    ]
-    yield from _block_rows(report.blocks, cells, "\n")
+    yield from _block_rows(report.blocks, *_row_cells("table", report.columns))
     keys = list(report.document)
     yield "".join(_summary_lines({k: report.document[k] for k in keys[keys.index("rows") + 1 :]}))
 
@@ -478,6 +492,68 @@ def cmd_run(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 
+def _forks() -> bool:
+    """Whether a sweep forks: ``os.fork`` exists and this process may run on 2 CPUs or more."""
+    affinity = getattr(os, "sched_getaffinity", lambda _: range(os.cpu_count() or 1))
+    return hasattr(os, "fork") and len(affinity(0)) >= 2
+
+
+class _Child:
+    """A child, forked before any block is counted, that renders ``tables``
+    with ``cells`` and ``end`` into an unlinked temporary file, sends the
+    counts its ``summary`` adds over a pipe and leaves by ``os._exit``,
+    flushing no inherited buffer; it stops once this process has gone.
+    ``rows()`` yields its text, its counts added to ``summary``, or else the
+    blocks of ``tables`` computed here: a failure fails at the same row."""
+
+    def __init__(self, tables: Iterator[SweepTable], cells, end: str, summary: dict, fork: bool):
+        self.tables, self.summary, self.pid, self.files = tables, summary, 0, []
+        if not fork:
+            return
+        import tempfile
+        try:
+            self.files.append(tempfile.TemporaryFile("w+", encoding="utf-8", newline=""))
+            self.files += map(open, os.pipe(), ("rb", "wb"))
+            self.text, self.counts, write = self.files
+            with warnings.catch_warnings():
+                # Python 3.12 warns that forking with threads (OpenBLAS's) may deadlock;
+                # the child calls no BLAS or LAPACK, only ufuncs, np.unique and repr.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                self.pid = os.fork()
+        except OSError:
+            return self.close()
+        if self.pid == 0:
+            code, parent = 1, os.getppid()
+            try:
+                tables = itertools.takewhile(lambda _: os.getppid() == parent, tables)
+                self.text.writelines(_block_rows(map(_sweep_block, tables), cells, end))
+                self.text.flush()
+                os.write(write.fileno(), json.dumps(summary).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        write.close()
+
+    def rows(self) -> Iterator[Block | str]:
+        if self.pid:
+            counts = self.counts.read()  # to the end, when the child has exited
+            status, self.pid = os.waitpid(self.pid, 0)[1], 0
+            if status == 0:
+                for key, count in json.loads(counts).items():
+                    self.summary[key] += count
+                self.text.seek(0)
+                yield from iter(lambda: self.text.read(_JOIN_BYTES), "")
+                return
+        yield from map(_sweep_block, self.tables)
+
+    def close(self) -> None:
+        if self.pid:
+            os.kill(self.pid, 9)  # SIGKILL
+            os.waitpid(self.pid, 0)
+        for file in self.files:
+            file.close()
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Compute and write the sweep one grid block at a time.
 
@@ -485,11 +561,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     any output is written or the ``--output`` file is opened; so a usage
     error, or a numerical failure in the first block, writes nothing.  A
     numerical failure in a later block leaves the rows written before it.
+    When ``_forks()``, a ``_Child`` computes the later half of the blocks.
     """
     (n_values, n_grid) = _parse_values(args.n, "--n")
     values, p_grid = _mode_parameter(args, len(n_values))
     if not (n_grid or p_grid):
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
+    starts, grid_tables = _grid_tables(args.mode, n_values, values)
     span = f"alpha_sq={args.alpha_sq}" if args.mode == "pure" else f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
     summary = {"rows": 0, "match": 0, "discrepant": 0}
@@ -505,57 +583,55 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             summary[key] += tally[key]
         return table
 
-    tables = map(tallied, _grid_tables(args.mode, n_values, values))
-    # The first block, before any output; a list iterator, unlike a list, lets go
-    # of it once the next block is asked for.
-    tables = itertools.chain(iter([next(tables)]), tables)
-    blocks = map(_sweep_block, tables)
-    return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document), args)
+    half = (len(starts) + 1) // 2 if _forks() else len(starts)
+    rest = map(tallied, grid_tables(starts[half:]))
+    child = _Child(rest, *_row_cells(args.format, SWEEP_CSV_COLUMNS), summary, half < len(starts))
+    try:
+        first = map(tallied, grid_tables(starts[:half]))
+        # The first block, before any output; a list iterator, unlike a list,
+        # lets go of it once the next block is asked for.
+        first = itertools.chain(iter([next(first)]), first)
+        blocks = itertools.chain(map(_sweep_block, first), child.rows())
+        return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document), args)
+    finally:
+        child.close()
 
 
 # ---------------------------------------------------------------- verify
 
 
-def _engine_error(oracle: np.ndarray, table: SweepTable, rows: np.ndarray) -> float:
-    """Largest gap between the enumerated ``oracle``, probabilities and
-    concurrences stacked (2, points, 8), and the engine's ``table`` at
-    ``rows``, one row per point, in order."""
-    if oracle.shape[1] != len(rows):
-        raise NumericalFailure(f"engine check: {len(rows)} rows for {oracle.shape[1]} results")
-    return float(np.abs(np.stack([table.probability[rows], table.oracle[rows]]) - oracle).max())
+def _engine_error(mode: str, n: np.ndarray, value: np.ndarray, probability, concurrence) -> float:
+    """Largest gap between the engine's table at the points (n[i], value[i])
+    and their enumerated branch ``probability`` and ``concurrence``."""
+    table = _table(mode, n, value)
+    gaps = np.stack([table.probability - probability, table.oracle - concurrence])
+    return float(np.abs(gaps).max())
 
 
 def _check(name: str, max_error: float) -> dict:
     return {"name": name, "max_error": max_error, "passed": max_error <= SPOT_CHECK_TOL}
 
 
-def _spot_checks(pure: SweepTable, werner_engine: float) -> list[dict]:
+def _spot_checks(werner_engine: float) -> list[dict]:
     """Concurrence preservation at the state-independent points, and the sweep
     engine against the scalar enumeration: pure here, and Werner as measured
     in ``cmd_verify`` (0 when the Werner checks did not run).
 
-    The pure points, enumerated once, are every grid input at n = 1, in the
-    order the n-major ``pure`` table holds them, and alpha^2 = 1/(sqrt(n) + 1)
-    at n = 4 and 9, the diagonal of their own 2 x 2 sweep.
+    The pure points, every grid input at n = 1 and alpha^2 = 1/(sqrt(n) + 1)
+    at n = 4 and 9, are enumerated once, and the engine evaluated at them.
     """
     points = [(1.0, alpha_sq) for alpha_sq in DEFAULT_ALPHA_SQ_GRID]
     grid = len(points)
     points += [(4.0, 1.0 / 3.0), (9.0, 1.0 / 4.0)]
     n_values, x = np.array(points).T
     probability, _, concurrence = _pure_results(x, n_values)
-    oracle = np.stack([probability, concurrence])
     phi_zero = concurrence[:, BRANCH_ORDER.index((BellOutcome.PHI_PLUS, BobOutcome.ZERO))]
     gaps = np.abs(phi_zero - 2.0 * np.sqrt(x * (1.0 - x))).tolist()  # the input's concurrence
     checks = [_check("n=1 preserves concurrence for every grid input", max(gaps[:grid]))]
     for (n, alpha_sq), gap in zip(points[grid:], gaps[grid:]):
         name = f"n={n:.6g}, alpha_sq={alpha_sq:.6g} preserves concurrence"
         checks.append(_check(name, gap))
-    special = sweep("pure", *zip(*points[grid:]))
-    engine = max(
-        _engine_error(oracle[:, :grid], pure, np.flatnonzero(pure.n == 1.0)),
-        _engine_error(oracle[:, grid:], special, np.array([0, 3])),
-        werner_engine,
-    )
+    engine = max(_engine_error("pure", n_values, x, probability, concurrence), werner_engine)
     checks.append(
         _check("sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)", engine)
     )
@@ -569,13 +645,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     werner_failure: NumericalFailure | None = None
     try:
         werner = sweep("werner")
-        probability, _, _, concurrence = _mixed_results(DEFAULT_P_GRID, 1.0)
-        werner_engine = _engine_error(
-            np.stack([probability, concurrence]), werner, np.flatnonzero(werner.n == 1.0)
-        )
+        p = np.array(DEFAULT_P_GRID)
+        probability, _, _, concurrence = _mixed_results(p, 1.0)
+        werner_engine = _engine_error("werner", np.ones_like(p), p, probability, concurrence)
     except NumericalFailure as exc:
         werner, werner_failure = None, exc
-    spot_checks = _spot_checks(pure, werner_engine)
+    spot_checks = _spot_checks(werner_engine)
     pure_tally = _tally(pure)
     pure_failed = bool(pure_tally["discrepant"]) or not all(c["passed"] for c in spot_checks)
     # A pure-side failure outranks a numerical failure in the werner phase,

@@ -67,6 +67,12 @@ def table_rows(out, columns):
 ENGINE_CHECK = "sweep engine matches the enumeration (pure n=1, 4, 9; werner n=1)"
 
 
+def assert_no_child():
+    """No child process of this one is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def failed_checks(out):
     """The names of the spot checks a verify table's summary marks failed."""
     return re.findall(r"^    - name: (.*)\n      max_error: .*\n      passed: False$", out, re.M)
@@ -379,6 +385,7 @@ class TestSweep:
             ])
         assert code == 0
         assert 1 <= len(calls) <= 2  # of the blocks of a 102,400-point grid
+        assert_no_child()  # the child computing the second half is reaped
 
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_each_block_is_released_once_written(self, monkeypatch, tmp_path, fmt):
@@ -400,6 +407,8 @@ class TestSweep:
         monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
         monkeypatch.setattr(wteleport.analysis, "_table", tracked)
         monkeypatch.setattr(wteleport.cli, "_sweep_block", formatted)
+        # one process computes every block; each process's loop is this one
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
         code = main([
             "sweep", "--mode", "pure", "--n", "0.1:10:5", "--alpha-sq", "0:1:4",
             "--format", fmt, "--output", str(tmp_path / "rows"),
@@ -422,12 +431,96 @@ class TestSweep:
 
         monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
         monkeypatch.setattr(wteleport.analysis, "_table", tracked)
+        # one process computes every block; each process's loop is this one
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
         code = main([
             "sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:5",
             "--format", fmt, "--output", str(tmp_path / "rows"),
         ])
         assert code == 0
         assert alive == [0, 0, 0, 0]  # 15 points in blocks of 4
+
+    @pytest.mark.parametrize(
+        "n_spec, failing_block",
+        # 100 points in 15 blocks of 7: this process computes blocks 0-7, the
+        # child 8-14; 2 + 2n overflows from n = 8.99e307 on
+        [("8e307:1.7e308:100", 1), ("1:1e308:100", 12)],
+        ids=["first-half", "second-half"],
+    )
+    def test_numerical_failure_writes_the_serial_bytes(
+        self, capsys, monkeypatch, n_spec, failing_block
+    ):
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        argv = ("sweep", "--mode", "pure", "--n", n_spec, "--alpha-sq", "0.5", "--format", "csv")
+        runs = []
+        for forks in (False, True):
+            monkeypatch.setattr(wteleport.cli, "_forks", lambda forks=forks: forks)
+            runs.append(run_cli(capsys, *argv))
+            assert_no_child()
+        assert runs[1] == runs[0]
+        code, out, err = runs[1]
+        assert code == 3
+        assert err.startswith("numerical failure:")
+        rows = out.splitlines()[2:]  # after the comment and the header
+        assert len(rows) == failing_block * 7 * 8
+
+    def test_first_block_failure_with_a_child_writes_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        code, out, err = run_cli(
+            capsys, "sweep", "--mode", "pure", "--n", "1e308:1.7e308:100", "--alpha-sq", "0.5",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical failure:")
+        assert_no_child()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_no_child_is_left(self, capsys, monkeypatch, tmp_path, fmt):
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        argv = ("sweep", "--mode", "werner", "--n", "0.1:10:2", "--p", "0:1:512", "--format", fmt)
+        assert run_cli(capsys, *argv, "--output", str(tmp_path / "rows"))[0] == 0
+        assert_no_child()
+        code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path))  # a directory
+        assert code == 2
+        assert err.startswith("error: cannot write --output")
+        assert_no_child()
+
+    def test_interrupt_reaps_the_child(self, monkeypatch, tmp_path):
+        # this process is interrupted while it formats its second block; the
+        # child, still computing its half, is killed and reaped
+        parent, sweep_block = os.getpid(), wteleport.cli._sweep_block
+        formatted = []
+
+        def interrupted(table):
+            if os.getpid() == parent and formatted:
+                raise KeyboardInterrupt
+            formatted.append(table)
+            return sweep_block(table)
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        monkeypatch.setattr(wteleport.cli, "_sweep_block", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main([
+                "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:100",
+                "--output", str(tmp_path / "rows"),
+            ])
+        assert_no_child()
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_fork_raises_no_warning(self, monkeypatch, tmp_path, action):
+        # Python 3.12 and later warn when a process with threads, here
+        # OpenBLAS's, forks; the sweep must not.  3.12.1 does not raise that
+        # warning as an error, so it is also recorded
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            code = main([
+                "sweep", "--mode", "pure", "--n", "0.1:10:2", "--alpha-sq", "0:1:512",
+                "--output", str(tmp_path / "rows"),
+            ])
+        assert (code, caught) == (0, [])
+        assert_no_child()
 
     @pytest.mark.skipif(
         not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only"
@@ -656,16 +749,6 @@ class TestVerify:
         checks = json.loads(out)["summary"]["spot_checks"]
         assert [c["passed"] for c in checks] == [True, True, True, False]
 
-    @pytest.mark.parametrize("grid", ["DEFAULT_ALPHA_SQ_GRID", "DEFAULT_P_GRID"])
-    def test_engine_check_needs_a_row_per_enumerated_point(self, capsys, monkeypatch, grid):
-        # one point fewer enumerated than the table holds at n = 1 must not
-        # be compared as far as it goes
-        monkeypatch.setattr(wteleport.cli, grid, getattr(wteleport.cli, grid)[:-1])
-        code, out, err = run_cli(capsys, "verify")
-        assert (code, out) == (3, "")
-        count = len(getattr(wteleport.cli, grid)) + 1
-        assert err == f"numerical failure: engine check: {count} rows for {count - 1} results\n"
-
     @staticmethod
     def _failing_werner_engine(p, n):
         raise NumericalFailure("werner engine failed")
@@ -771,14 +854,14 @@ GOLDEN_COMMANDS = {
 
 
 def record_rows(monkeypatch) -> list:
-    """Record, for each block ``cli._rows`` renders, the strings it yields and
-    the ``end`` that closes each row."""
+    """Record, for each block ``cli._rows`` renders, the strings it yields, the
+    block, its cells and the ``end`` that closes each row."""
     rows = wteleport.cli._rows
     blocks = []
 
     def recorded(block, cells, end):
         strings = []
-        blocks.append((strings, end))
+        blocks.append((strings, block, cells, end))
         for chunk in rows(block, cells, end):
             strings.append(chunk)
             yield chunk
@@ -787,18 +870,31 @@ def record_rows(monkeypatch) -> list:
     return blocks
 
 
+def widest_row(block, cells, end) -> int:
+    """The sum of each column's longest cell, a label column's over all its
+    names, and ``len(end)``: no row of the block is wider."""
+    width = len(end)
+    for name, text, head in cells:
+        column = block[name]
+        if isinstance(column, _Labels):
+            column = _Labels(column.names, np.arange(len(column.names)))
+        width += max(map(len, np.atleast_1d(_cells(column, text, head))))
+    return width
+
+
 def assert_strings_of_whole_rows(blocks: list, join_bytes: int) -> None:
     """Every string holds whole rows, and all but a block's last hold exactly
-    ``max(1, join_bytes // width)``, ``width`` the block's first row."""
+    ``max(1, join_bytes // widest_row(...))``; so a string is longer than
+    ``join_bytes`` only if it holds a single row."""
     assert blocks
-    for strings, end in blocks:
+    for strings, block, cells, end in blocks:
         # every row, and nothing else, ends in end
         assert all(chunk.endswith(end) for chunk in strings)
-        width = strings[0].index(end) + len(end)
-        step = max(1, join_bytes // width)
+        step = max(1, join_bytes // widest_row(block, cells, end))
         counts = [chunk.count(end) for chunk in strings]
         assert counts[:-1] == [step] * (len(counts) - 1)
         assert 1 <= counts[-1] <= step
+        assert all(len(chunk) <= join_bytes for chunk, count in zip(strings, counts) if count > 1)
 
 
 class TestOutput:
@@ -885,6 +981,40 @@ class TestOutput:
         assert sum(sizes) == (tmp_path / "rows").stat().st_size
         assert max(sizes) <= 128 * 1024
         assert_strings_of_whole_rows(blocks, wteleport.cli._JOIN_BYTES)
+
+    def test_no_string_exceeds_the_join_budget(self, monkeypatch, tmp_path):
+        # each block of this grid opens with its shortest row (p = 0), 53 of
+        # up to 147 bytes; strings sized by it reached 126,678 bytes
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)  # every block rendered here
+        blocks = record_rows(monkeypatch)
+        code = main([
+            "sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", "csv",
+            "--output", str(tmp_path / "rows"),
+        ])
+        assert code == 0
+        assert len(blocks) == 10
+        longest = max(len(chunk) for strings, *_ in blocks for chunk in strings)
+        assert longest <= wteleport.cli._JOIN_BYTES
+
+    @pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("block_points", [7, 512])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
+    def test_golden_with_and_without_a_child(
+        self, capsys, monkeypatch, tmp_path, name, fmt, block_points, forks
+    ):
+        # at 7 points a block, a forked child renders the later 1 of the 2
+        # blocks of sweep-werner and 1 of the 3 of sweep-pure
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: forks)
+        golden = (GOLDEN / f"{name}.{fmt}").read_bytes()
+        assert run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt) == (0, golden.decode(), "")
+        path = tmp_path / "report"
+        argv = (*GOLDEN_COMMANDS[name], "--format", fmt, "--output", str(path))
+        assert run_cli(capsys, *argv) == (0, "", "")
+        assert path.read_bytes() == golden
+        assert_no_child()
 
     @pytest.mark.parametrize("name", [*GOLDEN_COMMANDS, "roots"])
     def test_table_rows_are_the_csv_rows(self, capsys, name):

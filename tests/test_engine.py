@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import wteleport.analysis
+import wteleport.cli
 import wteleport.protocol
 from wteleport import (
     BellOutcome,
@@ -440,6 +441,8 @@ def test_sweep_streams_blocks_of_at_most_block_points(
     key = "--alpha-sq" if mode == "pure" else "--p"
     expected = _whole_grid_outputs(mode, n_spec, value_spec)
     monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+    # one process computes every block, so every call is counted here
+    monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
     table = wteleport.analysis._table
     for fmt, text in expected.items():
         calls = []
@@ -474,6 +477,28 @@ def test_sweep_output_does_not_depend_on_the_block_size(
     expected = _whole_grid_outputs(mode, n_spec, value_spec)
     monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
     monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+    for fmt, text in expected.items():
+        code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
+        assert code == 0
+        assert capsys.readouterr().out == text, fmt
+
+
+@pytest.mark.parametrize(
+    "mode, n_spec, value_spec",
+    [("pure", "0.1:10:7", "0:1:150"), ("werner", "0.1:10:9", "0:1:130")],
+)
+@pytest.mark.parametrize("block_points", [7, 512])
+@pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+def test_sweep_output_does_not_depend_on_the_fork(
+    monkeypatch, capsys, mode, n_spec, value_spec, block_points, forks
+):
+    # the grids of the block-size test; a forked child renders the later
+    # half of their blocks: 75 of 150 or 84 of 168 at 7 points, 1 of 3 at 512
+    key = "--alpha-sq" if mode == "pure" else "--p"
+    expected = _whole_grid_outputs(mode, n_spec, value_spec)
+    monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+    monkeypatch.setattr(wteleport.cli, "_forks", lambda: forks)
     for fmt, text in expected.items():
         code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
         assert code == 0
