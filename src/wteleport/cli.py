@@ -44,11 +44,9 @@ from .protocol import (
     BellOutcome,
     BobOutcome,
     _mixed_results,
-    _protocol_result,
     _pure_results,
-    run_protocol_mixed,
 )
-from .states import DensityMatrix, InvalidBasis, InvalidInput, NumericalFailure, StateVector, _Frozen
+from .states import InvalidBasis, InvalidInput, NumericalFailure, _Frozen
 
 SWEEP_CSV_COLUMNS = (
     "mode",
@@ -82,14 +80,14 @@ def _full(x: float) -> str:
 
 
 class _PostState(_Frozen):
-    """A run row's post-state cell: its amplitudes, or its density-matrix
-    entries row-major, each formatted by the cell's format spec and joined by
-    spaces (so complex reprs in CSV); ``[re, im]`` pairs in JSON."""
+    """A run row's post-state cell, from its row of the oracle's arrays: its
+    amplitudes (4,), or its density-matrix entries (4, 4) row-major, each
+    formatted by the cell's format spec and joined by spaces (so complex reprs
+    in CSV); ``[re, im]`` pairs in JSON."""
 
     __slots__ = ("values", "pairs")
 
-    def __init__(self, post: StateVector | DensityMatrix) -> None:
-        values = post.amplitudes if isinstance(post, StateVector) else post.entries
+    def __init__(self, values: np.ndarray) -> None:
         pairs = np.stack([values.real, values.imag], axis=-1).tolist()
         self._set(values=tuple(values.reshape(-1).tolist()), pairs=pairs)
 
@@ -215,11 +213,6 @@ def _texts(column: np.ndarray | _Labels | None, text: Callable[[object], str], h
     return np.array([head + text(v) for v in values], dtype=object), inverse.reshape(-1)
 
 
-def _cells(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
-    """Each value's text of ``_texts``; an absent column's is one string."""
-    return np.take(*_texts(column, text, head))
-
-
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
 # glibc's default mmap threshold (128 KiB), so each string and its UTF-8 copy
 # come from the heap, not from mappings of their own.
@@ -227,7 +220,7 @@ _JOIN_BYTES = 65536
 
 
 def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
-    """The block's rows as text: the ``_cells(block[name], text, head)`` of
+    """The block's rows as text: the ``_texts(block[name], text, head)`` of
     each ``(name, text, head)`` side by side, each row closed by ``end``.
 
     The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
@@ -405,17 +398,25 @@ _BOB_CODES = np.array([_BOBS.index(bob.value) for _, bob in BRANCH_ORDER])
 _VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 
-def _sweep_block(table: SweepTable) -> Block:
-    """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep order."""
-    branches = len(BRANCH_ORDER)
-    count = len(table.n)
+def _branch_rows(mode: str, n: np.ndarray, alpha_sq: np.ndarray | None, p: np.ndarray | None):
+    """The ``mode``, ``n``, ``alpha_sq``, ``p``, ``bell`` and ``bob`` columns of
+    the points (n[i], alpha_sq[i] or p[i]), 8 rows per point in ``BRANCH_ORDER``;
+    the parameter ``mode`` does not take is None, an absent column."""
+    branches, count = len(BRANCH_ORDER), len(n)
     return {
-        "mode": _Labels((table.mode,), np.zeros(count * branches, dtype=np.intp)),
-        "n": table.n.repeat(branches),
-        "alpha_sq": None if table.alpha_sq is None else table.alpha_sq.repeat(branches),
-        "p": None if table.p is None else table.p.repeat(branches),
+        "mode": _Labels((mode,), np.zeros(count * branches, dtype=np.intp)),
+        "n": n.repeat(branches),
+        "alpha_sq": None if alpha_sq is None else alpha_sq.repeat(branches),
+        "p": None if p is None else p.repeat(branches),
         "bell": _Labels(_BELLS, np.tile(_BELL_CODES, count)),
         "bob": _Labels(_BOBS, np.tile(_BOB_CODES, count)),
+    }
+
+
+def _sweep_block(table: SweepTable) -> Block:
+    """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep order."""
+    return {
+        **_branch_rows(table.mode, table.n, table.alpha_sq, table.p),
         "probability": table.probability.ravel(),
         "oracle_concurrence": table.oracle.ravel(),
         "formula_concurrence": table.formula.ravel(),
@@ -451,6 +452,8 @@ def _tally(table: SweepTable | None) -> dict:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    """The eight branches of one point, read from the oracle's arrays as
+    ``verify`` reads them; every format writes the parsed parameters."""
     (n_values, n_grid) = _parse_values(args.n, "--n")
     values, p_grid = _mode_parameter(args, len(n_values))
     if n_grid or p_grid:
@@ -459,32 +462,23 @@ def cmd_run(args: argparse.Namespace) -> int:
     value = float(values[0])
 
     if args.mode == "pure":
-        result = _protocol_result(n, *(a[0] for a in _pure_results(value, n)))
-        alpha_sq, p = value, None
-        comment = f"wteleport run mode=pure n={_full(n)} alpha_sq={_full(value)}"
+        probability, post, concurrence = (a[0] for a in _pure_results(value, n))
+        alpha_sq, p, name = values, None, "alpha_sq"
     else:
-        result = run_protocol_mixed(value, n)
-        alpha_sq, p = None, value
-        comment = f"wteleport run mode=werner n={_full(n)} p={_full(value)}"
-    # Every format writes the parsed parameter, never one recomputed from the result.
-    branches = result.branches  # in BRANCH_ORDER
+        probability, _, post, concurrence = (a[0] for a in _mixed_results(values, n))
+        alpha_sq, p, name = None, values, "p"
     rows = {
-        "mode": _Labels((args.mode,), np.zeros(len(branches), dtype=np.intp)),
-        "n": np.full(len(branches), n),
-        "alpha_sq": None if alpha_sq is None else np.full(len(branches), alpha_sq),
-        "p": None if p is None else np.full(len(branches), p),
-        "bell": _Labels(_BELLS, _BELL_CODES),
-        "bob": _Labels(_BOBS, _BOB_CODES),
-        "probability": np.array([b.probability for b in branches], dtype=float),
-        "concurrence": np.array([b.concurrence for b in branches], dtype=float),
-        "post_state": _Labels(
-            tuple(_PostState(b.post_state) for b in branches), np.arange(len(branches))
-        ),
+        **_branch_rows(args.mode, n_values, alpha_sq, p),
+        "probability": probability,
+        "concurrence": concurrence,
+        "post_state": _Labels(tuple(map(_PostState, post)), np.arange(len(post))),
     }
+    comment = f"wteleport run mode={args.mode} n={_full(n)} {name}={_full(value)}"
+    point = {"alpha_sq": None, "p": None, name: value}
     document = {
-        "config": _config_dict(args, mode=args.mode, n=n, alpha_sq=alpha_sq, p=p),
+        "config": _config_dict(args, mode=args.mode, n=n, **point),
         "rows": None,
-        "summary": {"total_probability": result.total_probability},
+        "summary": {"total_probability": float(sum(probability))},
     }
     return _write(Report(comment, RUN_COLUMNS, [rows], document), args)
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .states import NORM_TOL, DensityMatrix, InvalidInput, NumericalFailure, StateVector
+from .states import (
+    NORM_TOL, DensityMatrix, InvalidInput, NumericalFailure, StateVector, _check_unit_norms
+)
 
 # |11><00| - |01><10| - |10><01| + |00><11| in the computational basis.
 SIGMA_YY = np.array(
@@ -49,10 +51,7 @@ def concurrence_pure(state: StateVector) -> float:
 
 def concurrence_pure_batch(amplitudes: np.ndarray) -> np.ndarray:
     """Spin-flip overlaps of a stack of normalized two-qubit states, shape (k, 4)."""
-    norms = np.linalg.norm(amplitudes, axis=-1)
-    off = ~(np.abs(norms - 1.0) <= NORM_TOL)  # NaN fails too
-    if off.any():
-        raise InvalidInput(f"state must be normalized, norm is {norms[off][0]}")
+    _check_unit_norms(amplitudes)
     flipped = amplitudes.conj() @ SIGMA_YY.T
     value = np.abs(np.sum(amplitudes.conj() * flipped, axis=-1))
     return _clip_to_unit(value)

@@ -87,7 +87,6 @@ class Branch(NamedTuple):
 class ProtocolResult(NamedTuple):
     """All eight branches for one (input, channel) parameter point."""
 
-    channel_n: float
     branches: tuple[Branch, ...]
     total_probability: float
 
@@ -223,7 +222,7 @@ def _enumerate(pairs: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return probability, post
 
 
-def _protocol_result(n, probability, post, concurrence, weighted=(None,) * 8):
+def _protocol_result(probability, post, concurrence, weighted=(None,) * 8):
     """One point's ``ProtocolResult`` from its rows of the enumeration's arrays;
     each post-state is validated as a ``StateVector``, or a ``DensityMatrix``
     for 4x4 rows."""
@@ -232,7 +231,7 @@ def _protocol_result(n, probability, post, concurrence, weighted=(None,) * 8):
     branches = tuple(
         Branch(bell, bob, q, kind(OUTPUT_LABELS, v), c, m) for (bell, bob), q, v, c, m in rows
     )
-    return ProtocolResult(n, branches, float(sum(probability)))
+    return ProtocolResult(branches, float(sum(probability)))
 
 
 def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
@@ -243,7 +242,7 @@ def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
     This is ``_pure_results`` at one point, alpha^2 = alpha * alpha.
     """
     alpha, n = _check_alpha(alpha), _check_n(n)
-    return _protocol_result(n, *(a[0] for a in _pure_results(alpha * alpha, n)))
+    return _protocol_result(*(a[0] for a in _pure_results(alpha * alpha, n)))
 
 
 def _pure_results(alpha_sq, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -396,7 +395,7 @@ def run_protocol_mixed(p: float, n: float) -> ProtocolResult:
     """
     p, n = _check_p(p), _check_n(n)
     probability, weighted, post, concurrence = (a[0] for a in _mixed_results((p,), n))
-    return _protocol_result(n, probability, post, concurrence, weighted)
+    return _protocol_result(probability, post, concurrence, weighted)
 
 
 def _mixed_results(p_values, n: float) -> tuple[np.ndarray, ...]:

@@ -268,6 +268,15 @@ def _check_probability_sums(totals, noun: str) -> None:
         raise NumericalFailure(f"{noun} probabilities sum to {float(totals[off][0])}, expected 1")
 
 
+def _check_unit_norms(amplitudes: np.ndarray) -> None:
+    """``InvalidInput`` naming the first norm of a row of ``amplitudes`` that
+    is not 1 within ``NORM_TOL``; NaN fails too."""
+    norms = np.linalg.norm(amplitudes, axis=-1)
+    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
+    if off.any():
+        raise InvalidInput(f"state must be normalized, norm is {norms[off][0]}")
+
+
 def measure(
     state: StateVector,
     targets: Iterable[int],
@@ -301,10 +310,7 @@ def _measure_stack(
     not sum to 1 within ``PROBABILITY_SUM_TOL``, or sum to NaN, raise
     ``NumericalFailure``.
     """
-    norms = np.linalg.norm(amplitudes, axis=-1)
-    off = ~(np.abs(norms - 1.0) <= NORM_TOL)
-    if off.any():
-        raise InvalidInput(f"state must be normalized, norm is {norms[off][0]}")
+    _check_unit_norms(amplitudes)
     missing = [t for t in targets if t not in labels]
     if missing:
         raise InvalidInput(f"targets {missing} not in register {labels}")

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 import weakref
 from pathlib import Path
@@ -28,19 +29,21 @@ from wteleport import (
     StateVector,
     computational_basis,
     quartic,
+    run_protocol_mixed,
+    run_protocol_pure,
     sweep,
 )
 from wteleport.cli import (
     RUN_COLUMNS,
     SWEEP_CSV_COLUMNS,
     Report,
-    _cells,
     _csv_chunks,
     _csv_text,
     _json_text,
     _Labels,
     _parse_values,
     _sweep_block,
+    _texts,
     main,
 )
 from wteleport.protocol import BRANCH_ORDER
@@ -162,6 +165,39 @@ class TestRun:
         _, out, _ = run_cli(capsys, *args, "--format", "csv")
         rows = csv.DictReader(io.StringIO(out.split("\n", 1)[1]))
         assert {row["alpha_sq"] for row in rows} == {alpha_sq}
+
+    @pytest.mark.parametrize("n", ["1", "2", "8.9e307"])
+    @pytest.mark.parametrize(
+        "mode, value",
+        [("werner", v) for v in ("0", "0.2", "0.8", "1")]
+        + [("pure", v) for v in ("0", "0.25", "0.5625", "1")],
+    )
+    def test_rows_are_the_library_run(self, capsys, mode, n, value):
+        # run reads the oracle's arrays; the library wraps the same arrays in
+        # a ProtocolResult, so every cell must keep its bits.  Each pure
+        # alpha^2 here is the square of its square root, so the library call
+        # at alpha = sqrt(alpha^2) evaluates the same point
+        if mode == "pure":
+            alpha = np.sqrt(float(value))
+            assert alpha * alpha == float(value)
+            result = run_protocol_pure(alpha, float(n))
+            name = "--alpha-sq"
+        else:
+            result = run_protocol_mixed(float(value), float(n))
+            name = "--p"
+        code, out, _ = run_cli(
+            capsys, "run", "--mode", mode, "--n", n, name, value, "--format", "csv"
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.split("\n", 1)[1])))
+        assert len(rows) == len(result.branches)
+        for row, branch in zip(rows, result.branches):
+            post = branch.post_state
+            values = post.amplitudes if mode == "pure" else post.entries.ravel()
+            assert (row["bell"], row["bob"]) == (branch.bell.value, branch.bob.value)
+            assert row["probability"] == repr(branch.probability)
+            assert row["concurrence"] == repr(branch.concurrence)
+            assert row["post_state"] == " ".join(map(str, values.tolist()))
 
 
 class TestSweep:
@@ -483,6 +519,51 @@ class TestSweep:
         code, _, err = run_cli(capsys, *argv, "--output", str(tmp_path))  # a directory
         assert code == 2
         assert err.startswith("error: cannot write --output")
+        assert_no_child()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("failure", ["fork", "temporary-file", "full-disk"])
+    def test_failed_child_falls_back_to_the_serial_bytes(self, capsys, monkeypatch, fmt, failure):
+        # the fork, the child's temporary file or the child's writes to it
+        # fail; this process then computes the child's blocks itself
+        calls = []
+        table = wteleport.analysis._table
+        temporary_file = tempfile.TemporaryFile
+
+        def counted(*args):
+            calls.append(args)
+            return table(*args)
+
+        def fails(*args, **kwargs):
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        class FullDisk:
+            """A temporary file whose writes fail after the first."""
+
+            def __init__(self, *args, **kwargs):
+                self.file = temporary_file(*args, **kwargs)
+
+            def writelines(self, lines):
+                self.file.write(next(iter(lines)))
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        argv = ("sweep", "--mode", "pure", "--n", "0.1:10:10", "--alpha-sq", "0:1:10")
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
+        serial = run_cli(capsys, *argv, "--format", fmt)
+        assert serial[0] == 0
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        monkeypatch.setattr(wteleport.analysis, "_table", counted)
+        if failure == "fork":
+            monkeypatch.setattr(os, "fork", fails)
+        else:
+            opened = fails if failure == "temporary-file" else FullDisk
+            monkeypatch.setattr(tempfile, "TemporaryFile", opened)
+        assert run_cli(capsys, *argv, "--format", fmt) == serial
+        assert len(calls) == 15  # every block of 100 points in blocks of 7 computed here
         assert_no_child()
 
     def test_interrupt_reaps_the_child(self, monkeypatch, tmp_path):
@@ -875,10 +956,7 @@ def widest_row(block, cells, end) -> int:
     names, and ``len(end)``: no row of the block is wider."""
     width = len(end)
     for name, text, head in cells:
-        column = block[name]
-        if isinstance(column, _Labels):
-            column = _Labels(column.names, np.arange(len(column.names)))
-        width += max(map(len, np.atleast_1d(_cells(column, text, head))))
+        width += max(map(len, _texts(block[name], text, head)[0]))
     return width
 
 
@@ -1030,13 +1108,17 @@ class TestOutput:
     def test_cells_are_repr_and_json_dumps(self):
         # np.unique merges -0.0 with 0.0 on float keys; the cells key on bits
         values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 0.1 + 0.2, 1 / 3, -0.0]
+
+        def cells(column, text, head=""):
+            return np.take(*_texts(column, text, head))
+
         column = np.array(values)
-        assert _cells(column, _csv_text).tolist() == [repr(v) for v in values]
-        assert _cells(column, _json_text).tolist() == [json.dumps(v) for v in values]
+        assert cells(column, _csv_text).tolist() == [repr(v) for v in values]
+        assert cells(column, _json_text).tolist() == [json.dumps(v) for v in values]
         labels = _Labels(("Zero", "One"), np.array([0, 1, 0]))
-        assert _cells(labels, _csv_text).tolist() == ["Zero", "One", "Zero"]
-        assert _cells(labels, _json_text).tolist() == ['"Zero"', '"One"', '"Zero"']
-        assert (_cells(None, _csv_text, ","), _cells(None, _json_text)) == (",", "null")
+        assert cells(labels, _csv_text).tolist() == ["Zero", "One", "Zero"]
+        assert cells(labels, _json_text).tolist() == ['"Zero"', '"One"', '"Zero"']
+        assert (cells(None, _csv_text, ","), cells(None, _json_text)) == (",", "null")
 
     @pytest.mark.parametrize(
         "argv, target",

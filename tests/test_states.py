@@ -18,7 +18,8 @@ from wteleport import (
     tensor,
     w_state,
 )
-from wteleport.states import _measure_stack
+from wteleport.concurrence import concurrence_pure_batch
+from wteleport.states import _check_unit_norms, _measure_stack
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -224,6 +225,18 @@ class TestMeasure:
         state = StateVector((1,), np.array([0.5, 0.0]))
         with pytest.raises(InvalidInput):
             measure(state, (1,), computational_basis((1,)))
+
+    @pytest.mark.parametrize("norm", [0.5, np.nan])
+    def test_both_kernels_reject_a_norm_off_one(self, norm):
+        # one check serves the projection kernel and the pure concurrence
+        # kernel; a NaN norm must fail it, not pass `abs(norm - 1) > tol`
+        stack = np.array([[1.0, 0.0, 0.0, 0.0], [norm, 0.0, 0.0, 0.0]], dtype=complex)
+        message = f"state must be normalized, norm is {norm}"
+        with pytest.raises(InvalidInput, match=message):
+            _measure_stack(stack, (1, 2), (1,), computational_basis((1,)))
+        with pytest.raises(InvalidInput, match=message):
+            concurrence_pure_batch(stack)
+        _check_unit_norms(stack[:1])  # a unit row passes
 
     def test_nan_probability_is_a_numerical_failure(self):
         # a NaN sum passes `abs(total - 1) > tol`, so the check must fail NaN
