@@ -122,10 +122,12 @@ def _bob_zero_form(x, y, n):
 
     The printed denominator (n-1) alpha^2 + 1 equals n x + y but cancels when
     n is small and alpha^2 near 1; n x + y is positive for every n > 0.
-    Where n x y underflows (tiny n and x) the root is sqrt(n x) sqrt(y), not 0.
+    Where n x y underflows (tiny n and x) the root is sqrt(n x) sqrt(y), not 0,
+    and sqrt(y) is divided by n x + y first, so that no factor underflows.
     """
     split = n * x * y < ZERO_PROBABILITY_CUTOFF
-    return 2.0 * np.where(split, np.sqrt(n * x) * np.sqrt(y), np.sqrt(n * x * y)) / (n * x + y)
+    d = n * x + y
+    return np.where(split, 2.0 * np.sqrt(n * x) * (np.sqrt(y) / d), 2.0 * np.sqrt(n * x * y) / d)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

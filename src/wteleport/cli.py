@@ -22,7 +22,7 @@ import os
 import sys
 import warnings
 from math import isfinite
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,9 +93,6 @@ class _PostState(_Frozen):
 
     def __format__(self, spec: str) -> str:
         return " ".join(format(value, spec) for value in self.values)
-
-    def __str__(self) -> str:
-        return format(self, "")
 
 
 def _parse_values(text: str, name: str, points: int = 1) -> tuple[np.ndarray, bool]:
@@ -196,21 +193,28 @@ class Report(NamedTuple):
     exit_code: int = 0
 
 
-def _texts(column: np.ndarray | _Labels | None, text: Callable[[object], str], head: str = ""):
-    """The texts ``head + text(value)`` of a 1-D column, one per distinct value
-    or ``_Labels`` name, in an object array, and each value's index into it
-    (0 for an absent column, whose one text is ``head + text(None)``).
+def _texts(column: np.ndarray | _Labels | None, cell: tuple):
+    """The texts of a 1-D column by ``cell`` (see ``_row_cells``), one per
+    distinct float or ``_Labels`` name, in an object array, and each value's
+    index into it.  A float's text is ``head + format(value, spec)``, by
+    ``repr`` when ``spec`` is empty (the same text, and the faster call); a
+    name's is ``head + label(name)``, or formatted as a float's when ``label``
+    is None; an absent column's one text (index 0) is ``head + absent``.
 
     Floats are keyed on their bits, so -0.0 and 0.0 stay apart, and flattened
     first: the shape of ``np.unique``'s inverse differs between numpy releases.
     """
+    _, head, spec, absent, label = cell
     if column is None:
-        return np.array([head + text(None)], dtype=object), 0
+        return np.array([head + absent], dtype=object), 0
     if isinstance(column, _Labels):
-        return np.array([head + text(name) for name in column.names], dtype=object), column.codes
-    distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
-    values = distinct.view(np.float64).tolist()
-    return np.array([head + text(v) for v in values], dtype=object), inverse.reshape(-1)
+        values, index = column.names, column.codes
+        texts = map(label, values) if label else map(format, values, itertools.repeat(spec))
+    else:
+        distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
+        values, index = distinct.view(np.float64).tolist(), inverse.reshape(-1)
+        texts = map(format, values, itertools.repeat(spec)) if spec else map(repr, values)
+    return np.array(list(map(head.__add__, texts)), dtype=object), index
 
 
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
@@ -220,8 +224,8 @@ _JOIN_BYTES = 65536
 
 
 def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
-    """The block's rows as text: the ``_texts(block[name], text, head)`` of
-    each ``(name, text, head)`` side by side, each row closed by ``end``.
+    """The block's rows as text: the ``_texts(block[name], cell)`` of each
+    ``cell``, ``name`` its first entry, side by side, each row closed by ``end``.
 
     The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
     column.  The grid is joined and yielded ``max(1, _JOIN_BYTES // width)``
@@ -231,8 +235,8 @@ def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
     count = next(len(column) for column in block.values() if column is not None)
     grid = np.empty((count, len(cells) + 1), dtype=object)
     width = len(end)
-    for j, (name, text, head) in enumerate(cells):
-        texts, index = _texts(block[name], text, head)
+    for j, cell in enumerate(cells):
+        texts, index = _texts(block[cell[0]], cell)
         grid[:, j] = texts[index]
         width += max(map(len, texts))
     grid[:, -1] = end
@@ -248,21 +252,6 @@ def _block_rows(blocks: Iterable[Block | str], cells: Sequence[tuple], end: str)
     return itertools.chain.from_iterable(
         map(lambda block: (block,) if isinstance(block, str) else _rows(block, cells, end), blocks)
     )
-
-
-def _csv_text(value) -> str:
-    """A CSV field: a float by repr (its ``str``), a label as it is, nothing when absent."""
-    return "" if value is None else str(value)
-
-
-def _json_text(value) -> str:
-    """A JSON value nested in a row: a float by repr, anything else by ``json.dumps``.
-
-    Rows hold finite floats only, whose repr is what ``json.dumps`` writes.
-    """
-    if isinstance(value, float):
-        return repr(value)
-    return json.dumps(value, indent=2, default=lambda cell: cell.pairs).replace("\n", "\n      ")
 
 
 def _csv_chunks(report: Report) -> Iterator[str]:
@@ -293,12 +282,13 @@ def _json_chunks(report: Report) -> Iterator[str]:
     yield "\n}\n"
 
 
-def _table_text(align: str, spec: str) -> Callable[[object], str]:
-    """A table cell: the value formatted by ``spec``, or "-" when absent, aligned by ``align``."""
-    return lambda value: format("-" if value is None else format(value, spec), align)
+def _json_label(name) -> str:
+    """A JSON label nested in a row, a post-state as its ``[re, im]`` pairs."""
+    return json.dumps(name, indent=2, default=lambda cell: cell.pairs).replace("\n", "\n      ")
 
 
-# (title, alignment, format spec) of each column a table can hold.
+# (title, alignment, format spec) of each column a table can hold.  A post-state
+# formats each entry by the whole spec, so its column takes no alignment.
 _TABLE_COLUMNS = {
     "mode": ("mode", "<6", ""),
     "n": ("n", ">8", ".6g"),
@@ -319,15 +309,23 @@ _TABLE_COLUMNS = {
 
 
 def _row_cells(fmt: str, columns: Sequence[str]) -> tuple[list, str]:
-    """The ``cells`` and ``end`` (see ``_rows``) of format ``fmt``'s rows of ``columns``."""
-    if fmt == "csv":
-        return [(name, _csv_text, "," if j else "") for j, name in enumerate(columns)], "\n"
+    """The ``cells`` and ``end`` (see ``_rows``) of format ``fmt``'s rows of
+    ``columns``: per column a cell ``(name, head, spec, absent, label)``, the
+    data of ``_texts``' one rule.  CSV and JSON write a float by ``repr``, what
+    ``str`` and ``json.dumps`` write for the finite floats rows hold.  A table's
+    ``spec`` is a ``_TABLE_COLUMNS`` alignment and format spec in one."""
     if fmt == "json":
         heads = [f",\n      {json.dumps(name)}: " for name in columns]
         heads[0] = ",\n    {" + heads[0][1:]
-        return list(zip(columns, itertools.repeat(_json_text), heads)), "\n    }"
-    texts = [_table_text(*_TABLE_COLUMNS[name][1:]) for name in columns]
-    return [(name, texts[j], " " if j else "") for j, name in enumerate(columns)], "\n"
+        cells = [(name, head, "", "null", _json_label) for name, head in zip(columns, heads)]
+        return cells, "\n    }"
+    if fmt == "csv":
+        return [(name, "," if j else "", "", "", None) for j, name in enumerate(columns)], "\n"
+    cells = []
+    for j, name in enumerate(columns):
+        _, align, spec = _TABLE_COLUMNS[name]
+        cells.append((name, " " if j else "", align + spec, format("-", align), None))
+    return cells, "\n"
 
 
 def _summary_lines(document: dict, indent: str = "") -> Iterator[str]:
@@ -368,17 +366,16 @@ _WRITERS = {"csv": _csv_chunks, "json": _json_chunks, "table": _table_chunks}
 def _write(report: Report, args: argparse.Namespace) -> int:
     """Render the report in ``args.format`` to ``args.output`` or stdout."""
     chunks = _WRITERS[args.format](report)
-    if args.output is not None:
-        try:
+    try:
+        if args.output is None:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        else:
             with open(args.output, "w", encoding="utf-8", newline="") as handle:
                 handle.writelines(chunks)
-        except OSError as exc:
-            raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
-        return report.exit_code
-    try:
-        sys.stdout.writelines(chunks)
-        sys.stdout.flush()
     except OSError as exc:
+        if args.output is not None:
+            raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
         # Point stdout at devnull so the interpreter's final flush of what is
         # still buffered cannot fail again.  A reader that has gone, as with
         # `| head`, ends the run quietly; any other failure is like --output's.

@@ -351,26 +351,30 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     long as no action has two non-zero entries in a row or column, or
     ``NumericalFailure`` is raised.  Its six entries are formed straight from
     A's and rho's; its trace, the branch weight, times f(n)^2 / 2 is the branch
-    probability.  A branch whose weight is not a normal double is dead, with
-    concurrence 0; a live one stays live where its probability underflows.
-    ``concurrence_x_batch`` validates each live post-state A rho A' / weight
-    and gives its concurrence in closed form, leaving the spin-flip and
-    Wootters formulas to the scalar oracle.
+    probability.  A branch whose weight is subnormal but not 0 is formed again
+    with its action scaled by 2**40: its entries and weight scale by 2**80,
+    exactly but for underflow, which makes even 2**-1074 normal; its
+    post-state stays, and its weight is scaled back before it becomes the
+    probability.  A branch whose weight is still not a normal double, which
+    leaves 0, is dead, with concurrence 0; a live one stays live where its
+    probability underflows.  ``concurrence_x_batch`` validates each live
+    post-state A rho A' / weight and gives its concurrence in closed form,
+    leaving the spin-flip and Wootters formulas to the scalar oracle.
     """
     a, b, c, d = _branch_actions(n)
     if np.any(a * b) or np.any(c * d) or np.any(a * c) or np.any(b * d):
         raise NumericalFailure("post-state has a non-zero entry off the X shape")
-    r11, r22, r33, r44, r14 = rho[:, :, np.newaxis]  # each (points, 1)
-    # the X of A rho A', each entry the one product its matrix product would sum
-    x = (
-        (a * r11) * a + (b * r22) * b,
-        (c * r11) * c + (d * r22) * d,
-        (a * r33) * a + (b * r44) * b,
-        (c * r33) * c + (d * r44) * d,
-        (a * r14) * d,
-        (c * r14) * b,
-    )
+    x = _x_entries((a, b, c, d), rho[:, :, np.newaxis])  # rho's entries each (points, 1)
     weight = ((x[0] + x[1]) + x[2]) + x[3]
+    probability = weight * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis]
+    tiny = (weight > 0.0) & (weight < ZERO_PROBABILITY_CUTOFF)
+    if tiny.any():
+        points = np.nonzero(tiny)[0]
+        scaled = _x_entries([action[tiny] * 2.0**40 for action in (a, b, c, d)], rho[:, points])
+        for entry, value in zip(x, scaled):
+            entry[tiny] = value
+        weight[tiny] = ((scaled[0] + scaled[1]) + scaled[2]) + scaled[3]
+        probability[tiny] = weight[tiny] * 2.0**-80 * (0.5 / (2.0 + 2.0 * n[points]))
     alive = weight >= ZERO_PROBABILITY_CUTOFF
     # rho11..rho44, rho14 and rho23 of each live post-state, one row per entry,
     # so that each column the kernel reads is contiguous: with one row per
@@ -379,7 +383,23 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entries /= weight[alive]
     concurrence = np.zeros_like(weight)
     concurrence[alive] = concurrence_x_batch(entries[:4].T, entries[4:].T)
-    return weight * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis], concurrence
+    return probability, concurrence
+
+
+def _x_entries(actions, rho) -> tuple[np.ndarray, ...]:
+    """The X of A rho A' for actions A = [[a, b], [c, d]] given by ``actions``
+    and inputs by ``rho`` (see ``_x_block``): rho11..rho44, rho14 and rho23,
+    each entry the one product its matrix product would sum."""
+    a, b, c, d = actions
+    r11, r22, r33, r44, r14 = rho
+    return (
+        (a * r11) * a + (b * r22) * b,
+        (c * r11) * c + (d * r22) * d,
+        (a * r33) * a + (b * r44) * b,
+        (c * r33) * c + (d * r44) * d,
+        (a * r14) * d,
+        (c * r14) * b,
+    )
 
 
 def run_protocol_mixed(p: float, n: float) -> ProtocolResult:

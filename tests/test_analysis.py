@@ -23,7 +23,6 @@ from wteleport import (
 )
 from wteleport.analysis import PHI_ZERO_COLUMNS, PSI_ZERO_COLUMNS, _columns
 from wteleport.protocol import BRANCH_ORDER
-from wteleport.states import ZERO_PROBABILITY_CUTOFF
 
 N_GRID = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0)
 
@@ -357,16 +356,24 @@ class TestSweep:
         table = sweep("pure", n_values=n, alpha_sq_values=np.logspace(-323, -290, 40))
         assert table.match.all(), np.count_nonzero(~table.match)
 
-    def test_subnormal_corner_reads_unresolvable_branches_as_dead(self):
+    def test_subnormal_corner_scan_has_no_discrepant_row(self):
         # with n and alpha^2 both subnormal the Psi Bob-0 weight alpha^2 +
-        # n (1 - alpha^2) can be subnormal too, too few bits to normalize a
-        # post-state by; such a branch is dead (oracle 0, probability below
-        # the cutoff), never handed to the kernel, and every other row matches
-        grid = np.logspace(-323, -300, 24)
+        # n (1 - alpha^2) can be subnormal too, and so can the closed form's
+        # sqrt(n x) sqrt(y); the engine re-forms such a branch at a power-of-two
+        # scale and the closed form divides before it multiplies, so every row
+        # matches, and the Bob-0 rows agree with a 50-digit evaluation
+        grid = np.logspace(-323, -290, 200)
         table = sweep("pure", n_values=grid, alpha_sq_values=grid)
-        off = ~table.match
-        assert not table.oracle[off].any()
-        assert (table.probability[off] < ZERO_PROBABILITY_CUTOFF).all()
+        assert table.match.all(), np.count_nonzero(~table.match)
+        corner = [(4 * 2.0**-1074, 1955 * 2.0**-1074), (1e-316, 1e-317), (1e-323, 1e-323),
+                  (5e-324, 3e-310), (1e-310, 1e-320)]
+        for n, x in corner:
+            table = sweep("pure", n_values=(n,), alpha_sq_values=(x,))
+            phi = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), x, n)
+            psi = _fifty_digits(lambda x, n: _bob_zero(1 - x, x, n), x, n)
+            for columns, expected in ((PHI_ZERO_COLUMNS, phi), (PSI_ZERO_COLUMNS, psi)):
+                for column in (table.formula, table.oracle):
+                    assert np.abs(column[0, columns] - expected).max() <= 1e-15, (n, x)
 
     def test_sweep_evaluates_the_printed_alpha_sq(self):
         # 0.99863 at the printed alpha^2; at fl(sqrt(alpha^2))^2, where 1 - x is

@@ -38,11 +38,12 @@ from wteleport.cli import (
     SWEEP_CSV_COLUMNS,
     Report,
     _csv_chunks,
-    _csv_text,
-    _json_text,
     _Labels,
     _parse_values,
+    _PostState,
+    _row_cells,
     _sweep_block,
+    _TABLE_COLUMNS,
     _texts,
     main,
 )
@@ -955,8 +956,8 @@ def widest_row(block, cells, end) -> int:
     """The sum of each column's longest cell, a label column's over all its
     names, and ``len(end)``: no row of the block is wider."""
     width = len(end)
-    for name, text, head in cells:
-        width += max(map(len, _texts(block[name], text, head)[0]))
+    for cell in cells:
+        width += max(map(len, _texts(block[cell[0]], cell)[0]))
     return width
 
 
@@ -1109,16 +1110,33 @@ class TestOutput:
         # np.unique merges -0.0 with 0.0 on float keys; the cells key on bits
         values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e22, 0.1 + 0.2, 1 / 3, -0.0]
 
-        def cells(column, text, head=""):
-            return np.take(*_texts(column, text, head))
+        def cells(column, fmt, head=""):
+            _, _, spec, absent, label = _row_cells(fmt, ("n",))[0][0]
+            return np.take(*_texts(column, ("n", head, spec, absent, label)))
 
         column = np.array(values)
-        assert cells(column, _csv_text).tolist() == [repr(v) for v in values]
-        assert cells(column, _json_text).tolist() == [json.dumps(v) for v in values]
+        assert cells(column, "csv").tolist() == [repr(v) for v in values]
+        assert cells(column, "json").tolist() == [json.dumps(v) for v in values]
         labels = _Labels(("Zero", "One"), np.array([0, 1, 0]))
-        assert cells(labels, _csv_text).tolist() == ["Zero", "One", "Zero"]
-        assert cells(labels, _json_text).tolist() == ['"Zero"', '"One"', '"Zero"']
-        assert (cells(None, _csv_text, ","), cells(None, _json_text)) == (",", "null")
+        assert cells(labels, "csv").tolist() == ["Zero", "One", "Zero"]
+        assert cells(labels, "json").tolist() == ['"Zero"', '"One"', '"Zero"']
+        assert (cells(None, "csv", ","), cells(None, "json")) == (",", "null")
+
+    @pytest.mark.parametrize("name", _TABLE_COLUMNS)
+    def test_table_cell_is_one_format_call(self, name):
+        # a table cell is one format(value, align + spec) call, which must write
+        # what format(format(value, spec), align) writes; a post-state formats
+        # each entry by the whole spec, so only an unaligned column may hold one
+        _, align, spec = _TABLE_COLUMNS[name]
+        values = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1 / 3, 0.1 + 0.2, 1e16, 1e22]
+        if not align:
+            values.append(_PostState(np.array([0.6, -0.0, 1e-300j, 0.1 + 0.2j])))
+        elif name == "post_state":
+            pytest.fail("the post-state column must not be aligned")
+        for value in values:
+            assert format(value, align + spec) == format(format(value, spec), align), value
+        (cell,), _ = _row_cells("table", (name,))
+        assert cell[2:4] == (align + spec, format("-", align))
 
     @pytest.mark.parametrize(
         "argv, target",
@@ -1135,6 +1153,16 @@ class TestOutput:
         assert out == ""
         assert err.startswith("error: cannot write --output")
         assert str(path) in err
+
+    def test_failed_output_leaves_stdout_usable(self, tmp_path):
+        # an unwritable --output is a usage error that leaves stdout as it was
+        script = (
+            "import sys; from wteleport.cli import main; "
+            "code = main(['roots', '--output', sys.argv[1]]); print('after', code)"
+        )
+        code, out, err = run_child(script, str(tmp_path / "missing" / "r"))
+        assert (code, out) == (0, b"after 2\n")
+        assert err.startswith(b"error: cannot write --output")
 
     def test_closed_stdout_is_quiet(self):
         # the report is far larger than a pipe buffer, so writing it fails
