@@ -11,7 +11,6 @@ DISCREPANT verdict rather than guessing which side is right.
 from __future__ import annotations
 
 from enum import Enum
-from math import sqrt
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +24,7 @@ from .protocol import (
     _check_alpha_sq,
     _check_n,
     _check_p,
+    _scalar,
     _validated,
     pure_branches,
     werner_branches,
@@ -74,16 +74,15 @@ class QuarticReport(NamedTuple):
 
 def input_concurrence(alpha: float) -> float:
     """Concurrence 2 alpha sqrt(1 - alpha^2) of the input pair."""
-    alpha = _check_alpha(alpha)
-    return 2.0 * alpha * sqrt(1.0 - alpha * alpha)
+    alpha = _scalar(_check_alpha(alpha))
+    return float(2.0 * alpha * np.sqrt(1.0 - alpha * alpha))
 
 
 def efficiency_ratio(alpha_sq: float, n: float) -> float:
     """Final-to-initial concurrence ratio sqrt(n) / ((n-1) alpha^2 + 1),
     evaluated over the denominator n x + y of ``_bob_zero_form``."""
-    n = _check_n(n)
-    x = _check_alpha_sq(alpha_sq)
-    return sqrt(n) / (n * x + (1.0 - x))
+    n, x = _scalar(_check_n(n)), _scalar(_check_alpha_sq(alpha_sq))
+    return float(np.sqrt(n) / (n * x + (1.0 - x)))
 
 
 def predicted_concurrence_phi(alpha: float, n: float) -> float:
@@ -91,14 +90,16 @@ def predicted_concurrence_phi(alpha: float, n: float) -> float:
 
     Applies to Alice outcome Phi+/Phi- with Bob outcome 0.
     """
-    x = _check_alpha(alpha) ** 2
-    return float(_finite(_bob_zero_form(x, 1.0 - x, _check_n(n))))
+    alpha = _scalar(_check_alpha(alpha))
+    x = alpha * alpha
+    return float(_finite(_bob_zero_form(x, 1.0 - x, _scalar(_check_n(n)))))
 
 
 def predicted_concurrence_psi(alpha: float, n: float) -> float:
     """Mirror closed form for Psi+/Psi- with Bob outcome 0: alpha^2 -> beta^2."""
-    x = _check_alpha(alpha) ** 2
-    return float(_finite(_bob_zero_form(1.0 - x, x, _check_n(n))))
+    alpha = _scalar(_check_alpha(alpha))
+    x = alpha * alpha
+    return float(_finite(_bob_zero_form(1.0 - x, x, _scalar(_check_n(n)))))
 
 
 def predicted_concurrence_werner(p: float, n: float) -> float:
@@ -108,7 +109,7 @@ def predicted_concurrence_werner(p: float, n: float) -> float:
     to 2.0 while the branch-map oracle gives 1.0.  The sweep exists to expose
     exactly that kind of mismatch, so this evaluator must not mask it.
     """
-    return float(_finite(_werner_form(_check_p(p), _check_n(n))))
+    return float(_finite(_werner_form(_scalar(_check_p(p)), _scalar(_check_n(n)))))
 
 
 # The closed forms, elementwise over arrays of validated parameters.  A
@@ -132,7 +133,8 @@ def _bob_zero_form(x, y, n):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _werner_form(p, n):
-    return np.where(p <= 1.0 / 3.0, 0.0, 4.0 * np.sqrt(n) * (3.0 * p - 1.0) / ((n + 1.0) ** 2))
+    # np.square, as an array's ** 2 is; a numpy scalar's ** 2 calls pow
+    return np.where(p <= 1.0 / 3.0, 0.0, 4.0 * np.sqrt(n) * (3.0 * p - 1.0) / np.square(n + 1.0))
 
 
 def _finite(values, what: str = "closed form"):
@@ -151,19 +153,12 @@ def predicted_branch_matrix_phi(p: float, n: float, sign: int = 1) -> np.ndarray
     carries a factor n here, while the branch-map oracle produces it without
     that factor; the two therefore disagree entrywise whenever n != 1.
     """
-    p = _check_p(p)
-    n = _check_n(n)
-    if sign not in (1, -1):
-        raise InvalidInput(f"sign must be +1 or -1, got {sign}")
-    c = sign * sqrt(n) * p / 4.0
-    return np.array(
-        [
-            [(1.0 - p) / 8.0, 0.0, 0.0, 0.0],
-            [0.0, n * (1.0 + p) / 8.0, c, 0.0],
-            [0.0, c, n * (1.0 + p) / 8.0, 0.0],
-            [0.0, 0.0, 0.0, n * (1.0 - p) / 8.0],
-        ]
-    )
+    return _branch_matrix(p, n, sign, lambda p, n, c: [
+        [(1.0 - p) / 8.0, 0.0, 0.0, 0.0],
+        [0.0, n * (1.0 + p) / 8.0, c, 0.0],
+        [0.0, c, n * (1.0 + p) / 8.0, 0.0],
+        [0.0, 0.0, 0.0, n * (1.0 - p) / 8.0],
+    ])
 
 
 def predicted_branch_matrix_psi(p: float, n: float, sign: int = 1) -> np.ndarray:
@@ -172,19 +167,22 @@ def predicted_branch_matrix_psi(p: float, n: float, sign: int = 1) -> np.ndarray
     Unlike the Phi case this one agrees with the branch-map oracle entrywise
     (up to the same overall scale).
     """
-    p = _check_p(p)
-    n = _check_n(n)
-    if sign not in (1, -1):
-        raise InvalidInput(f"sign must be +1 or -1, got {sign}")
-    c = sign * sqrt(n) * p / 4.0
-    return np.array(
-        [
-            [(1.0 + p) / 8.0, 0.0, 0.0, c],
-            [0.0, n * (1.0 - p) / 8.0, 0.0, 0.0],
-            [0.0, 0.0, (1.0 - p) / 8.0, 0.0],
-            [c, 0.0, 0.0, n * (1.0 + p) / 8.0],
-        ]
-    )
+    return _branch_matrix(p, n, sign, lambda p, n, c: [
+        [(1.0 + p) / 8.0, 0.0, 0.0, c],
+        [0.0, n * (1.0 - p) / 8.0, 0.0, 0.0],
+        [0.0, 0.0, (1.0 - p) / 8.0, 0.0],
+        [c, 0.0, 0.0, n * (1.0 + p) / 8.0],
+    ])
+
+
+@np.errstate(over="ignore")
+def _branch_matrix(p, n, sign, entries) -> np.ndarray:
+    """The matrix ``entries(p, n, c)``, c = sign sqrt(n) p / 4, at validated
+    (p, n, sign); ``NumericalFailure`` where an entry overflows."""
+    p, n = _scalar(_check_p(p)), _scalar(_check_n(n))
+    if np.ndim(sign) or sign not in (1, -1):
+        raise InvalidInput(f"sign must be +1 or -1, got {sign!r}")
+    return _finite(np.array(entries(p, n, sign * np.sqrt(n) * p / 4.0)), "closed-form matrix")
 
 
 def state_independent_alpha_sq(n: float) -> StateIndependentPoint:
@@ -194,8 +192,8 @@ def state_independent_alpha_sq(n: float) -> StateIndependentPoint:
     there the channel preserves concurrence for every input, flagged via
     ``any_alpha``.
     """
-    n = _check_n(n)
-    return StateIndependentPoint(1.0 / (sqrt(n) + 1.0), n == 1.0)
+    n = _scalar(_check_n(n))
+    return StateIndependentPoint(float(1.0 / (np.sqrt(n) + 1.0)), bool(n == 1.0))
 
 
 def classify_region(alpha_sq: float, n: float) -> Region:
@@ -212,10 +210,12 @@ def classify_region(alpha_sq: float, n: float) -> Region:
     return Region.DEGRADED if ratio < 1.0 - 1e-12 else Region.PRESERVING
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quartic(n: float) -> float:
-    """Channel-rating quartic n^4 + 4n^3 + 6n^2 - 60n + 1."""
-    n = float(n)
-    return n**4 + 4.0 * n**3 + 6.0 * n**2 - 60.0 * n + 1.0
+    """Channel-rating quartic n^4 + 4n^3 + 6n^2 - 60n + 1 at a finite n;
+    ``NumericalFailure`` where it overflows."""
+    n = _scalar(_validated(n, np.isfinite, "n must be finite, got {}"))
+    return float(_finite(n**4 + 4.0 * n**3 + 6.0 * n**2 - 60.0 * n + 1.0, "quartic"))
 
 
 def _bisect(lo: float, hi: float, xtol: float = 1e-12) -> float:
@@ -301,10 +301,6 @@ def sweep(
     mode = str(mode).lower()
     if mode not in ("pure", "werner"):
         raise InvalidInput(f"mode must be 'pure' or 'werner', got {mode!r}")
-    n_grid = np.asarray(DEFAULT_N_GRID if n_values is None else n_values, dtype=float)
-    if not n_grid.size:
-        raise InvalidInput("empty n grid")
-
     if mode == "pure":
         if p_values is not None:
             raise InvalidInput("p grid does not apply to a pure sweep")
@@ -313,9 +309,7 @@ def sweep(
         if alpha_sq_values is not None:
             raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
         values = DEFAULT_P_GRID if p_values is None else p_values
-    if not np.size(values):
-        raise InvalidInput("empty parameter grid")
-    n_grid, values = _checked_grids(mode, n_grid, values)
+    n_grid, values = _checked_grids(mode, DEFAULT_N_GRID if n_values is None else n_values, values)
     return _table(mode, np.repeat(n_grid, len(values)), np.tile(values, len(n_grid)))
 
 
@@ -326,6 +320,8 @@ def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]
     n_values = _check_n(n_values)
     if np.ndim(n_values) != 1 or values.ndim != 1:
         raise InvalidInput(f"grids must be 1-D: n {np.shape(n_values)}, values {values.shape}")
+    if not (n_values.size and values.size):
+        raise InvalidInput(f"empty grid: n {n_values.shape}, values {values.shape}")
     return n_values, values
 
 

@@ -33,6 +33,7 @@ from .states import (
     NumericalFailure,
     StateVector,
     ZERO_PROBABILITY_CUTOFF,
+    _as_array,
     _check_probability_sums,
     _measure_stack,
     bell_basis,
@@ -105,12 +106,20 @@ BLOCK_POINTS = 512
 
 
 def _validated(values, ok, message: str):
-    """``values`` as floats (a float for a scalar), or ``InvalidInput`` naming the first bad one."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as float64 (a numpy float64 for a scalar), or ``InvalidInput``
+    naming them if they are not real numbers, else the first that fails ``ok``."""
+    arr = _as_array(values, "biufO", float, message)
     bad = ~ok(arr)
     if bad.any():
         raise InvalidInput(message.format(float(arr[bad].flat[0])))
-    return arr if arr.ndim else float(arr)
+    return arr if arr.ndim else arr[()]
+
+
+def _scalar(value):
+    """A validated ``value`` that must be one number, not an array."""
+    if np.ndim(value):
+        raise InvalidInput(f"expected one number, got an array of shape {np.shape(value)}")
+    return value
 
 
 def _unit_interval(arr: np.ndarray) -> np.ndarray:
@@ -139,7 +148,8 @@ def _check_n(n):
 
 def input_pair(alpha: float) -> StateVector:
     """The input pair alpha|00> + sqrt(1-alpha^2)|11> on qubits (1, 2)."""
-    return StateVector(INPUT_LABELS, _input_pairs(np.array([_check_alpha(alpha)]) ** 2)[0])
+    alpha = _scalar(_check_alpha(alpha))
+    return StateVector(INPUT_LABELS, _input_pairs(np.array([alpha]) ** 2)[0])
 
 
 def _input_pairs(alpha_sq: np.ndarray) -> np.ndarray:
@@ -150,14 +160,16 @@ def _input_pairs(alpha_sq: np.ndarray) -> np.ndarray:
     return pairs
 
 
+@np.errstate(over="ignore")
 def w_normalization(n):
-    """Normalization constant 1/sqrt(2 + 2n) of the |W_n> family, elementwise."""
-    return 1.0 / np.sqrt(2.0 + 2.0 * n)
+    """Normalization constant 1/sqrt(2 + 2n) of the |W_n> family, elementwise;
+    0 where 2 + 2n overflows."""
+    return 1.0 / np.sqrt(2.0 + 2.0 * _check_n(n))
 
 
 def w_state(n: float) -> StateVector:
     """|W_n> = f(n) (|100> + sqrt(n)|010> + sqrt(n+1)|001>) on qubits (3, 4, 5)."""
-    return StateVector(CHANNEL_LABELS, _w_amplitudes(np.array([_check_n(n)]))[0])
+    return StateVector(CHANNEL_LABELS, _w_amplitudes(np.array([_scalar(_check_n(n))]))[0])
 
 
 @np.errstate(over="ignore")
@@ -178,7 +190,7 @@ def _w_amplitudes(n: np.ndarray) -> np.ndarray:
 
 def werner(p: float) -> DensityMatrix:
     """Werner family p |Phi+><Phi+| + (1-p)/4 I on qubits (1, 2)."""
-    return DensityMatrix(INPUT_LABELS, _werner_entries(np.asarray(_check_p(p))))
+    return DensityMatrix(INPUT_LABELS, _werner_entries(np.asarray(_scalar(_check_p(p)))))
 
 
 def _werner_entries(p: np.ndarray) -> np.ndarray:
@@ -241,7 +253,7 @@ def run_protocol_pure(alpha: float, n: float) -> ProtocolResult:
     sentinel and concurrence 0; all others, however unlikely, are live.
     This is ``_pure_results`` at one point, alpha^2 = alpha * alpha.
     """
-    alpha, n = _check_alpha(alpha), _check_n(n)
+    alpha, n = _scalar(_check_alpha(alpha)), _scalar(_check_n(n))
     return _protocol_result(*(a[0] for a in _pure_results(alpha * alpha, n)))
 
 
@@ -268,14 +280,19 @@ def branch_map(n: float, bell: BellOutcome, bob: BobOutcome) -> np.ndarray:
     the branch probability.  Summing M'M over all eight branches gives the
     identity (the eight maps form a complete measurement).
     """
-    return branch_maps(np.array([_check_n(n)]))[0, BRANCH_ORDER.index((bell, bob))]
+    if not (isinstance(bell, BellOutcome) and isinstance(bob, BobOutcome)):
+        raise InvalidInput(f"expected a BellOutcome and a BobOutcome, got {bell!r}, {bob!r}")
+    return branch_maps(np.array([_scalar(_check_n(n))]))[0, BRANCH_ORDER.index((bell, bob))]
 
 
 def branch_maps(n: np.ndarray) -> np.ndarray:
     """All eight branch maps for every n, shape (len(n), 8, 4, 4), in ``BRANCH_ORDER``:
-    identity on qubit 1 times f(n)/sqrt(2) times each action of ``_branch_actions``."""
+    identity on qubit 1 times f(n)/sqrt(2) times each action of ``_branch_actions``;
+    ``NumericalFailure`` where 2 + 2n overflows."""
     n = _check_n(n)
     scale = w_normalization(n)[:, np.newaxis] / sqrt(2.0)
+    if not scale.all():
+        raise NumericalFailure(f"2 + 2n overflows at n={n.max()}")
     actions = np.moveaxis(_branch_actions(n) * scale, 0, -1)
     maps = np.zeros(actions.shape[:-1] + (4, 4))
     maps[..., :2, :2] = maps[..., 2:, 2:] = actions.reshape(actions.shape[:-1] + (2, 2))
@@ -413,7 +430,7 @@ def run_protocol_mixed(p: float, n: float) -> ProtocolResult:
     probability.  Each branch also reports the renormalized post-state and
     its Wootters concurrence.  This is ``_mixed_results`` at one p.
     """
-    p, n = _check_p(p), _check_n(n)
+    p, n = _scalar(_check_p(p)), _scalar(_check_n(n))
     probability, weighted, post, concurrence = (a[0] for a in _mixed_results((p,), n))
     return _protocol_result(probability, post, concurrence, weighted)
 

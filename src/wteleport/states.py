@@ -38,8 +38,21 @@ class NumericalFailure(ArithmeticError):
     """Numerical error larger than double-precision roundoff can explain."""
 
 
+def _as_array(values, kinds: str, dtype, message: str) -> np.ndarray:
+    """The one guarded conversion of an argument: ``values`` as an array of
+    ``dtype``, or ``InvalidInput`` (``message`` formatted with their repr) unless
+    they form an array of a numpy dtype kind in ``kinds``, or an empty one."""
+    try:
+        arr = np.asarray(values)
+        if arr.size and arr.dtype.kind not in kinds:
+            raise TypeError(arr.dtype)
+        return arr.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInput(message.format(f"{values!r:.60}")) from None
+
+
 def _as_labels(labels: Iterable[int], *, allow_empty: bool = False) -> tuple[int, ...]:
-    out = tuple(int(q) for q in labels)
+    out = tuple(_as_array(labels, "iu", int, "labels must be integers, got {}").ravel().tolist())
     if len(set(out)) != len(out):
         raise InvalidInput(f"register labels must be distinct, got {out}")
     if not allow_empty and len(out) == 0:
@@ -88,7 +101,8 @@ class StateVector(_Frozen):
     def __post_init__(self) -> None:
         """Validate and store the fields; ``bench/tracer.py`` wraps this to count constructions."""
         labels = _as_labels(self.labels, allow_empty=True)
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = _as_array(self.amplitudes, "biufc", complex, "amplitudes must be numbers, got {}")
+        amps = amps.reshape(-1)
         if amps.shape != (2 ** len(labels),):
             raise InvalidInput(
                 f"expected {2 ** len(labels)} amplitudes for register {labels}, got {amps.shape[0]}"
@@ -130,7 +144,7 @@ class DensityMatrix(_Frozen):
     def __post_init__(self) -> None:
         """Validate and store the fields; ``bench/tracer.py`` wraps this to count constructions."""
         labels = _as_labels(self.labels)
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = _as_array(self.entries, "biufc", complex, "matrix entries must be numbers, got {}")
         dim = 2 ** len(labels)
         if mat.shape != (dim, dim):
             raise InvalidInput(f"expected {dim}x{dim} matrix for register {labels}, got {mat.shape}")
@@ -201,7 +215,7 @@ class MeasurementBasis(_Frozen):
 def ket(bits: Sequence[int], labels: Iterable[int]) -> StateVector:
     """Computational-basis state |bits> on the given register."""
     labels = _as_labels(labels)
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(_as_array(bits, "biu", int, "bits must be 0 or 1, got {}").ravel().tolist())
     if len(bits) != len(labels):
         raise InvalidInput(f"{len(bits)} bits for a {len(labels)}-qubit register")
     if any(b not in (0, 1) for b in bits):

@@ -8,6 +8,7 @@ from wteleport import (
     BellOutcome,
     BobOutcome,
     InvalidInput,
+    NumericalFailure,
     Region,
     SweepTable,
     classify_region,
@@ -136,6 +137,23 @@ class TestPredictedWerner:
         with pytest.raises(InvalidInput):
             predicted_concurrence_werner(-0.1, 1.0)
 
+    def test_overflowing_denominator_reads_zero_as_in_the_sweep(self):
+        # (n + 1)^2 overflows to inf, which the sweep's arithmetic divides by
+        assert predicted_concurrence_werner(0.5, 1e200) == 0.0
+        assert sweep("werner", n_values=(1e200,), p_values=(0.5,)).formula.max() == 0.0
+
+    def test_printed_form_is_the_derived_form_times_four_over_n_plus_one(self):
+        # the printed 4 sqrt(n) (3p-1) / (n+1)^2 is max(0, sqrt(n) (3p-1) / (n+1)),
+        # the derived Bob-0 concurrence, times 4/(n+1); the two agree at n = 3 only
+        table = sweep("werner", n_values=np.logspace(-3, 3, 61), p_values=np.linspace(0, 1, 101))
+        n, p = table.n[:, None], table.p[:, None]
+        derived = np.maximum(0.0, np.sqrt(n) * (3.0 * p - 1.0) / (n + 1.0))
+        bob_zero = PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS
+        assert np.abs(table.formula[:, bob_zero] - derived * (4.0 / (n + 1.0))).max() <= 1e-15
+        table = sweep("werner", n_values=(3.0,), p_values=np.linspace(0, 1, 101))
+        derived = np.maximum(0.0, np.sqrt(3.0) * (3.0 * table.p[:, None] - 1.0) / 4.0)
+        assert np.abs(table.formula[:, bob_zero] - derived).max() <= 1e-15
+
 
 class TestStateIndependentPoint:
     def test_n4(self):
@@ -203,6 +221,14 @@ class TestQuartic:
         assert quartic(0.0) == 1.0
         assert quartic(1.0) == -48.0
         assert quartic(3.0) == 64.0
+
+    def test_overflow_is_a_numerical_failure(self):
+        for n in (1e100, -1e100):  # n^4 overflows; so does -4n^3, to -inf
+            with pytest.raises(NumericalFailure, match="quartic is not finite"):
+                quartic(n)
+        for n in (float("nan"), float("inf"), "1", [1.0, 2.0]):
+            with pytest.raises(InvalidInput):
+                quartic(n)
 
     def test_roots(self):
         report = quartic_roots()
@@ -383,6 +409,26 @@ class TestSweep:
         expected = _fifty_digits(lambda x, n: _bob_zero(x, 1 - x, n), alpha_sq, n)
         for column in (table.formula, table.oracle):
             assert np.abs(column[0, PHI_ZERO_COLUMNS] - expected).max() <= 1e-12
+
+    def test_scalar_forms_are_the_sweep_formula_bit_for_bit(self):
+        # the scalar closed forms run the sweep's arithmetic, at alpha^2 = alpha * alpha
+        n_grid = EXTREME_N + (1e200,)
+        alpha = np.sqrt(EDGE_VALUES)
+        pure = sweep("pure", n_values=n_grid, alpha_sq_values=alpha * alpha)
+        werner = sweep("werner", n_values=n_grid, p_values=EDGE_VALUES)
+        points = [(n, a, p) for n in n_grid for a, p in zip(alpha, EDGE_VALUES)]
+        for form, table, column, value in (
+            (predicted_concurrence_phi, pure, PHI_ZERO_COLUMNS, lambda a, p: a),
+            (predicted_concurrence_psi, pure, PSI_ZERO_COLUMNS, lambda a, p: a),
+            (predicted_concurrence_werner, werner, PHI_ZERO_COLUMNS, lambda a, p: p),
+        ):
+            scalars = np.array([form(value(a, p), n) for n, a, p in points])
+            assert scalars.tobytes() == table.formula[:, column[0]].tobytes(), form.__name__
+        # where an (n + 1)^2 by pow differed from the sweep's square by one ulp
+        n_grid = np.logspace(-6, 150, 3000)
+        table = sweep("werner", n_values=n_grid, p_values=(0.9,))
+        scalars = np.array([predicted_concurrence_werner(0.9, n) for n in n_grid])
+        assert scalars.tobytes() == table.formula[:, PHI_ZERO_COLUMNS[0]].tobytes()
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):

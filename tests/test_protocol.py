@@ -438,3 +438,34 @@ def test_nan_probability_is_a_numerical_failure(monkeypatch):
         wteleport.protocol._pure_results([0.6, 0.6], [2.0, 2.0])
     with pytest.raises(NumericalFailure, match="sum to nan"):
         wteleport.protocol._mixed_results([0.7], 2.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_protocol_pure("x", 1.0),
+        lambda: run_protocol_mixed(0.5, [1.0, 2.0]),
+        lambda: input_pair([0.1, 0.2]),
+        lambda: branch_map(1.0, "a", "b"),
+        lambda: branch_map(1.0, BobOutcome.ZERO, BellOutcome.PHI_PLUS),
+        lambda: w_normalization("x"),
+        lambda: werner([[0.5]]),
+        lambda: w_state(None),
+        lambda: predicted_branch_matrix_phi(0.5, 1.0, np.array([1, 1])),
+        lambda: predicted_branch_matrix_psi(0.5, 1.0, "1"),
+    ],
+)
+def test_an_argument_that_is_not_one_number_is_invalid_input(call):
+    with pytest.raises(InvalidInput):
+        call()
+
+
+def test_overflowing_normalization_is_a_numerical_failure():
+    # 2 + 2n overflows: the normalization reads 0 without a warning, and the
+    # branch maps and the closed-form matrices refuse to be built from it
+    assert w_normalization(1e308) == 0.0
+    with pytest.raises(NumericalFailure, match="2 \\+ 2n overflows"):
+        branch_map(1e308, BellOutcome.PHI_PLUS, BobOutcome.ZERO)
+    for matrix in (predicted_branch_matrix_phi, predicted_branch_matrix_psi):
+        with pytest.raises(NumericalFailure):
+            matrix(1.0, 1e308)

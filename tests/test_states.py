@@ -59,6 +59,31 @@ class TestKet:
         with pytest.raises(InvalidInput):
             ket([0] * 6, [1, 2, 3, 4, 5, 6])
 
+    @pytest.mark.parametrize(
+        "bits, labels",
+        [("01", (1, 2)), ([0.0, 1.0], (1, 2)), ([0, 1], ("a", "b")), ([0], [1.5]), ([0], None),
+         (None, (1,)), ([0], [10**400])],
+    )
+    def test_non_integers_are_invalid_input(self, bits, labels):
+        with pytest.raises(InvalidInput, match="must be"):
+            ket(bits, labels)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: StateVector((1,), "ab"),
+        lambda: StateVector((1,), [None, 1.0]),
+        lambda: StateVector(("a",), [1.0, 0.0]),
+        lambda: DensityMatrix((1,), [["a", 0], [0, 1]]),
+        lambda: DensityMatrix(None, np.eye(2) / 2),
+        lambda: DensityMatrix((1,), [[1.0], [0.0, 0.0]]),  # ragged
+    ],
+)
+def test_constructor_arguments_that_are_not_numbers_are_invalid_input(make):
+    with pytest.raises(InvalidInput, match="must be"):
+        make()
+
 
 class TestStateVector:
     def test_wrong_amplitude_count(self):
