@@ -7,15 +7,14 @@ Bob-1 concurrence above ``DEADNESS_TOL``; 2 usage error; 3 numerical
 failure.  Every format renders the same report: CSV and JSON carry full
 double precision and are byte-stable for identical configurations; a table
 rounds its rows to six significant digits (twelve for a quartic root) and
-ends with the summary as indented ``key: value`` lines.  Only ``entry``, the
-console script, freezes the collector (``gc.freeze``) before it exits, so
-the collections at interpreter exit skip the objects left by the imports;
-``main`` leaves the collector as it is.
+ends with the summary as indented ``key: value`` lines.  ``entry``, the
+console script, flushes stdout and stderr after ``main`` and leaves by
+``os._exit``, as a sweep's forked child does: no interpreter teardown runs.
 """
 from __future__ import annotations
 
 import argparse
-import gc
+import contextlib
 import itertools
 import json
 import os
@@ -376,9 +375,9 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     except OSError as exc:
         if args.output is not None:
             raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
-        # Point stdout at devnull so the interpreter's final flush of what is
-        # still buffered cannot fail again.  A reader that has gone, as with
-        # `| head`, ends the run quietly; any other failure is like --output's.
+        # Point stdout at devnull so that no later flush of what is still
+        # buffered, entry's or the interpreter's, fails again.  A reader that
+        # has gone, as with `| head`, ends the run quietly; else as --output.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
@@ -491,11 +490,11 @@ def _forks() -> bool:
 
 class _Child:
     """A child, forked before any block is counted, that renders ``tables``
-    with ``cells`` and ``end`` into an unlinked temporary file, sends the
-    counts its ``summary`` adds over a pipe and leaves by ``os._exit``,
-    flushing no inherited buffer; it stops once this process has gone.
-    ``rows()`` yields its text, its counts added to ``summary``, or else the
-    blocks of ``tables`` computed here: a failure fails at the same row."""
+    with ``cells`` and ``end`` into an unlinked temporary file, sends the counts
+    its ``summary`` adds over a pipe, closes it and leaves by ``os._exit``,
+    flushing no inherited buffer; it stops once this process has gone.  ``rows()``
+    yields its text if the counts came, adding them to ``summary``, else the
+    blocks of ``tables`` computed here; ``close()`` kills and reaps the child."""
 
     def __init__(self, tables: Iterator[SweepTable], cells, end: str, summary: dict, fork: bool):
         self.tables, self.summary, self.pid, self.files = tables, summary, 0, []
@@ -514,28 +513,26 @@ class _Child:
         except OSError:
             return self.close()
         if self.pid == 0:
-            code, parent = 1, os.getppid()
+            parent = os.getppid()
             try:
                 tables = itertools.takewhile(lambda _: os.getppid() == parent, tables)
                 self.text.writelines(_block_rows(map(_sweep_block, tables), cells, end))
                 self.text.flush()
                 os.write(write.fileno(), json.dumps(summary).encode())
-                code = 0
+                write.close()
             finally:
-                os._exit(code)
+                os._exit(0)  # the counts, not the exit status, tell the child's success
         write.close()
 
     def rows(self) -> Iterator[Block | str]:
-        if self.pid:
-            counts = self.counts.read()  # to the end, when the child has exited
-            status, self.pid = os.waitpid(self.pid, 0)[1], 0
-            if status == 0:
-                for key, count in json.loads(counts).items():
-                    self.summary[key] += count
-                self.text.seek(0)
-                yield from iter(lambda: self.text.read(_JOIN_BYTES), "")
-                return
-        yield from map(_sweep_block, self.tables)
+        counts = self.counts.read() if self.pid else b""  # to EOF: the child has closed the pipe
+        if counts:
+            for key, count in json.loads(counts).items():
+                self.summary[key] += count
+            self.text.seek(0)
+            yield from iter(lambda: self.text.read(_JOIN_BYTES), "")
+        else:
+            yield from map(_sweep_block, self.tables)
 
     def close(self) -> None:
         if self.pid:
@@ -763,11 +760,13 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    """The console script: run ``main``, freeze the collector, exit with
-    ``main``'s code (see the module docstring)."""
+    """The console script: ``main``, then flush stdout (a reader that has gone
+    ends the run quietly, as in ``_write``) and stderr and ``os._exit``."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    with contextlib.suppress(BrokenPipeError):
+        sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .states import (
-    NORM_TOL, DensityMatrix, InvalidInput, NumericalFailure, StateVector, _check_unit_norms
+    NORM_TOL, DensityMatrix, InvalidInput, NumericalFailure, StateVector, _check_unit_norms, _labels
 )
 
 # |11><00| - |01><10| - |10><01| + |00><11| in the computational basis.
@@ -45,7 +45,7 @@ def _require_two_qubits(labels: tuple[int, ...]) -> None:
 
 def concurrence_pure(state: StateVector) -> float:
     """Spin-flip overlap |<eta|eta~>|, in [0, 1]."""
-    _require_two_qubits(state.labels)
+    _require_two_qubits(_labels(state))
     return float(concurrence_pure_batch(state.amplitudes[np.newaxis])[0])
 
 
@@ -65,7 +65,7 @@ def _clip_to_unit(value: np.ndarray) -> np.ndarray:
 
 def concurrence_mixed(rho: DensityMatrix) -> float:
     """Wootters concurrence of a two-qubit density matrix; see ``concurrence_mixed_batch``."""
-    _require_two_qubits(rho.labels)
+    _require_two_qubits(_labels(rho, DensityMatrix))
     if rho.is_zero():
         raise InvalidInput("concurrence of the zero sentinel is undefined")
     return float(concurrence_mixed_batch(rho.entries[np.newaxis])[0])

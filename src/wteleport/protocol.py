@@ -35,6 +35,7 @@ from .states import (
     ZERO_PROBABILITY_CUTOFF,
     _as_array,
     _check_probability_sums,
+    _labels,
     _measure_stack,
     bell_basis,
     check_density_matrices,
@@ -203,9 +204,9 @@ def _werner_entries(p: np.ndarray) -> np.ndarray:
 
 def compose_joint(pair: StateVector, channel: StateVector) -> StateVector:
     """Five-qubit joint state of the input pair and the channel."""
-    if pair.labels != INPUT_LABELS:
+    if _labels(pair) != INPUT_LABELS:
         raise InvalidInput(f"input pair must live on {INPUT_LABELS}, got {pair.labels}")
-    if channel.labels != CHANNEL_LABELS:
+    if _labels(channel) != CHANNEL_LABELS:
         raise InvalidInput(f"channel must live on {CHANNEL_LABELS}, got {channel.labels}")
     return tensor(pair, channel)
 

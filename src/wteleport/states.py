@@ -127,6 +127,13 @@ class StateVector(_Frozen):
         return abs(self.norm() - 1.0) <= tol
 
 
+def _labels(value, kind: type = StateVector, error: type = InvalidInput) -> tuple[int, ...]:
+    """The register of an object argument, after the one check of its type."""
+    if not isinstance(value, kind):
+        raise error(f"expected a {kind.__name__}, got {type(value).__name__}")
+    return value.labels
+
+
 class DensityMatrix(_Frozen):
     """Hermitian positive-semidefinite matrix over a labelled register.
 
@@ -192,11 +199,11 @@ class MeasurementBasis(_Frozen):
     __slots__ = ("name", "vectors")
 
     def __init__(self, name: str, vectors: Iterable[StateVector]) -> None:
-        vectors = tuple(vectors)
+        vectors = tuple(vectors) if isinstance(vectors, Iterable) else (vectors,)
         if not vectors:
             raise InvalidBasis("basis needs at least one vector")
-        labels = vectors[0].labels
-        if any(v.labels != labels for v in vectors):
+        labels = _labels(vectors[0], error=InvalidBasis)
+        if any(_labels(v, error=InvalidBasis) != labels for v in vectors):
             raise InvalidBasis("all basis vectors must share one register")
         dim = 2 ** len(labels)
         if len(vectors) != dim:
@@ -230,7 +237,7 @@ def ket(bits: Sequence[int], labels: Iterable[int]) -> StateVector:
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; the register concatenates a's labels then b's."""
-    if set(a.labels) & set(b.labels):
+    if set(_labels(a)) & set(_labels(b)):
         raise InvalidInput(f"registers overlap: {a.labels} and {b.labels}")
     return StateVector(a.labels + b.labels, np.kron(a.amplitudes, b.amplitudes))
 
@@ -301,7 +308,7 @@ def measure(
     ``(outcome_index, probability, post_state)`` triple per basis vector, in
     basis order.  This is ``_measure_stack`` on a stack of one state."""
     targets = _as_labels(targets)
-    remaining = tuple(q for q in state.labels if q not in targets)
+    remaining = tuple(q for q in _labels(state) if q not in targets)
     (probs,), (posts,) = _measure_stack(state.amplitudes[np.newaxis], state.labels, targets, basis)
     return [(i, float(p), StateVector(remaining, v)) for i, (p, v) in enumerate(zip(probs, posts))]
 
@@ -329,7 +336,7 @@ def _measure_stack(
     missing = [t for t in targets if t not in labels]
     if missing:
         raise InvalidInput(f"targets {missing} not in register {labels}")
-    if basis.labels != targets:
+    if _labels(basis, MeasurementBasis) != targets:
         raise InvalidBasis(f"basis is over {basis.labels}, measurement targets {targets}")
 
     m, k = len(targets), len(amplitudes)
@@ -350,6 +357,7 @@ def _measure_stack(
 
 def density_from_pure(state: StateVector) -> DensityMatrix:
     """Outer product |s><s| of a normalized pure state."""
+    labels = _labels(state)
     if not state.is_normalized():
         raise InvalidInput(f"state must be normalized, norm is {state.norm()}")
-    return DensityMatrix(state.labels, np.outer(state.amplitudes, state.amplitudes.conj()))
+    return DensityMatrix(labels, np.outer(state.amplitudes, state.amplitudes.conj()))

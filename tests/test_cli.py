@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 import weakref
 from pathlib import Path
@@ -587,6 +588,31 @@ class TestSweep:
                 "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:100",
                 "--output", str(tmp_path / "rows"),
             ])
+        assert_no_child()
+
+    def test_child_exit_is_not_waited_for(self, capsys, monkeypatch):
+        # the child's counts, sent once its text is flushed, are its only
+        # success signal: a child that lingers 5 s in os._exit after closing
+        # its pipe still gives the serial bytes, and is killed and reaped
+        # without being waited for
+        exit_now = os._exit
+
+        def slow_exit(code):
+            time.sleep(5.0)
+            exit_now(code)
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        argv = ("sweep", "--mode", "pure", "--n", "0.1:10:10", "--alpha-sq", "0:1:10")
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
+        serial = run_cli(capsys, *argv, "--format", "csv")
+        assert serial[0] == 0
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        monkeypatch.setattr(os, "_exit", slow_exit)
+        start = time.monotonic()
+        forked = run_cli(capsys, *argv, "--format", "csv")
+        elapsed = time.monotonic() - start
+        assert forked == serial
+        assert elapsed < 2.5
         assert_no_child()
 
     @pytest.mark.parametrize("action", ["error", "always"])
@@ -1229,7 +1255,8 @@ class TestEntry:
 
     @pytest.mark.parametrize("name, fmt", [("verify", "csv"), ("run-pure", "json")])
     def test_golden_bytes_and_exit_zero(self, name, fmt):
-        # entry freezes the collector before it exits: no byte and no exit code may be lost
+        # entry flushes stdout and stderr and leaves by os._exit, skipping
+        # interpreter teardown: no byte and no exit code may be lost
         code, out, err = run_entry(*GOLDEN_COMMANDS[name], "--format", fmt)
         assert (code, err) == (0, b"")
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes()
@@ -1238,6 +1265,61 @@ class TestEntry:
         code, out, err = run_entry("run", "--mode", "pure", "--n", "2", "--format", "csv")
         assert (code, out) == (2, b"")
         assert err == b"error: --alpha-sq is required with --mode pure\n"
+
+    def test_verify_failure_exits_one(self):
+        # a match tolerance no row can meet makes every pure row DISCREPANT
+        code, out, err = run_child(
+            "import wteleport.analysis; wteleport.analysis.MATCH_TOL = -1.0; "
+            "from wteleport.cli import entry; entry()",
+            "verify", "--format", "csv",
+        )
+        assert (code, err) == (1, b"")
+        assert out.startswith(b"# wteleport verify") and b",DISCREPANT\n" in out
+
+    def test_numerical_failure_exits_three(self):
+        # 2 + 2n overflows in the first block: exit 3 and nothing written
+        code, out, err = run_entry(
+            "sweep", "--mode", "pure", "--n", "8e307:1.7e308:100", "--alpha-sq", "0.5",
+            "--format", "csv",
+        )
+        assert (code, out) == (3, b"")
+        assert err.startswith(b"numerical failure:")
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", [("--help",), ("roots",)], ids=["help", "roots"])
+    def test_stdout_reader_gone_before_the_run_is_quiet(self, argv, buffered):
+        # the reader of stdout has closed its end before anything is written;
+        # buffered, argparse's help reaches the pipe only at entry's flush
+        package = Path(wteleport.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package)}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-c", "from wteleport.cli import entry; entry()", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (child.returncode, child.stderr) == (0, b"")
+
+    def test_main_registers_no_atexit_handler(self):
+        # entry leaves by os._exit, which runs no atexit handler, so neither
+        # the import nor main (a forked sweep among its runs) may register one
+        script = (
+            "import atexit, os; before = atexit._ncallbacks()\n"
+            "import wteleport.cli; wteleport.cli._forks = lambda: True\n"
+            "from wteleport.cli import main\n"
+            "for argv in (['verify'], ['sweep', '--mode', 'pure', '--n', '0.1:10:2',\n"
+            "             '--alpha-sq', '0:1:512', '--format', 'json']):\n"
+            "    assert main([*argv, '--output', os.devnull]) == 0\n"
+            "print(atexit._ncallbacks() - before)\n"
+        )
+        code, out, err = run_child(script)
+        assert (code, out, err) == (0, b"0\n", b"")
 
     def test_import_compiles_no_dataclasses(self):
         # the value classes generate no code at import, so process start does not pay for it

@@ -1,11 +1,13 @@
 """The library and the CLI under odd arguments, drawn by hypothesis.
 
 Every public function, and the two state constructors, is called with odd
-numbers, labels and outcomes; object parameters get valid objects.  Each call
-returns a finite result of its documented type or raises one of the
-package's typed errors.  The CLI is driven in process over argv built from
-odd spellings; it exits 0, 2 or 3, and an exit 2 writes nothing.  A numpy
-warning fails the run (see ``filterwarnings`` in pyproject.toml).
+numbers, labels and outcomes; object parameters get valid objects, None, a
+string or the other state type.  Each call returns a finite result of its
+documented type or raises one of the package's typed errors; explicit
+examples add the corners where both arguments sit at an edge.  The CLI is
+driven in process over argv built from odd spellings; it exits 0, 2 or 3,
+and an exit 2 writes nothing.  A numpy warning fails the run (see
+``filterwarnings`` in pyproject.toml).
 
 The runs are derandomized and keep no example database, so every run draws
 the same cases and writes no files.
@@ -19,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 import wteleport
@@ -65,17 +67,24 @@ LABELS = st.sampled_from(
 OUTCOME = st.sampled_from(list(BellOutcome) + list(BobOutcome) + ["PhiPlus", "Zero", 0, None])
 MODE = st.sampled_from(["pure", "werner", "WERNER", "mixed", "", None, 1.0])
 # valid objects: normalized states on the input, channel, output and other
-# registers, density matrices (the zero sentinel among them) and bases
+# registers, density matrices (the zero sentinel among them) and bases; and
+# wrong ones: None, a string and the other state type
+WRONG = [None, "x"]
 STATE = st.sampled_from(
     [ket([0, 0], [1, 2]), ket([1], [1]), input_pair(0.6), w_state(2.0), ket([0, 1], [1, 4]),
-     ket([0, 0, 0, 0, 0], [1, 2, 3, 4, 5])]
+     ket([0, 0, 0, 0, 0], [1, 2, 3, 4, 5]), werner(0.5)] + WRONG
 )
 DENSITY = st.sampled_from(
     [werner(0.5), werner(1.0), DensityMatrix((1, 2), np.zeros((4, 4))),
-     DensityMatrix((1,), np.eye(2) / 2.0)]
+     DensityMatrix((1,), np.eye(2) / 2.0), ket([0, 0], [1, 2])] + WRONG
 )
-BASIS = st.sampled_from([bell_basis((2, 3)), computational_basis((5,)), computational_basis((1, 2))])
-VECTORS = st.sampled_from([bell_basis((1, 2)).vectors, (ket([0], [1]), ket([0], [1])), ()])
+BASIS = st.sampled_from(
+    [bell_basis((2, 3)), computational_basis((5,)), computational_basis((1, 2)), ket([0], [5])]
+    + WRONG
+)
+VECTORS = st.sampled_from(
+    [bell_basis((1, 2)).vectors, (ket([0], [1]), ket([0], [1])), (), (werner(0.5),)] + WRONG
+)
 
 # Each callable's parameters, and the type it returns.
 SIGNATURES = {
@@ -138,18 +147,39 @@ def test_every_public_callable_is_fuzzed():
     assert set(SIGNATURES) == {name for name in public if not _record(getattr(wteleport, name))}
 
 
-@pytest.mark.parametrize("name", sorted(SIGNATURES))
-@settings(REPEATABLE, max_examples=40)
-@given(data=st.data())
-def test_public_api_returns_finite_or_raises_typed(name, data):
-    parameters, returns = SIGNATURES[name]
-    args = [data.draw(parameter) for parameter in parameters]
+def assert_finite_or_typed(name, args):
+    """``name(*args)`` returns a finite result of its documented type or raises a typed error."""
     try:
         result = getattr(wteleport, name)(*args)
     except TYPED_ERRORS:
         return
-    assert isinstance(result, returns), (args, type(result))
+    assert isinstance(result, SIGNATURES[name][1]), (args, type(result))
     assert _finite(result), args
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+@settings(REPEATABLE, max_examples=40)
+@given(data=st.data())
+def test_public_api_returns_finite_or_raises_typed(name, data):
+    assert_finite_or_typed(name, [data.draw(parameter) for parameter in SIGNATURES[name][0]])
+
+
+# p near 1 with n where 2 + 2n is about to overflow, or subnormal: corners
+# that need both arguments at an edge, which random draws rarely reach
+@pytest.mark.parametrize(
+    "name",
+    ["predicted_branch_matrix_phi", "predicted_branch_matrix_psi", "predicted_concurrence_werner"],
+)
+@settings(REPEATABLE, phases=[Phase.explicit])
+@example(p=0.9, n=1e308)
+@example(p=0.9, n=8.98e307)
+@example(p=0.9, n=5e-324)
+@example(p=1.0, n=1e308)
+@example(p=1.0, n=8.98e307)
+@example(p=1.0, n=5e-324)
+@given(p=NUMBER, n=NUMBER)
+def test_two_argument_corners_return_finite_or_raise_typed(name, p, n):
+    assert_finite_or_typed(name, [p, n])
 
 
 # The odd spellings of the CLI's numbers and grids, and a few ordinary ones
