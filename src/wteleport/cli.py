@@ -7,14 +7,15 @@ Bob-1 concurrence above ``DEADNESS_TOL``; 2 usage error; 3 numerical
 failure.  Every format renders the same report: CSV and JSON carry full
 double precision and are byte-stable for identical configurations; a table
 rounds its rows to six significant digits (twelve for a quartic root) and
-ends with the summary as indented ``key: value`` lines.  ``entry``, the
-console script, flushes stdout and stderr after ``main`` and leaves by
-``os._exit``, as a sweep's forked child does: no interpreter teardown runs.
+ends with the summary as indented ``key: value`` lines.  ``main`` alone
+turns an outcome into an exit code; ``entry``, the console script, is
+``os._exit(main())``, as a sweep's forked child leaves: no teardown runs.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import json
 import os
@@ -38,13 +39,7 @@ from .analysis import (
     quartic_roots,
     sweep,
 )
-from .protocol import (
-    BRANCH_ORDER,
-    BellOutcome,
-    BobOutcome,
-    _mixed_results,
-    _pure_results,
-)
+from .protocol import BRANCH_ORDER, BellOutcome, BobOutcome, _mixed_results, _pure_results
 from .states import InvalidBasis, InvalidInput, NumericalFailure, _Frozen
 
 SWEEP_CSV_COLUMNS = (
@@ -363,26 +358,18 @@ _WRITERS = {"csv": _csv_chunks, "json": _json_chunks, "table": _table_chunks}
 
 
 def _write(report: Report, args: argparse.Namespace) -> int:
-    """Render the report in ``args.format`` to ``args.output`` or stdout."""
+    """Render the report in ``args.format`` to ``args.output`` or stdout; a
+    reader of stdout that has gone stops it (``main`` ends the run)."""
     chunks = _WRITERS[args.format](report)
-    try:
-        if args.output is None:
+    if args.output is None:
+        with contextlib.suppress(BrokenPipeError):
             sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        else:
-            with open(args.output, "w", encoding="utf-8", newline="") as handle:
-                handle.writelines(chunks)
+        return report.exit_code
+    try:
+        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+            handle.writelines(chunks)
     except OSError as exc:
-        if args.output is not None:
-            raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
-        # Point stdout at devnull so that no later flush of what is still
-        # buffered, entry's or the interpreter's, fails again.  A reader that
-        # has gone, as with `| head`, ends the run quietly; else as --output.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        if not isinstance(exc, BrokenPipeError):
-            raise InvalidInput(f"cannot write to stdout: {exc.strerror}") from exc
+        raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
     return report.exit_code
 
 
@@ -665,14 +652,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "bob_one_dead": dead_ok,
         "exit_code": exit_code,
     }
-    report = Report(
-        "wteleport verify (pure + werner default grids)",
-        SWEEP_CSV_COLUMNS,
-        map(_sweep_block, tables),
-        {"config": _config_dict(args), "rows": None, "summary": summary},
-        exit_code,
-    )
-    return _write(report, args)
+    comment = "wteleport verify (pure + werner default grids)"
+    document = {"config": _config_dict(args), "rows": None, "summary": summary}
+    blocks = map(_sweep_block, tables)
+    return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document, exit_code), args)
 
 
 # ---------------------------------------------------------------- roots
@@ -692,13 +675,8 @@ def cmd_roots(args: argparse.Namespace) -> int:
         "root": np.array(roots.roots_positive),
         "quartic_value": np.array([quartic(r) for r in roots.roots_positive]),
     }
-    report = Report(
-        "wteleport roots: n^4 + 4n^3 + 6n^2 - 60n + 1",
-        ("root", "quartic_value"),
-        [rows],
-        document,
-    )
-    return _write(report, args)
+    comment = "wteleport roots: n^4 + 4n^3 + 6n^2 - 60n + 1"
+    return _write(Report(comment, ("root", "quartic_value"), [rows], document), args)
 
 
 # ---------------------------------------------------------------- parser
@@ -742,31 +720,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point ``stream``'s file, if it has one, at devnull: no later flush may fail again."""
+    with contextlib.suppress(OSError):  # io.UnsupportedOperation: no file
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run ``argv`` (``sys.argv[1:]`` when None) and return its exit code: the
+    subcommand's, argparse's, 2 for ``InvalidInput`` and ``InvalidBasis``, 3
+    for ``NumericalFailure``.  Stdout is flushed on every path, and a failed
+    write to it is exit 2 unless its reader has gone.  The message goes to
+    stderr last; a stderr that cannot be written keeps the code."""
+    # what argparse prints is held and written below, as the rest of a run is:
+    # argparse itself ignores a failed write (3.11 and later) or raises it
+    out, err = io.StringIO(), io.StringIO()
+    code, message = 0, ""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                args = build_parser().parse_args(argv)
+            code = args.func(args)
+        except SystemExit as exc:  # argparse's
+            code, message = (exc.code if isinstance(exc.code, int) else 2), err.getvalue()
+            sys.stdout.write(out.getvalue())
+        except (InvalidInput, InvalidBasis) as exc:
+            code, message = 2, f"error: {exc}\n"
+        except NumericalFailure as exc:
+            code, message = 3, f"numerical failure: {exc}\n"
+        sys.stdout.flush()
+    except OSError as exc:  # from stdout: the run's other writes report their own
+        _to_devnull(sys.stdout)
+        if not isinstance(exc, BrokenPipeError):
+            code, message = 2, f"error: cannot write to stdout: {exc.strerror}\n"
     try:
-        return args.func(args)
-    except (InvalidInput, InvalidBasis) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        sys.stderr.write(message)
+        sys.stderr.flush()
+    except OSError:
+        _to_devnull(sys.stderr)
+    return code
 
 
 def entry() -> None:
-    """The console script: ``main``, then flush stdout (a reader that has gone
-    ends the run quietly, as in ``_write``) and stderr and ``os._exit``."""
-    code = main()
-    with contextlib.suppress(BrokenPipeError):
-        sys.stdout.flush()
-    sys.stderr.flush()
-    os._exit(code)
+    """The console script: ``main``'s code, by ``os._exit``."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

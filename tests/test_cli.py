@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 import weakref
@@ -57,6 +58,21 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class FullStream(io.StringIO):
+    """A stream on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+# Runs that fail before they write a byte: a usage error, and a sweep whose
+# 2 + 2n overflows in its first block.
+USAGE_ERROR = ("run", "--mode", "pure", "--n", "2", "--format", "csv")
+FIRST_BLOCK_OVERFLOW = (
+    "sweep", "--mode", "pure", "--n", "8e307:1.7e308:100", "--alpha-sq", "0.5", "--format", "csv"
+)
 
 
 def table_rows(out, columns):
@@ -1193,25 +1209,24 @@ class TestOutput:
     def test_closed_stdout_is_quiet(self):
         # the report is far larger than a pipe buffer, so writing it fails
         # once the reader has closed its end after one line, as `| head -1` does
-        package = Path(wteleport.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": str(package)}
-        child = subprocess.Popen(
-            [sys.executable, "-c", "from wteleport.cli import entry; entry()",
-             "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:100",
-             "--format", "csv"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
+        read, write = os.pipe()
+        first = []
+
+        def head():
+            with open(read, "rb") as reader:
+                first.append(reader.readline())
+
+        thread = threading.Thread(target=head)
+        thread.start()
         try:
-            first = child.stdout.readline()
-            child.stdout.close()
-            code = child.wait(timeout=120)
-            err = child.stderr.read()
+            code, _, err = run_entry(
+                "sweep", "--mode", "pure", "--n", "0.1:10:100", "--alpha-sq", "0:1:100",
+                "--format", "csv", stdout=write,
+            )
         finally:
-            child.kill()
-            child.stderr.close()
-        assert first.startswith(b"# wteleport sweep")
+            os.close(write)
+            thread.join()
+        assert first[0].startswith(b"# wteleport sweep")
         assert err == b""
         assert code == 0
 
@@ -1219,35 +1234,69 @@ class TestOutput:
     def test_full_stdout_is_a_usage_error(self):
         # writing to /dev/full fails with ENOSPC: reported like an unwritable
         # --output, with no traceback from the write or the final flush
-        package = Path(wteleport.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": str(package)}
         with open("/dev/full", "w") as full:
-            child = subprocess.run(
-                [sys.executable, "-c", "from wteleport.cli import entry; entry()", "roots"],
-                stdout=full,
-                stderr=subprocess.PIPE,
-                env=env,
-                timeout=120,
-            )
-        err = child.stderr.decode()
-        assert child.returncode == 2
+            code, _, err = run_entry("roots", stdout=full)
+        err = err.decode()
+        assert code == 2
         assert "Traceback" not in err
         assert err.startswith("error: cannot write to stdout:")
 
+    @pytest.mark.parametrize(
+        "argv, stream, expected",
+        [
+            (USAGE_ERROR, "stderr", 2),
+            (FIRST_BLOCK_OVERFLOW, "stderr", 3),
+            (("--help",), "stdout", 2),
+            (("sweep", "--help"), "stdout", 2),
+            (("roots",), "stdout", 2),
+        ],
+        ids=["usage-error", "numerical-failure", "help", "sweep-help", "roots"],
+    )
+    def test_full_stream_keeps_the_documented_code(
+        self, capsys, monkeypatch, argv, stream, expected
+    ):
+        # main itself, not only the console script, returns the documented
+        # code for a stdout or stderr that cannot be written, and raises nothing
+        monkeypatch.setattr(sys, stream, FullStream())
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (expected, "")
+        if stream == "stdout":
+            assert err.startswith("error: cannot write to stdout:")
 
-def run_child(code, *argv):
-    """``python -c code *argv`` in a fresh interpreter: exit code, stdout, stderr."""
+
+BUFFERED = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+# The console script, and main in an interpreter that exits as usual: its
+# teardown flushes stdout and stderr once more, and a failed flush exits 120.
+THROUGH = pytest.mark.parametrize(
+    "script",
+    [
+        "from wteleport.cli import entry; entry()",
+        "import sys; from wteleport.cli import main; sys.exit(main())",
+    ],
+    ids=["entry", "main"],
+)
+
+
+def run_child(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True):
+    """``python -c code *argv`` in a fresh interpreter, its stdout and stderr
+    sent to the ``stdout`` and ``stderr`` targets of ``subprocess.run``
+    (captured by default) and written through Python's buffers, or not, as
+    with ``PYTHONUNBUFFERED=1``: exit code, stdout, stderr (None if not captured)."""
     package = Path(wteleport.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(package)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     child = subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, env=env, timeout=120
+        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=stderr, env=env, timeout=120
     )
     return child.returncode, child.stdout, child.stderr
 
 
-def run_entry(*argv):
-    """The console script ``entry()`` in a fresh interpreter."""
-    return run_child("from wteleport.cli import entry; entry()", *argv)
+def run_entry(*argv, **targets):
+    """The console script ``entry()`` in a fresh interpreter (see ``run_child``)."""
+    return run_child("from wteleport.cli import entry; entry()", *argv, **targets)
 
 
 class TestEntry:
@@ -1255,14 +1304,14 @@ class TestEntry:
 
     @pytest.mark.parametrize("name, fmt", [("verify", "csv"), ("run-pure", "json")])
     def test_golden_bytes_and_exit_zero(self, name, fmt):
-        # entry flushes stdout and stderr and leaves by os._exit, skipping
-        # interpreter teardown: no byte and no exit code may be lost
+        # main flushes stdout and stderr and entry leaves by os._exit,
+        # skipping interpreter teardown: no byte and no exit code may be lost
         code, out, err = run_entry(*GOLDEN_COMMANDS[name], "--format", fmt)
         assert (code, err) == (0, b"")
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes()
 
     def test_usage_error_exits_two(self):
-        code, out, err = run_entry("run", "--mode", "pure", "--n", "2", "--format", "csv")
+        code, out, err = run_entry(*USAGE_ERROR)
         assert (code, out) == (2, b"")
         assert err == b"error: --alpha-sq is required with --mode pure\n"
 
@@ -1278,33 +1327,91 @@ class TestEntry:
 
     def test_numerical_failure_exits_three(self):
         # 2 + 2n overflows in the first block: exit 3 and nothing written
-        code, out, err = run_entry(
-            "sweep", "--mode", "pure", "--n", "8e307:1.7e308:100", "--alpha-sq", "0.5",
-            "--format", "csv",
-        )
+        code, out, err = run_entry(*FIRST_BLOCK_OVERFLOW)
         assert (code, out) == (3, b"")
         assert err.startswith(b"numerical failure:")
 
-    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @BUFFERED
     @pytest.mark.parametrize("argv", [("--help",), ("roots",)], ids=["help", "roots"])
     def test_stdout_reader_gone_before_the_run_is_quiet(self, argv, buffered):
         # the reader of stdout has closed its end before anything is written;
-        # buffered, argparse's help reaches the pipe only at entry's flush
-        package = Path(wteleport.__file__).parents[1]
-        env = {**os.environ, "PYTHONPATH": str(package)}
-        env.pop("PYTHONUNBUFFERED", None)
-        if not buffered:
-            env["PYTHONUNBUFFERED"] = "1"
+        # buffered, argparse's help reaches the pipe only at main's flush
         read, write = os.pipe()
         os.close(read)
         try:
-            child = subprocess.run(
-                [sys.executable, "-c", "from wteleport.cli import entry; entry()", *argv],
-                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            code, _, err = run_entry(*argv, stdout=write, buffered=buffered)
+        finally:
+            os.close(write)
+        assert (code, err) == (0, b"")
+
+    @BUFFERED
+    def test_stdout_reader_gone_keeps_the_verdict(self, buffered):
+        # a verify failure whose reader has gone still exits 1, quietly
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            code, _, err = run_child(
+                "import wteleport.analysis; wteleport.analysis.MATCH_TOL = -1.0; "
+                "from wteleport.cli import entry; entry()",
+                "verify", "--format", "csv", stdout=write, buffered=buffered,
             )
         finally:
             os.close(write)
-        assert (child.returncode, child.stderr) == (0, b"")
+        assert (code, err) == (1, b"")
+
+    @THROUGH
+    @BUFFERED
+    @pytest.mark.parametrize(
+        "argv, expected", [(USAGE_ERROR, 2), (FIRST_BLOCK_OVERFLOW, 3)],
+        ids=["usage-error", "numerical-failure"],
+    )
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stderr_keeps_the_exit_code(self, argv, expected, buffered, script):
+        # the message is lost, not the code: neither an uncaught OSError's 1
+        # nor the 120 of a final flush that fails
+        with open("/dev/full", "w") as full:
+            code, out, _ = run_child(script, *argv, stderr=full, buffered=buffered)
+        assert (code, out) == (expected, b"")
+
+    @THROUGH
+    @BUFFERED
+    @pytest.mark.parametrize(
+        "argv", [("--help",), ("sweep", "--help"), ("roots",)], ids=["help", "sweep-help", "roots"]
+    )
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_two(self, argv, buffered, script):
+        # argparse ignores a failed write of its help, and buffered, the help
+        # reaches stdout only at the final flush; either way the failure is
+        # a usage error, as a report's is
+        with open("/dev/full", "w") as full:
+            code, _, err = run_child(script, *argv, stdout=full, buffered=buffered)
+        assert code == 2
+        assert err.startswith(b"error: cannot write to stdout:")
+        assert b"Traceback" not in err
+
+    @BUFFERED
+    @pytest.mark.parametrize("forks", [True, False], ids=["forked", "serial"])
+    @pytest.mark.parametrize("block", [512, 7], ids=["512-point-blocks", "7-point-blocks"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    def test_later_block_failure_writes_the_rows_before_it(
+        self, capsys, monkeypatch, fmt, block, forks, buffered
+    ):
+        # 2 + 2n overflows in a later block: the process writes what main
+        # writes in process, the rows before the failure; at 7 points a block
+        # the last of them are still buffered when the failure is raised, so
+        # stdout must be flushed on that path too
+        argv = ("sweep", "--mode", "pure", "--n", "1:1.7e308:2000", "--alpha-sq", "0.5")
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
+        expected = run_cli(capsys, *argv, "--format", fmt)
+        assert expected[0] == 3 and expected[1]
+        assert expected[2].startswith("numerical failure:")
+        code, out, err = run_child(
+            f"import wteleport.analysis, wteleport.cli; wteleport.analysis.BLOCK_POINTS = {block}; "
+            f"wteleport.cli._forks = lambda: {forks}; wteleport.cli.entry()",
+            *argv, "--format", fmt, buffered=buffered,
+        )
+        assert (code, out.decode(), err.decode()) == expected
 
     def test_main_registers_no_atexit_handler(self):
         # entry leaves by os._exit, which runs no atexit handler, so neither

@@ -5,14 +5,16 @@ numbers, labels and outcomes; object parameters get valid objects, None, a
 string or the other state type.  Each call returns a finite result of its
 documented type or raises one of the package's typed errors; explicit
 examples add the corners where both arguments sit at an edge.  The CLI is
-driven in process over argv built from odd spellings; it exits 0, 2 or 3,
-and an exit 2 writes nothing.  A numpy warning fails the run (see
-``filterwarnings`` in pyproject.toml).
+driven in process over argv built from odd spellings, some runs with a
+stderr that cannot be written; it exits 0, 2 or 3, and an exit 2 writes
+nothing.  A numpy warning fails the run (see ``filterwarnings`` in
+pyproject.toml).
 
 The runs are derandomized and keep no example database, so every run draws
 the same cases and writes no files.
 """
 import contextlib
+import errno
 import io
 import math
 import os
@@ -182,6 +184,13 @@ def test_two_argument_corners_return_finite_or_raise_typed(name, p, n):
     assert_finite_or_typed(name, [p, n])
 
 
+class FullStream(io.StringIO):
+    """A stderr on a full disk: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 # The odd spellings of the CLI's numbers and grids, and a few ordinary ones
 # (Arabic-Indic 0.5 among them) so that some runs succeed.
 SPELLINGS = ["nan", "1e309", "0x10", "\u0663", "\u0660.\u0665", "1:2:1.5", "1e308:1e308:600",
@@ -196,13 +205,17 @@ SPELLINGS = ["nan", "1e309", "0x10", "\u0663", "\u0660.\u0665", "1:2:1.5", "1e30
     value=st.sampled_from(SPELLINGS),
     fmt=st.sampled_from(["csv", "json", "table"]),
     to_file=st.booleans(),
+    full_stderr=st.booleans(),
 )
-def test_cli_exits_0_2_or_3_and_a_usage_error_writes_nothing(command, mode, n, value, fmt, to_file):
+def test_cli_exits_0_2_or_3_and_a_usage_error_writes_nothing(
+    command, mode, n, value, fmt, to_file, full_stderr
+):
+    # a stderr that cannot be written loses the message, not the exit code
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "out")
         argv = [command, "--mode", mode[0], f"--n={n}", f"{mode[1]}={value}", "--format", fmt]
         argv += ["--output", path] if to_file else []
-        out, err = io.StringIO(), io.StringIO()
+        out, err = io.StringIO(), FullStream() if full_stderr else io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
