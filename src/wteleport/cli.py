@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import itertools
 import json
@@ -692,31 +693,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_params: bool) -> None:
-        if with_params:
+    for name, command, text in (
+        ("run", cmd_run, "run the protocol at one parameter point"),
+        ("sweep", cmd_sweep, "oracle vs closed form over a parameter grid"),
+        ("verify", cmd_verify, "run the default verification grids"),
+        ("roots", cmd_roots, "positive roots of the channel-rating quartic"),
+    ):
+        p = sub.add_parser(name, help=text)
+        if name in ("run", "sweep"):
             p.add_argument("--mode", choices=("pure", "werner"), required=True)
             p.add_argument("--n", required=True, help="channel parameter, scalar or start:stop:count")
             p.add_argument("--alpha-sq", dest="alpha_sq", help="input weight alpha^2 (pure mode)")
             p.add_argument("--p", help="Werner mixing weight (werner mode)")
         p.add_argument("--format", choices=("table", "csv", "json"), default="table")
         p.add_argument("--output", help="write the report to this path instead of stdout")
-
-    p_run = sub.add_parser("run", help="run the protocol at one parameter point")
-    add_common(p_run, with_params=True)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="oracle vs closed form over a parameter grid")
-    add_common(p_sweep, with_params=True)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="run the default verification grids")
-    add_common(p_verify, with_params=False)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_roots = sub.add_parser("roots", help="positive roots of the channel-rating quartic")
-    add_common(p_roots, with_params=False)
-    p_roots.set_defaults(func=cmd_roots)
-
+        p.set_defaults(func=command)
     return parser
 
 
@@ -729,38 +720,51 @@ def _to_devnull(stream) -> None:
         os.close(devnull)
 
 
+class _Closed(io.TextIOBase):
+    """A standard stream closed before Python started, which ``sys`` holds as
+    None: writing text to it fails as writing to a closed descriptor does."""
+
+    def write(self, text: str) -> int:
+        if text:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        return 0
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Run ``argv`` (``sys.argv[1:]`` when None) and return its exit code: the
     subcommand's, argparse's, 2 for ``InvalidInput`` and ``InvalidBasis``, 3
     for ``NumericalFailure``.  Stdout is flushed on every path, and a failed
-    write to it is exit 2 unless its reader has gone.  The message goes to
-    stderr last; a stderr that cannot be written keeps the code."""
+    write to it, a closed stdout's included, is exit 2 unless its reader has
+    gone.  The message goes to stderr last; a stderr that cannot be written,
+    or is closed, keeps the code."""
     # what argparse prints is held and written below, as the rest of a run is:
     # argparse itself ignores a failed write (3.11 and later) or raises it
     out, err = io.StringIO(), io.StringIO()
     code, message = 0, ""
+    stdout, stderr = sys.stdout or _Closed(), sys.stderr or _Closed()
     try:
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 args = build_parser().parse_args(argv)
-            code = args.func(args)
+            with contextlib.redirect_stdout(stdout):
+                code = args.func(args)
         except SystemExit as exc:  # argparse's
             code, message = (exc.code if isinstance(exc.code, int) else 2), err.getvalue()
-            sys.stdout.write(out.getvalue())
+            stdout.write(out.getvalue())
         except (InvalidInput, InvalidBasis) as exc:
             code, message = 2, f"error: {exc}\n"
         except NumericalFailure as exc:
             code, message = 3, f"numerical failure: {exc}\n"
-        sys.stdout.flush()
+        stdout.flush()
     except OSError as exc:  # from stdout: the run's other writes report their own
-        _to_devnull(sys.stdout)
+        _to_devnull(stdout)
         if not isinstance(exc, BrokenPipeError):
             code, message = 2, f"error: cannot write to stdout: {exc.strerror}\n"
     try:
-        sys.stderr.write(message)
-        sys.stderr.flush()
+        stderr.write(message)
+        stderr.flush()
     except OSError:
-        _to_devnull(sys.stderr)
+        _to_devnull(stderr)
     return code
 
 

@@ -358,8 +358,8 @@ def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return _in_blocks(rho, np.atleast_1d(_check_n(n)))
 
 
-# Where 2 + 2n overflows the scale is 0; the probability-sum check then
-# raises NumericalFailure instead of a warning.
+# Where 2 + 2n overflows f(n)^2 is 0; the probability-sum check then raises
+# NumericalFailure instead of a warning.
 @np.errstate(all="ignore")
 def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eight branches of real X-state inputs with rho23 = 0, given by
@@ -367,32 +367,25 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each A rho A', A an action of ``_branch_actions``, is then an X-state as
     long as no action has two non-zero entries in a row or column, or
-    ``NumericalFailure`` is raised.  Its six entries are formed straight from
-    A's and rho's; its trace, the branch weight, times f(n)^2 / 2 is the branch
-    probability.  A branch whose weight is subnormal but not 0 is formed again
-    with its action scaled by 2**40: its entries and weight scale by 2**80,
-    exactly but for underflow, which makes even 2**-1074 normal; its
-    post-state stays, and its weight is scaled back before it becomes the
-    probability.  A branch whose weight is still not a normal double, which
-    leaves 0, is dead, with concurrence 0; a live one stays live where its
-    probability underflows.  ``concurrence_x_batch`` validates each live
+    ``NumericalFailure`` is raised.  Its six entries are formed once, straight
+    from rho's and those of A times a power-of-two scale s chosen from n alone:
+    s = 2**40 where n < 2**900, so that the entries and the trace, the branch
+    weight, gain s^2 = 2**80 exactly but for underflow, which makes even a
+    weight of 2**-1074 normal, while (n + 1) 2**80 stays finite; s = 1 above,
+    where no weight but 0 is subnormal.  A branch whose weight is not a normal
+    double, which leaves 0, is dead, with concurrence 0; the weight / s^2
+    times f(n)^2 / 2 is the branch probability, and a live branch stays live
+    where it underflows.  ``concurrence_x_batch`` validates each live
     post-state A rho A' / weight and gives its concurrence in closed form,
     leaving the spin-flip and Wootters formulas to the scalar oracle.
     """
-    a, b, c, d = _branch_actions(n)
+    scale = np.where(n < 2.0**900, 2.0**40, 1.0)[:, np.newaxis]
+    a, b, c, d = _branch_actions(n) * scale
     if np.any(a * b) or np.any(c * d) or np.any(a * c) or np.any(b * d):
         raise NumericalFailure("post-state has a non-zero entry off the X shape")
     x = _x_entries((a, b, c, d), rho[:, :, np.newaxis])  # rho's entries each (points, 1)
     weight = ((x[0] + x[1]) + x[2]) + x[3]
-    probability = weight * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis]
-    tiny = (weight > 0.0) & (weight < ZERO_PROBABILITY_CUTOFF)
-    if tiny.any():
-        points = np.nonzero(tiny)[0]
-        scaled = _x_entries([action[tiny] * 2.0**40 for action in (a, b, c, d)], rho[:, points])
-        for entry, value in zip(x, scaled):
-            entry[tiny] = value
-        weight[tiny] = ((scaled[0] + scaled[1]) + scaled[2]) + scaled[3]
-        probability[tiny] = weight[tiny] * 2.0**-80 * (0.5 / (2.0 + 2.0 * n[points]))
+    probability = weight / scale**2 * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis]
     alive = weight >= ZERO_PROBABILITY_CUTOFF
     # rho11..rho44, rho14 and rho23 of each live post-state, one row per entry,
     # so that each column the kernel reads is contiguous: with one row per

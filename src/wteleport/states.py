@@ -18,9 +18,9 @@ import numpy as np
 NORM_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-12
 PROBABILITY_SUM_TOL = 1e-12
-# A branch is dead exactly when its probability (in the engine, its unscaled
-# weight, formed again at a power-of-two scale where it is subnormal) is not a
-# normal double: neither has a fixed scale, underflow does.
+# A branch is dead exactly when its probability (in the engine, its weight,
+# formed at a power-of-two scale that makes every non-zero weight normal) is
+# not a normal double: neither has a fixed scale, underflow does.
 # ``analysis._bob_zero_form`` also splits its root below it.
 ZERO_PROBABILITY_CUTOFF = float(np.finfo(float).tiny)
 MAX_QUBITS = 5

@@ -385,9 +385,10 @@ class TestSweep:
     def test_subnormal_corner_scan_has_no_discrepant_row(self):
         # with n and alpha^2 both subnormal the Psi Bob-0 weight alpha^2 +
         # n (1 - alpha^2) can be subnormal too, and so can the closed form's
-        # sqrt(n x) sqrt(y); the engine re-forms such a branch at a power-of-two
-        # scale and the closed form divides before it multiplies, so every row
-        # matches, and the Bob-0 rows agree with a 50-digit evaluation
+        # sqrt(n x) sqrt(y); the engine forms every branch at a power-of-two
+        # scale that makes such a weight normal, and the closed form divides
+        # before it multiplies, so every row matches, and the Bob-0 rows agree
+        # with a 50-digit evaluation
         grid = np.logspace(-323, -290, 200)
         table = sweep("pure", n_values=grid, alpha_sq_values=grid)
         assert table.match.all(), np.count_nonzero(~table.match)

@@ -1264,6 +1264,31 @@ class TestOutput:
         if stream == "stdout":
             assert err.startswith("error: cannot write to stdout:")
 
+    @pytest.mark.parametrize(
+        "argv, stream, expected, message",
+        [
+            (("roots",), "stdout", 2, "error: cannot write to stdout:"),
+            (("verify", "--format", "csv"), "stdout", 2, "error: cannot write to stdout:"),
+            (("--help",), "stdout", 2, "error: cannot write to stdout:"),
+            # nothing goes to stdout, so its message is the usage error's
+            (USAGE_ERROR, "stdout", 2, "error: --alpha-sq is required"),
+            (USAGE_ERROR, "stderr", 2, ""),
+            (FIRST_BLOCK_OVERFLOW, "stderr", 3, ""),
+        ],
+        ids=["roots", "verify", "help", "usage-error", "usage-error-stderr", "numerical-failure"],
+    )
+    def test_closed_stream_keeps_the_documented_code(
+        self, capsys, monkeypatch, argv, stream, expected, message
+    ):
+        # Python leaves sys.stdout or sys.stderr None when its descriptor was
+        # closed at start; main meets that stream by the rules of one it
+        # cannot write, and raises nothing
+        monkeypatch.setattr(sys, stream, None)
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert (code, out) == (expected, "")
+        assert err.startswith(message) if message else err == ""
+
 
 BUFFERED = pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 # The console script, and main in an interpreter that exits as usual: its
@@ -1278,19 +1303,24 @@ THROUGH = pytest.mark.parametrize(
 )
 
 
-def run_child(code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True):
+def run_child(
+    code, *argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, buffered=True, closing=""
+):
     """``python -c code *argv`` in a fresh interpreter, its stdout and stderr
     sent to the ``stdout`` and ``stderr`` targets of ``subprocess.run``
     (captured by default) and written through Python's buffers, or not, as
-    with ``PYTHONUNBUFFERED=1``: exit code, stdout, stderr (None if not captured)."""
+    with ``PYTHONUNBUFFERED=1``; ``closing`` holds shell redirections such as
+    ``>&-`` that close a descriptor before Python starts: exit code, stdout,
+    stderr (None if not captured)."""
     package = Path(wteleport.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(package)}
     env.pop("PYTHONUNBUFFERED", None)
     if not buffered:
         env["PYTHONUNBUFFERED"] = "1"
-    child = subprocess.run(
-        [sys.executable, "-c", code, *argv], stdout=stdout, stderr=stderr, env=env, timeout=120
-    )
+    command = [sys.executable, "-c", code, *argv]
+    if closing:
+        command = ["sh", "-c", f'exec "$@" {closing}', "sh", *command]
+    child = subprocess.run(command, stdout=stdout, stderr=stderr, env=env, timeout=120)
     return child.returncode, child.stdout, child.stderr
 
 
@@ -1388,6 +1418,37 @@ class TestEntry:
         assert code == 2
         assert err.startswith(b"error: cannot write to stdout:")
         assert b"Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, forks",
+        [
+            (("roots",), False),
+            (("verify", "--format", "csv"), False),
+            (("sweep", "--mode", "pure", "--n", "1:2:3", "--alpha-sq", "0.5", "--format", "csv"),
+             False),
+            # two blocks, the later one computed by a forked child
+            (("sweep", "--mode", "pure", "--n", "0.1:10:2", "--alpha-sq", "0:1:512",
+              "--format", "csv"), True),
+        ],
+        ids=["roots", "verify", "sweep", "forked-sweep"],
+    )
+    def test_closed_stdout_exits_two(self, argv, forks):
+        # stdout closed before Python starts, as by `>&-`, leaves sys.stdout
+        # None: a stdout that cannot be written, not an AttributeError's exit 1
+        code, _, err = run_child(
+            f"import wteleport.cli; wteleport.cli._forks = lambda: {forks}; wteleport.cli.entry()",
+            *argv, stdout=None, closing=">&-",
+        )
+        assert code == 2
+        assert err.decode() == f"error: cannot write to stdout: {os.strerror(errno.EBADF)}\n"
+
+    def test_closed_stdout_and_stderr_keep_the_exit_code(self):
+        # the usage error's message is lost, not its code
+        code, _, _ = run_child(
+            "from wteleport.cli import entry; entry()",
+            *USAGE_ERROR, stdout=None, stderr=None, closing=">&- 2>&-",
+        )
+        assert code == 2
 
     @BUFFERED
     @pytest.mark.parametrize("forks", [True, False], ids=["forked", "serial"])

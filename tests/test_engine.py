@@ -113,16 +113,23 @@ def test_werner_bob_zero_matches_the_derived_form():
     assert np.abs(x_state - concurrence_mixed_batch(post)).max() <= 1e-13
 
 
-# Reference: every branch from its dense unscaled 4x4 map I x A, by A rho A'
-# as two matrix products, for pure and Werner inputs alike, with the engine's
-# dead-branch rule on the weight and its one scale f(n)^2 / 2.  Each non-zero
-# entry of these sums is a single product, which the engine forms alone, so
-# engine and reference agree to the bit.
-# n from the smallest subnormal to just below where 2 + 2n overflows.
-REFERENCE_N = np.concatenate(
-    ([5e-324, 1e-320], np.logspace(-12, 12, 49), np.logspace(-300, 300, 61), [8.9e307])
+# Reference: every branch from its dense 4x4 map M = I x sA, s the engine's
+# power-of-two scale, by M rho M' as two matrix products, for pure and Werner
+# inputs alike, with the engine's dead-branch rule on the weight, and s^2
+# divided out before f(n)^2 / 2 makes it the probability.  Each non-zero entry
+# of these sums is a single product, which the engine forms alone, so engine
+# and reference agree to the bit.
+# n from the smallest subnormal to just below where 2 + 2n overflows; the
+# subnormal n and values include points where a branch's unscaled weight is
+# subnormal but not 0: (n, value) = (1e-316, 1e-317), (1e-323, 1e-323) and
+# (4 * 2**-1074, 1955 * 2**-1074).
+REFERENCE_N = np.concatenate((
+    [5e-324, 4 * 2.0**-1074, 1e-323, 1e-320, 1e-316],
+    np.logspace(-12, 12, 49), np.logspace(-300, 300, 61), [8.9e307],
+))
+REFERENCE_VALUES = np.concatenate(  # 0, 1/3 and 1 included
+    (np.linspace(0.0, 1.0, 21), [1.0 / 3.0, 1955 * 2.0**-1074, 1e-323, 1e-317])
 )
-REFERENCE_VALUES = np.append(np.linspace(0.0, 1.0, 21), 1.0 / 3.0)  # 0, 1/3 and 1 included
 
 
 def _pure_rho(x):
@@ -140,15 +147,16 @@ def _werner_rho(p):
 
 def _dense(rho, n):
     actions = np.moveaxis(wteleport.protocol._branch_actions(n), 0, -1).reshape(len(n), 8, 2, 2)
+    scale = np.where(n < 2.0**900, 2.0**40, 1.0)[:, None]
     maps = np.zeros((len(n), 8, 4, 4))
-    maps[..., :2, :2] = maps[..., 2:, 2:] = actions
+    maps[..., :2, :2] = maps[..., 2:, 2:] = actions * scale[..., None, None]
     weighted = maps @ rho[:, np.newaxis] @ np.swapaxes(maps, -1, -2)
     weight = np.trace(weighted, axis1=-2, axis2=-1)
     alive = weight >= ZERO_PROBABILITY_CUTOFF
     concurrence = np.zeros_like(weight)
     post = weighted[alive] / weight[alive][:, None, None]
     concurrence[alive] = concurrence_x_batch(*_x_entries(post))
-    return weight * (0.5 / (2.0 + 2.0 * n))[:, None], concurrence
+    return weight / scale**2 * (0.5 / (2.0 + 2.0 * n))[:, None], concurrence
 
 
 @pytest.mark.parametrize(
