@@ -133,8 +133,17 @@ def _bob_zero_form(x, y, n):
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _werner_form(p, n):
-    # np.square, as an array's ** 2 is; a numpy scalar's ** 2 calls pow
-    return np.where(p <= 1.0 / 3.0, 0.0, 4.0 * np.sqrt(n) * (3.0 * p - 1.0) / np.square(n + 1.0))
+    """4 sqrt(n) (3p-1) / (n+1)^2 for p > 1/3, else 0.
+
+    np.square, as an array's ** 2 is; a numpy scalar's ** 2 calls pow.  Above
+    n = 1.34e154 the square overflows, and the numerator is divided by n + 1
+    twice instead, which keeps the printed value (2e-300 at n = 1e200).
+    """
+    m = n + 1.0
+    square = np.square(m)
+    numerator = 4.0 * np.sqrt(n) * (3.0 * p - 1.0)
+    value = np.where(np.isfinite(square), numerator / square, numerator / m / m)
+    return np.where(p <= 1.0 / 3.0, 0.0, value)
 
 
 def _finite(values, what: str = "closed form"):

@@ -120,18 +120,28 @@ def concurrence_x_batch(diagonal: np.ndarray, coherence: np.ndarray) -> np.ndarr
     """
     if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(coherence))):
         raise InvalidInput("matrix entries must be finite")
-    if np.any(np.abs(diagonal - diagonal.conj()) > NORM_TOL):
+    # a finite real diagonal equals its conjugate, so only a complex one can fail
+    if diagonal.dtype.kind == "c" and np.any(np.abs(diagonal - diagonal.conj()) > NORM_TOL):
         raise InvalidInput("density matrix must be Hermitian")
     tr = diagonal.sum(axis=-1)
     bad = (np.abs(tr.imag) > NORM_TOL) | (np.abs(tr.real - 1.0) > NORM_TOL)
     if bad.any():
         raise InvalidInput(f"density matrix trace must be 1, got {tr[bad].flat[0]}")
     # the {1, 4} and {2, 3} blocks: [[a, c], [c*, b]] has smallest eigenvalue
-    # (a + b)/2 - hypot((a - b)/2, |c|)
+    # (a + b)/2 - hypot((a - b)/2, |c|); a, b and |c| are the kernel's own
+    # copies, and each term is computed in place on one of them
     a, b = diagonal.real[:, [0, 1]], diagonal.real[:, [3, 2]]
     magnitude = np.abs(coherence)
-    if np.any((a + b) / 2.0 - np.hypot((a - b) / 2.0, magnitude) < -NORM_TOL):
+    geometric = a * b
+    least = a + b
+    least /= 2.0
+    a -= b
+    a /= 2.0
+    least -= np.hypot(a, magnitude, out=a)
+    if np.any(least < -NORM_TOL):
         raise InvalidInput("density matrix must be positive semidefinite")
+    del a, b, least
     # |rho14| pairs with sqrt(rho22 rho33), |rho23| with sqrt(rho11 rho44)
-    geometric = np.sqrt(np.clip(a * b, 0.0, None))[:, ::-1]
-    return _clip_to_unit(2.0 * (magnitude - geometric).max(axis=-1, initial=0.0))
+    np.sqrt(np.clip(geometric, 0.0, None, out=geometric), out=geometric)
+    magnitude -= geometric[:, ::-1]
+    return _clip_to_unit(2.0 * magnitude.max(axis=-1, initial=0.0))

@@ -137,10 +137,16 @@ class TestPredictedWerner:
         with pytest.raises(InvalidInput):
             predicted_concurrence_werner(-0.1, 1.0)
 
-    def test_overflowing_denominator_reads_zero_as_in_the_sweep(self):
-        # (n + 1)^2 overflows to inf, which the sweep's arithmetic divides by
-        assert predicted_concurrence_werner(0.5, 1e200) == 0.0
-        assert sweep("werner", n_values=(1e200,), p_values=(0.5,)).formula.max() == 0.0
+    @pytest.mark.parametrize("n", [1.4e154, 1e200])
+    def test_overflowing_square_keeps_the_printed_value(self, n):
+        # (n + 1)^2 overflows above n = 1.34e154; the form divides by n + 1
+        # twice there, in the scalar and in the sweep alike
+        expected = _fifty_digits(lambda p, n: 4 * n.sqrt() * (3 * p - 1) / (n + 1) ** 2, 0.5, n)
+        formula = sweep("werner", n_values=(n,), p_values=(0.5, 1.0 / 3.0)).formula
+        bob_zero = PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS
+        for value in (predicted_concurrence_werner(0.5, n), *formula[0, bob_zero]):
+            assert abs(value - expected) <= 1e-15 * expected
+        assert not formula[1].any()
 
     def test_printed_form_is_the_derived_form_times_four_over_n_plus_one(self):
         # the printed 4 sqrt(n) (3p-1) / (n+1)^2 is max(0, sqrt(n) (3p-1) / (n+1)),

@@ -13,6 +13,8 @@ from wteleport import (
     ket,
     werner,
 )
+from wteleport.concurrence import concurrence_x_batch
+from wteleport.states import NORM_TOL
 
 RT2 = 1.0 / np.sqrt(2.0)
 
@@ -181,3 +183,48 @@ class TestConcurrenceMixed:
     def test_zero_sentinel_rejected(self):
         with pytest.raises(InvalidInput):
             concurrence_mixed(DensityMatrix((1, 2), np.zeros((4, 4))))
+
+
+def random_x_entries(rng, k=200):
+    """Entries (6, k) of k random X-states, one row per entry as the engine
+    lays them out: rho11..rho44, then |rho14| and |rho23| at a random fraction
+    of the largest each may take, so that separable and entangled ones mix."""
+    entries = np.empty((6, k))
+    entries[:4] = rng.dirichlet(np.ones(4), size=k).T
+    entries[4] = np.sqrt(entries[0] * entries[3]) * rng.uniform(size=k)
+    entries[5] = np.sqrt(entries[1] * entries[2]) * rng.uniform(size=k)
+    return entries
+
+
+class TestConcurrenceXBatch:
+    def test_arguments_are_left_as_they_were(self):
+        # the kernel computes in place on its own temporaries only
+        rng = np.random.default_rng(31)
+        entries = random_x_entries(rng)
+        phases = np.exp(2j * np.pi * rng.uniform(size=(len(entries[0]), 2)))
+        for diagonal, coherence in (
+            (entries[:4].T, entries[4:].T),  # the engine's transposed views
+            (entries[:4].T.astype(complex), entries[4:].T * phases),
+        ):
+            before = diagonal.copy(), coherence.copy()
+            concurrence_x_batch(diagonal, coherence)
+            assert diagonal.tobytes() == before[0].tobytes()
+            assert coherence.tobytes() == before[1].tobytes()
+
+    def test_real_and_complex_diagonals_give_the_same_bits(self):
+        entries = random_x_entries(np.random.default_rng(37))
+        diagonal, coherence = entries[:4].T, entries[4:].T
+        real = concurrence_x_batch(diagonal, coherence)
+        assert real.any() and not real.all()  # entangled and separable states
+        complex_ = concurrence_x_batch(diagonal.astype(complex), coherence)
+        assert real.tobytes() == complex_.tobytes()
+
+    def test_complex_diagonal_off_hermitian_is_rejected(self):
+        entries = random_x_entries(np.random.default_rng(41), k=5)
+        diagonal = entries[:4].T.astype(complex)
+        diagonal[3, 1] += 2.0 * NORM_TOL * 1j
+        with pytest.raises(InvalidInput, match="density matrix must be Hermitian"):
+            concurrence_x_batch(diagonal, entries[4:].T)
+        # |rho - rho'| within NORM_TOL passes, as in check_density_matrices
+        diagonal[3, 1] = diagonal[3, 1].real + 0.25 * NORM_TOL * 1j
+        assert len(concurrence_x_batch(diagonal, entries[4:].T)) == 5

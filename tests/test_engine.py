@@ -4,6 +4,7 @@ inputs alike."""
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,33 @@ def test_blocks_do_not_change_results(monkeypatch, engine):
     blocked = engine(value, n)
     for a, b in zip(whole, blocked):
         np.testing.assert_array_equal(a, b)
+
+
+# The first block of each benchmark sweep's seed-0 grid, as the CLI parses it
+# (n-major), and the traced peak, in KiB, one engine block must stay below.
+# numpy reports its array buffers to tracemalloc, so the figure repeats exactly:
+# 780 KiB pure and 844 KiB Werner, against 1,125 and 1,189 while a block held
+# its action table, six full X entries and six masked copies through the kernel.
+BENCHMARK_GRIDS = {
+    "pure": (pure_branches, np.linspace(0.01, 100.0, 1000), np.linspace(0.05, 0.95, 10)),
+    "werner": (werner_branches, np.linspace(0.1, 10.0, 10), np.linspace(0.0, 1.0, 500)),
+}
+BLOCK_PEAK_KIB = 1000
+
+
+@pytest.mark.parametrize("grid", BENCHMARK_GRIDS)
+def test_one_block_holds_only_the_arrays_it_still_needs(grid):
+    engine, n_grid, values = BENCHMARK_GRIDS[grid]
+    i = np.arange(wteleport.protocol.BLOCK_POINTS)
+    n, value = n_grid[i // len(values)], values[i % len(values)]
+    engine(value, n)
+    tracemalloc.start()
+    try:
+        engine(value, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < BLOCK_PEAK_KIB * 1024, f"{peak / 1024:.0f} KiB"
 
 
 def test_branch_map_is_a_slice_of_branch_maps():
