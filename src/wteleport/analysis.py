@@ -147,9 +147,9 @@ def _werner_form(p, n):
 
 
 def _finite(values, what: str = "closed form"):
-    bad = ~np.isfinite(values)
-    if bad.any():
-        raise NumericalFailure(f"{what} is not finite ({np.count_nonzero(bad)} values)")
+    if not np.isfinite(values).all():
+        bad = np.count_nonzero(~np.isfinite(values))
+        raise NumericalFailure(f"{what} is not finite ({bad} values)")
     return values
 
 
@@ -270,14 +270,20 @@ class SweepTable(_Frozen):
 
     ``n`` and the mode's own parameter (``alpha_sq`` or ``p``; the other is
     None) have shape (points,).  The branch columns have shape (points, 8),
-    branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.
+    branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.  ``_axes``
+    gives n and the mode's parameter again, each as the grid values the
+    points touch and every point's code into them (see ``_grid_table``).
     """
 
-    __slots__ = ("mode", "n", "alpha_sq", "p", "probability", "oracle", "formula", "abs_diff", "match")
+    __slots__ = (
+        "mode", "n", "alpha_sq", "p", "probability", "oracle", "formula", "abs_diff", "match", "_axes"
+    )
 
-    def __init__(self, mode, n, alpha_sq, p, probability, oracle, formula, abs_diff, match) -> None:
+    def __init__(
+        self, mode, n, alpha_sq, p, probability, oracle, formula, abs_diff, match, axes
+    ) -> None:
         self._set(mode=mode, n=n, alpha_sq=alpha_sq, p=p, probability=probability,
-                  oracle=oracle, formula=formula, abs_diff=abs_diff, match=match)
+                  oracle=oracle, formula=formula, abs_diff=abs_diff, match=match, _axes=axes)
 
     def __len__(self) -> int:
         return self.probability.size
@@ -319,7 +325,7 @@ def sweep(
             raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
         values = DEFAULT_P_GRID if p_values is None else p_values
     n_grid, values = _checked_grids(mode, DEFAULT_N_GRID if n_values is None else n_values, values)
-    return _table(mode, np.repeat(n_grid, len(values)), np.tile(values, len(n_grid)))
+    return _grid_table(mode, n_grid, values, 0, n_grid.size * values.size)
 
 
 def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]:
@@ -339,27 +345,50 @@ def _grid_tables(mode: str, n_values, values) -> tuple[range, Callable]:
     the n-major grid ``n_values`` x ``values``, both validated whole, and a
     function that lazily computes the table of each block at a slice of them."""
     n_grid, values = _checked_grids(mode, n_values, values)
-    m = len(values)
-    points = len(n_grid) * m
+    points = len(n_grid) * len(values)
 
     def tables(starts: range) -> Iterator[SweepTable]:
         for start in starts:
-            i = np.arange(start, min(start + BLOCK_POINTS, points))
-            yield _table(mode, n_grid[i // m], values[i % m])
+            yield _grid_table(mode, n_grid, values, start, min(start + BLOCK_POINTS, points))
 
     return range(0, points, BLOCK_POINTS), tables
 
 
-def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:
-    """The sweep table of validated points (n[i], value[i]), value being alpha^2 or p."""
+def _grid_table(mode: str, n_grid: np.ndarray, values: np.ndarray, start: int, stop: int):
+    """The sweep table of points ``start`` to ``stop - 1`` of the n-major grid
+    ``n_grid`` x ``values``, both validated, and its axes.
+
+    Point i of the grid is (n_grid[i // m], values[i % m]), m = len(values).
+    Each axis holds the grid values the points touch, in grid order, and one
+    code per point into them: for n the rows from the first point's to the
+    last one's, a view of ``n_grid``; for the other, all of ``values`` when the
+    points fill a row or more, else the points' own values, which a range
+    shorter than a row touches once each.
+    """
+    rows, columns = np.divmod(np.arange(start, stop), len(values))
+    n, value = n_grid[rows], values[columns]
+    n_axis = n_grid[rows[0] : rows[-1] + 1], rows - rows[0]
+    value_axis = (value, np.arange(len(value))) if len(value) < len(values) else (values, columns)
+    return _table(mode, n, value, (n_axis, value_axis))
+
+
+def _table(mode: str, n: np.ndarray, value: np.ndarray, axes=None) -> SweepTable:
+    """The sweep table of validated points (n[i], value[i]), value being alpha^2
+    or p; ``axes`` as ``_grid_table`` gives them, by default each point its own
+    n and value."""
     formula = np.zeros((len(n), len(BRANCH_ORDER)))
     if mode == "pure":
         probability, oracle = pure_branches(value, n)
-        formula[:, PHI_ZERO_COLUMNS] = _bob_zero_form(value, 1.0 - value, n)[:, None]
-        formula[:, PSI_ZERO_COLUMNS] = _bob_zero_form(1.0 - value, value, n)[:, None]
+        y = 1.0 - value
+        forms = _bob_zero_form(np.stack((value, y)), np.stack((y, value)), n)  # Phi, Psi
+        formula[:, PHI_ZERO_COLUMNS] = forms[0, :, None]
+        formula[:, PSI_ZERO_COLUMNS] = forms[1, :, None]
     else:
         probability, oracle = werner_branches(value, n)
         formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]
+    if axes is None:
+        index = np.arange(len(n))
+        axes = (n, index), (value, index)
     _finite(formula)
     _finite(oracle, "oracle concurrence")
     abs_diff = np.abs(oracle - formula)
@@ -373,4 +402,5 @@ def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:
         formula=formula,
         abs_diff=abs_diff,
         match=abs_diff <= MATCH_TOL,
+        axes=axes,
     )

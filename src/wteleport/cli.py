@@ -14,8 +14,10 @@ turns an outcome into an exit code; ``entry``, the console script, is
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import errno
+import functools
 import io
 import itertools
 import json
@@ -146,8 +148,9 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
 
 
 class _Labels(_Frozen):
-    """A label column as integer codes into a small tuple of names: row i's
-    label is ``names[codes[i]]``."""
+    """A column as integer codes into its names: row i's cell is
+    ``names[codes[i]]``.  The names are a small tuple of labels, or a float
+    array of grid values in grid order (see ``analysis._grid_table``)."""
 
     __slots__ = ("names", "codes")
 
@@ -170,9 +173,9 @@ class Report(NamedTuple):
     ``blocks`` and ``document``.
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``, or
-    as text already rendered; it is consumed once, as it is written, so a
-    sweep computes its next block only after the last one is written and let
-    go.  Each block is formatted in one pass and written as strings of whole
+    as text already rendered, a string or its UTF-8 bytes; it is consumed
+    once, as it is written, so a sweep computes its next block only after the
+    last one is written and let go.  Each block is formatted in one pass and written as strings of whole
     rows (see ``_rows``).  An absent column is an empty CSV field, a JSON
     ``null`` and a "-" table cell.
     ``document`` is the JSON output in key order; the rows are spliced in at
@@ -183,7 +186,7 @@ class Report(NamedTuple):
 
     comment: str
     columns: tuple[str, ...]
-    blocks: Iterable[Block | str]
+    blocks: Iterable[Block | str | bytes]
     document: dict
     exit_code: int = 0
 
@@ -194,22 +197,47 @@ def _texts(column: np.ndarray | _Labels | None, cell: tuple):
     index into it.  A float's text is ``head + format(value, spec)``, by
     ``repr`` when ``spec`` is empty (the same text, and the faster call); a
     name's is ``head + label(name)``, or formatted as a float's when ``label``
-    is None; an absent column's one text (index 0) is ``head + absent``.
-
-    Floats are keyed on their bits, so -0.0 and 0.0 stay apart, and flattened
-    first: the shape of ``np.unique``'s inverse differs between numpy releases.
+    is None; an absent column's one text (index 0) is ``head + absent``.  A
+    ``_Labels`` column of floats is formatted as floats.
     """
     _, head, spec, absent, label = cell
     if column is None:
         return np.array([head + absent], dtype=object), 0
-    if isinstance(column, _Labels):
-        values, index = column.names, column.codes
-        texts = map(label, values) if label else map(format, values, itertools.repeat(spec))
-    else:
-        distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
-        values, index = distinct.view(np.float64).tolist(), inverse.reshape(-1)
-        texts = map(format, values, itertools.repeat(spec)) if spec else map(repr, values)
+    if isinstance(column, _Labels) and not isinstance(column.names, np.ndarray):
+        return _label_texts(column.names, cell), column.codes
+    values, index = _distinct(column)
+    texts = map(format, values, itertools.repeat(spec)) if spec else map(repr, values)
     return np.array(list(map(head.__add__, texts)), dtype=object), index
+
+
+@functools.lru_cache(maxsize=32)
+def _label_texts(names: tuple, cell: tuple) -> np.ndarray:
+    """The read-only texts of the label ``names`` by ``cell`` (see ``_texts``),
+    formatted once: every block of a sweep asks for the same few."""
+    _, head, spec, _, label = cell
+    texts = map(label, names) if label else map(format, names, itertools.repeat(spec))
+    texts = np.array(list(map(head.__add__, texts)), dtype=object)
+    texts.setflags(write=False)
+    return texts
+
+
+def _distinct(column: np.ndarray | _Labels) -> tuple[list, np.ndarray]:
+    """The distinct floats of a float column, as a list, and each row's index
+    into it.  Floats are keyed on their bits, so -0.0 and 0.0 stay apart.  A
+    ``_Labels`` column's names are in grid order, where equal ones sit side by
+    side, so neighbours are compared instead of sorting; any other column is
+    flattened for ``np.unique`` first, since the shape of its inverse differs
+    between numpy releases."""
+    if isinstance(column, _Labels):
+        bits = column.names.view(np.uint64)
+        first = np.empty(len(bits), dtype=bool)  # whether each name differs from the one before
+        first[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=first[1:])
+        if first.all():
+            return column.names.tolist(), column.codes
+        return column.names[first].tolist(), (np.cumsum(first) - 1)[column.codes]
+    distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
+    return distinct.view(np.float64).tolist(), inverse.reshape(-1)
 
 
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
@@ -240,12 +268,18 @@ def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
         yield "".join(grid[start : start + step].ravel().tolist())
 
 
-def _block_rows(blocks: Iterable[Block | str], cells: Sequence[tuple], end: str) -> Iterator[str]:
+def _block_rows(
+    blocks: Iterable[Block | str | bytes], cells: Sequence[tuple], end: str
+) -> Iterator[str | bytes]:
     """``_rows`` of each block in turn, each block and its grid let go before the
-    next block is asked for (a ``for`` loop would hold the last one).  A string
-    is rows already rendered with ``cells`` and ``end``, and passes as it is."""
+    next block is asked for (a ``for`` loop would hold the last one).  A string,
+    or its UTF-8 bytes, is rows already rendered with ``cells`` and ``end``, and
+    passes as it is."""
     return itertools.chain.from_iterable(
-        map(lambda block: (block,) if isinstance(block, str) else _rows(block, cells, end), blocks)
+        map(
+            lambda block: (block,) if isinstance(block, (str, bytes)) else _rows(block, cells, end),
+            blocks,
+        )
     )
 
 
@@ -364,14 +398,32 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     chunks = _WRITERS[args.format](report)
     if args.output is None:
         with contextlib.suppress(BrokenPipeError):
-            sys.stdout.writelines(chunks)
+            _emit(chunks, sys.stdout)
         return report.exit_code
     try:
         with open(args.output, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(chunks)
+            _emit(chunks, handle)
     except OSError as exc:
         raise InvalidInput(f"cannot write --output {args.output!r}: {exc.strerror}") from exc
     return report.exit_code
+
+
+def _emit(chunks: Iterable[str | bytes], handle) -> None:
+    """Write ``chunks`` to the text stream ``handle``: a string as text, and
+    bytes, text already in UTF-8, straight to its binary buffer once the text
+    before them is flushed; decoded only where ``handle`` has no such buffer or
+    another encoding."""
+    encoding = getattr(handle, "encoding", None)
+    utf8 = encoding is not None and codecs.lookup(encoding).name == "utf-8"
+    buffer = getattr(handle, "buffer", None) if utf8 else None
+    for chunk in chunks:
+        if isinstance(chunk, str):
+            handle.write(chunk)
+        elif buffer is None:
+            handle.write(chunk.decode("utf-8"))
+        else:
+            handle.flush()
+            buffer.write(chunk)
 
 
 # The outcome names, and the codes of the branches into them in ``BRANCH_ORDER``.
@@ -382,16 +434,22 @@ _BOB_CODES = np.array([_BOBS.index(bob.value) for _, bob in BRANCH_ORDER])
 _VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 
-def _branch_rows(mode: str, n: np.ndarray, alpha_sq: np.ndarray | None, p: np.ndarray | None):
+def _branch_rows(mode: str, n: tuple, alpha_sq: tuple | None, p: tuple | None):
     """The ``mode``, ``n``, ``alpha_sq``, ``p``, ``bell`` and ``bob`` columns of
-    the points (n[i], alpha_sq[i] or p[i]), 8 rows per point in ``BRANCH_ORDER``;
-    the parameter ``mode`` does not take is None, an absent column."""
-    branches, count = len(BRANCH_ORDER), len(n)
+    points given by the axes n and alpha_sq or p, each its values and one code
+    per point into them (see ``analysis._grid_table``), 8 rows per point in
+    ``BRANCH_ORDER``; the parameter ``mode`` does not take is None, an absent
+    column."""
+    branches, count = len(BRANCH_ORDER), len(n[1])
+
+    def rows(axis: tuple | None) -> _Labels | None:
+        return None if axis is None else _Labels(axis[0], axis[1].repeat(branches))
+
     return {
         "mode": _Labels((mode,), np.zeros(count * branches, dtype=np.intp)),
-        "n": n.repeat(branches),
-        "alpha_sq": None if alpha_sq is None else alpha_sq.repeat(branches),
-        "p": None if p is None else p.repeat(branches),
+        "n": rows(n),
+        "alpha_sq": rows(alpha_sq),
+        "p": rows(p),
         "bell": _Labels(_BELLS, np.tile(_BELL_CODES, count)),
         "bob": _Labels(_BOBS, np.tile(_BOB_CODES, count)),
     }
@@ -399,8 +457,10 @@ def _branch_rows(mode: str, n: np.ndarray, alpha_sq: np.ndarray | None, p: np.nd
 
 def _sweep_block(table: SweepTable) -> Block:
     """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep order."""
+    n, value = table._axes
+    pure = table.mode == "pure"
     return {
-        **_branch_rows(table.mode, table.n, table.alpha_sq, table.p),
+        **_branch_rows(table.mode, n, value if pure else None, None if pure else value),
         "probability": table.probability.ravel(),
         "oracle_concurrence": table.oracle.ravel(),
         "formula_concurrence": table.formula.ravel(),
@@ -445,14 +505,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     n = float(n_values[0])
     value = float(values[0])
 
+    point = np.zeros(1, dtype=np.intp)  # the one point's code into each axis
     if args.mode == "pure":
         probability, post, concurrence = (a[0] for a in _pure_results(value, n))
-        alpha_sq, p, name = values, None, "alpha_sq"
+        alpha_sq, p, name = (values, point), None, "alpha_sq"
     else:
         probability, _, post, concurrence = (a[0] for a in _mixed_results(values, n))
-        alpha_sq, p, name = None, values, "p"
+        alpha_sq, p, name = None, (values, point), "p"
     rows = {
-        **_branch_rows(args.mode, n_values, alpha_sq, p),
+        **_branch_rows(args.mode, (n_values, point), alpha_sq, p),
         "probability": probability,
         "concurrence": concurrence,
         "post_state": _Labels(tuple(map(_PostState, post)), np.arange(len(post))),
@@ -481,8 +542,9 @@ class _Child:
     with ``cells`` and ``end`` into an unlinked temporary file, sends the counts
     its ``summary`` adds over a pipe, closes it and leaves by ``os._exit``,
     flushing no inherited buffer; it stops once this process has gone.  ``rows()``
-    yields its text if the counts came, adding them to ``summary``, else the
-    blocks of ``tables`` computed here; ``close()`` kills and reaps the child."""
+    yields its text if the counts came, as UTF-8 bytes read from the file, never
+    decoded, adding the counts to ``summary``, else the blocks of ``tables``
+    computed here; ``close()`` kills and reaps the child."""
 
     def __init__(self, tables: Iterator[SweepTable], cells, end: str, summary: dict, fork: bool):
         self.tables, self.summary, self.pid, self.files = tables, summary, 0, []
@@ -512,13 +574,13 @@ class _Child:
                 os._exit(0)  # the counts, not the exit status, tell the child's success
         write.close()
 
-    def rows(self) -> Iterator[Block | str]:
+    def rows(self) -> Iterator[Block | bytes]:
         counts = self.counts.read() if self.pid else b""  # to EOF: the child has closed the pipe
         if counts:
             for key, count in json.loads(counts).items():
                 self.summary[key] += count
             self.text.seek(0)
-            yield from iter(lambda: self.text.read(_JOIN_BYTES), "")
+            yield from iter(lambda: self.text.buffer.read(_JOIN_BYTES), b"")
         else:
             yield from map(_sweep_block, self.tables)
 

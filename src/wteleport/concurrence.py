@@ -118,29 +118,31 @@ def concurrence_x_batch(diagonal: np.ndarray, coherence: np.ndarray) -> np.ndarr
     ``InvalidInput`` messages, its eigenvalues being those of the 2x2 blocks
     on {1, 4} and {2, 3}.  The caller vouches for the X shape.
     """
-    if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(coherence))):
+    if not (np.isfinite(diagonal).all() and np.isfinite(coherence).all()):
         raise InvalidInput("matrix entries must be finite")
     # a finite real diagonal equals its conjugate, so only a complex one can fail
-    if diagonal.dtype.kind == "c" and np.any(np.abs(diagonal - diagonal.conj()) > NORM_TOL):
+    if diagonal.dtype.kind == "c" and (np.abs(diagonal - diagonal.conj()) > NORM_TOL).any():
         raise InvalidInput("density matrix must be Hermitian")
     tr = diagonal.sum(axis=-1)
-    bad = (np.abs(tr.imag) > NORM_TOL) | (np.abs(tr.real - 1.0) > NORM_TOL)
+    bad = np.abs(tr.real - 1.0) > NORM_TOL
+    if tr.dtype.kind == "c":
+        bad |= np.abs(tr.imag) > NORM_TOL
     if bad.any():
         raise InvalidInput(f"density matrix trace must be 1, got {tr[bad].flat[0]}")
-    # the {1, 4} and {2, 3} blocks: [[a, c], [c*, b]] has smallest eigenvalue
-    # (a + b)/2 - hypot((a - b)/2, |c|); a, b and |c| are the kernel's own
-    # copies, and each term is computed in place on one of them
-    a, b = diagonal.real[:, [0, 1]], diagonal.real[:, [3, 2]]
+    # the {1, 4} and {2, 3} blocks [[a, c], [c*, b]], a and b views of the
+    # diagonal: the smallest eigenvalue (a + b)/2 - hypot((a - b)/2, |c|) is
+    # formed in place, and its buffer then takes the products a b
+    a, b = diagonal.real[:, :2], diagonal.real[:, :1:-1]
     magnitude = np.abs(coherence)
-    geometric = a * b
     least = a + b
     least /= 2.0
-    a -= b
-    a /= 2.0
-    least -= np.hypot(a, magnitude, out=a)
-    if np.any(least < -NORM_TOL):
+    half = a - b
+    half /= 2.0
+    least -= np.hypot(half, magnitude, out=half)
+    if (least < -NORM_TOL).any():
         raise InvalidInput("density matrix must be positive semidefinite")
-    del a, b, least
+    del half
+    geometric = np.multiply(a, b, out=least)
     # |rho14| pairs with sqrt(rho22 rho33), |rho23| with sqrt(rho11 rho44)
     np.sqrt(np.clip(geometric, 0.0, None, out=geometric), out=geometric)
     magnitude -= geometric[:, ::-1]

@@ -101,11 +101,12 @@ class ProtocolResult(NamedTuple):
 
 # Grid points per block of the batched engine and of a CLI sweep, which
 # computes and writes one block at a time; bounds their working memory, so a
-# sweep's peak memory does not grow with its grid.  That peak is set inside
-# ``_x_block``, whose arrays grow with the block: 1024-point blocks ran at
-# most 5% faster but peaked about 1.1 MiB higher, 256-point blocks peaked
-# about 0.5 MiB lower but ran about 10% slower.
-BLOCK_POINTS = 512
+# sweep's peak memory does not grow with its grid.  That peak is set by one
+# block and its rendering, which grow with the block: 256-point blocks peak
+# about 0.6 MiB lower than 512-point ones on the benchmark's sweeps, at the
+# same wall time now that a block's fixed cost is lower; 128-point blocks
+# peak about 0.25 MiB lower again but ran up to 25% slower on 10^5-point grids.
+BLOCK_POINTS = 256
 
 
 def _validated(values, ok, message: str):
@@ -302,26 +303,32 @@ def branch_maps(n: np.ndarray) -> np.ndarray:
     return maps
 
 
+# Each branch's 2x2 action [[a, b], [c, d]] from qubit 2 to qubit 4, as indices
+# into (0, 1, sqrt(n), sqrt(n + 1), -1, -sqrt(n), -sqrt(n + 1)): one row per
+# entry a, b, c, d, one column per branch in ``BRANCH_ORDER``.
+_ACTION_PATTERN = np.array(
+    [  # Phi+ 0, Phi+ 1, Phi- 0, Phi- 1, Psi+ 0, Psi+ 1, Psi- 0, Psi- 1
+        [0, 3, 0, 3, 1, 0, 1, 0],  # a
+        [1, 0, 4, 0, 0, 3, 0, 6],  # b
+        [2, 0, 2, 0, 0, 0, 0, 0],  # c
+        [0, 0, 0, 0, 2, 0, 5, 0],  # d
+    ]
+)
+_ACTION_PATTERN.setflags(write=False)
+
+
 def _branch_actions(n: np.ndarray) -> np.ndarray:
     """The one definition of the branch maps: a, b, c, d = ``_branch_actions(n)``,
     each (len(n), 8), are the entries of every branch's 2x2 action [[a, b], [c, d]]
-    from qubit 2 to qubit 4, built from the channel's amplitudes without f(n).
-    No action has two non-zero entries in a row or column, which the engine
-    relies on."""
-    one, rn, rn1, zero = np.ones_like(n), np.sqrt(n), np.sqrt(n + 1.0), np.zeros_like(n)
-    actions = np.array(
-        [  # a, b, c, d
-            [zero, one, rn, zero],  # Phi+, Bob 0
-            [rn1, zero, zero, zero],  # Phi+, Bob 1
-            [zero, -one, rn, zero],  # Phi-, Bob 0
-            [rn1, zero, zero, zero],  # Phi-, Bob 1
-            [one, zero, zero, rn],  # Psi+, Bob 0
-            [zero, rn1, zero, zero],  # Psi+, Bob 1
-            [one, zero, zero, -rn],  # Psi-, Bob 0
-            [zero, -rn1, zero, zero],  # Psi-, Bob 1
-        ]
-    )
-    return np.transpose(actions, (1, 2, 0))
+    from qubit 2 to qubit 4, built from the channel's amplitudes without f(n)
+    and gathered from ``_ACTION_PATTERN``.  No action has two non-zero entries
+    in a row or column, which the engine relies on."""
+    values = np.empty((len(n), 7))
+    values[:, 0], values[:, 1] = 0.0, 1.0
+    np.sqrt(n, out=values[:, 2])
+    np.sqrt(n + 1.0, out=values[:, 3])
+    np.negative(values[:, 1:4], out=values[:, 4:])
+    return values[:, _ACTION_PATTERN].transpose(1, 0, 2)
 
 
 def _in_blocks(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -384,19 +391,18 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A sweep's peak memory is set in here, so the block holds only the arrays
     it still needs: it scales the action table in place, gathers the live
     entries row by row into one (6, live) array, and lets go of the table
-    and the six full entries before the kernel runs.  One 512-point block
-    traces 780 KiB at its peak for pure inputs and 844 KiB for Werner, 0.3
-    MiB less than while every intermediate stayed alive until the kernel
-    returned.
+    and the six full entries before the kernel runs.  One 256-point block traces 356 KiB at its peak for pure
+    inputs and 388 KiB for Werner (708 and 772 KiB at 512 points, where
+    every intermediate alive until the kernel returned took 1,125 and 1,189).
     """
     scale = np.where(n < 2.0**900, 2.0**40, 1.0)[:, np.newaxis]
     actions = _branch_actions(n)
     actions *= scale
-    a, b, c, d = actions
-    if np.any(a * b) or np.any(c * d) or np.any(a * c) or np.any(b * d):
+    # a b and c d share a row, a c and b d a column
+    if (actions[::2] * actions[1::2]).any() or (actions[:2] * actions[2:]).any():
         raise NumericalFailure("post-state has a non-zero entry off the X shape")
     x = _x_entries(actions, rho[:, :, np.newaxis])  # rho's entries each (points, 1)
-    del actions, a, b, c, d
+    del actions
     weight = ((x[0] + x[1]) + x[2]) + x[3]
     probability = weight / scale**2 * (0.5 / (2.0 + 2.0 * n))[:, np.newaxis]
     alive = weight >= ZERO_PROBABILITY_CUTOFF

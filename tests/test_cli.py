@@ -1091,9 +1091,9 @@ class TestOutput:
         writer = wteleport.cli._WRITERS[fmt]
         sizes = []
 
-        def measured(report):
+        def measured(report):  # a forked child's rows come as UTF-8 bytes
             for chunk in writer(report):
-                sizes.append(len(chunk.encode("utf-8")))
+                sizes.append(len(chunk.encode("utf-8") if isinstance(chunk, str) else chunk))
                 yield chunk
 
         blocks = record_rows(monkeypatch)
@@ -1104,8 +1104,9 @@ class TestOutput:
         assert_strings_of_whole_rows(blocks, wteleport.cli._JOIN_BYTES)
 
     def test_no_string_exceeds_the_join_budget(self, monkeypatch, tmp_path):
-        # each block of this grid opens with its shortest row (p = 0), 53 of
-        # up to 147 bytes; strings sized by it reached 126,678 bytes
+        # a block of this grid that starts at an n row opens with its shortest
+        # row (p = 0), 53 of up to 147 bytes; at 512 points a block, where each
+        # block does, strings sized by it reached 126,678 bytes
         monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)  # every block rendered here
         blocks = record_rows(monkeypatch)
         code = main([
@@ -1113,12 +1114,12 @@ class TestOutput:
             "--output", str(tmp_path / "rows"),
         ])
         assert code == 0
-        assert len(blocks) == 10
+        assert len(blocks) == -(-5000 // wteleport.analysis.BLOCK_POINTS)  # all 5,000 points
         longest = max(len(chunk) for strings, *_ in blocks for chunk in strings)
         assert longest <= wteleport.cli._JOIN_BYTES
 
     @pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
-    @pytest.mark.parametrize("block_points", [7, 512])
+    @pytest.mark.parametrize("block_points", [7, wteleport.analysis.BLOCK_POINTS])
     @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
     @pytest.mark.parametrize("name", GOLDEN_COMMANDS)
     def test_golden_with_and_without_a_child(
@@ -1159,6 +1160,15 @@ class TestOutput:
         column = np.array(values)
         assert cells(column, "csv").tolist() == [repr(v) for v in values]
         assert cells(column, "json").tolist() == [json.dumps(v) for v in values]
+        # an axis: codes into grid values in grid order, where repeats sit side
+        # by side; each distinct value gets one text, -0.0 apart from 0.0
+        grid = np.array([0.5, 0.5, -0.0, 0.0, 0.0, 1 / 3])
+        codes = np.array([5, 0, 1, 2, 3, 4, 2])
+        axis = _Labels(grid, codes)
+        expected = [repr(v) for v in grid[codes].tolist()]
+        assert cells(axis, "csv").tolist() == expected
+        assert cells(axis, "json").tolist() == expected
+        assert len(_texts(axis, _row_cells("csv", ("n",))[0][0])[0]) == 4
         labels = _Labels(("Zero", "One"), np.array([0, 1, 0]))
         assert cells(labels, "csv").tolist() == ["Zero", "One", "Zero"]
         assert cells(labels, "json").tolist() == ['"Zero"', '"One"', '"Zero"']
@@ -1426,7 +1436,7 @@ class TestEntry:
             (("verify", "--format", "csv"), False),
             (("sweep", "--mode", "pure", "--n", "1:2:3", "--alpha-sq", "0.5", "--format", "csv"),
              False),
-            # two blocks, the later one computed by a forked child
+            # blocks of which a forked child computes the later half
             (("sweep", "--mode", "pure", "--n", "0.1:10:2", "--alpha-sq", "0:1:512",
               "--format", "csv"), True),
         ],
@@ -1452,7 +1462,9 @@ class TestEntry:
 
     @BUFFERED
     @pytest.mark.parametrize("forks", [True, False], ids=["forked", "serial"])
-    @pytest.mark.parametrize("block", [512, 7], ids=["512-point-blocks", "7-point-blocks"])
+    @pytest.mark.parametrize(
+        "block", [wteleport.analysis.BLOCK_POINTS, 7], ids=lambda block: f"{block}-point-blocks"
+    )
     @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_later_block_failure_writes_the_rows_before_it(
         self, capsys, monkeypatch, fmt, block, forks, buffered
