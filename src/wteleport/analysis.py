@@ -24,10 +24,10 @@ from .protocol import (
     _check_alpha_sq,
     _check_n,
     _check_p,
+    _pure_branches,
     _scalar,
     _validated,
-    pure_branches,
-    werner_branches,
+    _werner_branches,
 )
 from .states import ZERO_PROBABILITY_CUTOFF, InvalidInput, NumericalFailure, _Frozen
 
@@ -85,6 +85,7 @@ def efficiency_ratio(alpha_sq: float, n: float) -> float:
     return float(np.sqrt(n) / (n * x + (1.0 - x)))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def predicted_concurrence_phi(alpha: float, n: float) -> float:
     """Closed-form branch concurrence 2 alpha sqrt(n (1-alpha^2)) / ((n-1) alpha^2 + 1).
 
@@ -95,6 +96,7 @@ def predicted_concurrence_phi(alpha: float, n: float) -> float:
     return float(_finite(_bob_zero_form(x, 1.0 - x, _scalar(_check_n(n)))))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def predicted_concurrence_psi(alpha: float, n: float) -> float:
     """Mirror closed form for Psi+/Psi- with Bob outcome 0: alpha^2 -> beta^2."""
     alpha = _scalar(_check_alpha(alpha))
@@ -102,6 +104,7 @@ def predicted_concurrence_psi(alpha: float, n: float) -> float:
     return float(_finite(_bob_zero_form(1.0 - x, x, _scalar(_check_n(n)))))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def predicted_concurrence_werner(p: float, n: float) -> float:
     """Printed closed form 4 sqrt(n) (3p-1) / (n+1)^2 for p > 1/3, else 0.
 
@@ -112,12 +115,11 @@ def predicted_concurrence_werner(p: float, n: float) -> float:
     return float(_finite(_werner_form(_scalar(_check_p(p)), _scalar(_check_n(n)))))
 
 
-# The closed forms, elementwise over arrays of validated parameters.  A
-# non-finite value gives NaN or inf here, which ``_finite`` turns into a
-# NumericalFailure.
+# The closed forms, elementwise over arrays of validated parameters, for
+# callers that ignore numpy's floating-point warnings.  A non-finite value gives
+# NaN or inf here, which ``_finite`` turns into a NumericalFailure.
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _bob_zero_form(x, y, n):
     """2 sqrt(n x y) / (n x + y): Phi with x = alpha^2, y = 1 - x; Psi with x, y swapped.
 
@@ -131,7 +133,6 @@ def _bob_zero_form(x, y, n):
     return np.where(split, 2.0 * np.sqrt(n * x) * (np.sqrt(y) / d), 2.0 * np.sqrt(n * x * y) / d)
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _werner_form(p, n):
     """4 sqrt(n) (3p-1) / (n+1)^2 for p > 1/3, else 0.
 
@@ -272,7 +273,8 @@ class SweepTable(_Frozen):
     None) have shape (points,).  The branch columns have shape (points, 8),
     branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.  ``_axes``
     gives n and the mode's parameter again, each as the grid values the
-    points touch and every point's code into them (see ``_grid_table``).
+    points touch, or the names given for the mode's, and every point's code
+    into them (see ``_grid_table``).
     """
 
     __slots__ = (
@@ -340,21 +342,25 @@ def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]
     return n_values, values
 
 
-def _grid_tables(mode: str, n_values, values) -> tuple[range, Callable]:
+def _grid_tables(mode: str, n_values, values) -> tuple[range, np.ndarray, Callable]:
     """The first point of each block of ``BLOCK_POINTS`` consecutive points of
-    the n-major grid ``n_values`` x ``values``, both validated whole, and a
-    function that lazily computes the table of each block at a slice of them."""
+    the n-major grid ``n_values`` x ``values``, both validated whole; the
+    validated ``values``; and a function that lazily computes the table of
+    each block at a slice of those starts, its value axis named by ``names``
+    (see ``_grid_table``)."""
     n_grid, values = _checked_grids(mode, n_values, values)
     points = len(n_grid) * len(values)
 
-    def tables(starts: range) -> Iterator[SweepTable]:
+    def tables(starts: range, names=None) -> Iterator[SweepTable]:
         for start in starts:
-            yield _grid_table(mode, n_grid, values, start, min(start + BLOCK_POINTS, points))
+            stop = min(start + BLOCK_POINTS, points)
+            yield _grid_table(mode, n_grid, values, start, stop, names)
 
-    return range(0, points, BLOCK_POINTS), tables
+    return range(0, points, BLOCK_POINTS), values, tables
 
 
-def _grid_table(mode: str, n_grid: np.ndarray, values: np.ndarray, start: int, stop: int):
+def _grid_table(mode: str, n_grid: np.ndarray, values: np.ndarray, start: int, stop: int,
+                names=None) -> SweepTable:
     """The sweep table of points ``start`` to ``stop - 1`` of the n-major grid
     ``n_grid`` x ``values``, both validated, and its axes.
 
@@ -363,28 +369,37 @@ def _grid_table(mode: str, n_grid: np.ndarray, values: np.ndarray, start: int, s
     code per point into them: for n the rows from the first point's to the
     last one's, a view of ``n_grid``; for the other, all of ``values`` when the
     points fill a row or more, else the points' own values, which a range
-    shorter than a row touches once each.
+    shorter than a row touches once each.  ``names``, one per entry of
+    ``values``, replace all of ``values`` on the value axis whatever the
+    range, each point coded by its column.
     """
     rows, columns = np.divmod(np.arange(start, stop), len(values))
     n, value = n_grid[rows], values[columns]
     n_axis = n_grid[rows[0] : rows[-1] + 1], rows - rows[0]
-    value_axis = (value, np.arange(len(value))) if len(value) < len(values) else (values, columns)
+    if names is not None:
+        value_axis = names, columns
+    elif len(value) < len(values):
+        value_axis = value, np.arange(len(value))
+    else:
+        value_axis = values, columns
     return _table(mode, n, value, (n_axis, value_axis))
 
 
+@np.errstate(all="ignore")
 def _table(mode: str, n: np.ndarray, value: np.ndarray, axes=None) -> SweepTable:
     """The sweep table of validated points (n[i], value[i]), value being alpha^2
     or p; ``axes`` as ``_grid_table`` gives them, by default each point its own
-    n and value."""
+    n and value.  Engine and closed forms run under one ``np.errstate``: a
+    non-finite value raises through ``_finite`` or the engine's checks."""
     formula = np.zeros((len(n), len(BRANCH_ORDER)))
     if mode == "pure":
-        probability, oracle = pure_branches(value, n)
-        y = 1.0 - value
-        forms = _bob_zero_form(np.stack((value, y)), np.stack((y, value)), n)  # Phi, Psi
+        probability, oracle = _pure_branches(value, n)
+        x = np.array((value, 1.0 - value))
+        forms = _bob_zero_form(x, x[::-1], n)  # Phi, Psi
         formula[:, PHI_ZERO_COLUMNS] = forms[0, :, None]
         formula[:, PSI_ZERO_COLUMNS] = forms[1, :, None]
     else:
-        probability, oracle = werner_branches(value, n)
+        probability, oracle = _werner_branches(value, n)
         formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]
     if axes is None:
         index = np.arange(len(n))

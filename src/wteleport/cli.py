@@ -149,8 +149,9 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
 
 class _Labels(_Frozen):
     """A column as integer codes into its names: row i's cell is
-    ``names[codes[i]]``.  The names are a small tuple of labels, or a float
-    array of grid values in grid order (see ``analysis._grid_table``)."""
+    ``names[codes[i]]``.  The names are a small tuple of labels, a float
+    array of grid values in grid order (see ``analysis._grid_table``), or the
+    ``_Texts`` of a value axis."""
 
     __slots__ = ("names", "codes")
 
@@ -191,6 +192,16 @@ class Report(NamedTuple):
     exit_code: int = 0
 
 
+class _Texts(NamedTuple):
+    """A value axis already rendered for one cell (see ``_row_cells``): the
+    text of each grid value, as ``_texts`` writes it, and the longest one's
+    length.  ``cmd_sweep`` renders an axis of at most ``_AXIS_TEXTS`` values
+    once and names it by these."""
+
+    texts: np.ndarray
+    width: int
+
+
 def _texts(column: np.ndarray | _Labels | None, cell: tuple):
     """The texts of a 1-D column by ``cell`` (see ``_row_cells``), one per
     distinct float or ``_Labels`` name, in an object array, and each value's
@@ -198,16 +209,47 @@ def _texts(column: np.ndarray | _Labels | None, cell: tuple):
     ``repr`` when ``spec`` is empty (the same text, and the faster call); a
     name's is ``head + label(name)``, or formatted as a float's when ``label``
     is None; an absent column's one text (index 0) is ``head + absent``.  A
-    ``_Labels`` column of floats is formatted as floats.
+    ``_Labels`` column of floats is formatted as floats, one of ``_Texts``
+    is rendered already.
     """
     _, head, spec, absent, label = cell
     if column is None:
         return np.array([head + absent], dtype=object), 0
-    if isinstance(column, _Labels) and not isinstance(column.names, np.ndarray):
+    if isinstance(column, np.ndarray):
+        texts, (index,), _ = _float_texts([column], head, spec)
+        return texts, index
+    if isinstance(column.names, _Texts):
+        return column.names.texts, column.codes
+    if not isinstance(column.names, np.ndarray):
         return _label_texts(column.names, cell), column.codes
     values, index = _distinct(column)
+    return _format(values, head, spec)[0], index
+
+
+def _format(values: list, head: str, spec: str) -> tuple[np.ndarray, list]:
+    """Each float of ``values`` as ``head + format(value, spec)``, in an object
+    array and in a list."""
     texts = map(format, values, itertools.repeat(spec)) if spec else map(repr, values)
-    return np.array(list(map(head.__add__, texts)), dtype=object), index
+    texts = list(map(head.__add__, texts))
+    return np.array(texts, dtype=object), texts
+
+
+def _float_texts(columns: list, head: str, spec: str):
+    """The texts (see ``_texts``) of the distinct floats of all ``columns``,
+    float arrays of one size, each formatted once; each column's index into
+    them, one row per column; and each column's longest text.  Floats are keyed
+    on their bits, so -0.0 and 0.0 stay apart.  The columns are flattened for
+    ``np.unique`` first, since the shape of its inverse differs between numpy
+    releases."""
+    bits = [np.ravel(column).view(np.uint64) for column in columns]
+    distinct, inverse = np.unique(bits[0] if len(bits) == 1 else np.concatenate(bits),
+                                  return_inverse=True)
+    texts, strings = _format(distinct.view(np.float64).tolist(), head, spec)
+    index = inverse.reshape(len(columns), -1)
+    if len(columns) == 1:
+        return texts, index, [max(map(len, strings))]
+    lengths = np.fromiter(map(len, strings), np.intp, len(strings))
+    return texts, index, lengths[index].max(axis=1).tolist()
 
 
 @functools.lru_cache(maxsize=32)
@@ -221,23 +263,18 @@ def _label_texts(names: tuple, cell: tuple) -> np.ndarray:
     return texts
 
 
-def _distinct(column: np.ndarray | _Labels) -> tuple[list, np.ndarray]:
-    """The distinct floats of a float column, as a list, and each row's index
-    into it.  Floats are keyed on their bits, so -0.0 and 0.0 stay apart.  A
-    ``_Labels`` column's names are in grid order, where equal ones sit side by
-    side, so neighbours are compared instead of sorting; any other column is
-    flattened for ``np.unique`` first, since the shape of its inverse differs
-    between numpy releases."""
-    if isinstance(column, _Labels):
-        bits = column.names.view(np.uint64)
-        first = np.empty(len(bits), dtype=bool)  # whether each name differs from the one before
-        first[:1] = True
-        np.not_equal(bits[1:], bits[:-1], out=first[1:])
-        if first.all():
-            return column.names.tolist(), column.codes
-        return column.names[first].tolist(), (np.cumsum(first) - 1)[column.codes]
-    distinct, inverse = np.unique(np.ravel(column).view(np.uint64), return_inverse=True)
-    return distinct.view(np.float64).tolist(), inverse.reshape(-1)
+def _distinct(column: _Labels) -> tuple[list, np.ndarray]:
+    """The distinct float names of a ``_Labels`` column, as a list, and each
+    row's index into them.  Floats are keyed on their bits, so -0.0 and 0.0
+    stay apart.  The names are in grid order, where equal ones sit side by
+    side, so neighbours are compared instead of sorting."""
+    bits = column.names.view(np.uint64)
+    first = np.empty(len(bits), dtype=bool)  # whether each name differs from the one before
+    first[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=first[1:])
+    if first.all():
+        return column.names.tolist(), column.codes
+    return column.names[first].tolist(), (np.cumsum(first) - 1)[column.codes]
 
 
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
@@ -246,26 +283,65 @@ def _distinct(column: np.ndarray | _Labels) -> tuple[list, np.ndarray]:
 _JOIN_BYTES = 65536
 
 
+# The most texts one grid column of neighbouring columns may have, one per
+# pair of theirs (see ``_grid``): each pair is joined once per block, which
+# costs less than a column of the grid while they are this few.
+_MERGED_TEXTS = 64
+
+
 def _rows(block: Block, cells: Sequence[tuple], end: str) -> Iterator[str]:
     """The block's rows as text: the ``_texts(block[name], cell)`` of each
     ``cell``, ``name`` its first entry, side by side, each row closed by ``end``.
 
-    The cells go into one (rows x (columns + 1)) grid, ``end`` in its last
-    column.  The grid is joined and yielded ``max(1, _JOIN_BYTES // width)``
-    rows at a time, ``width`` the sum of each column's longest ``_texts`` and
-    ``len(end)``: no row is wider, so only a string of one row can be longer.
+    The rows' cells go into one grid (see ``_grid``), which is joined and
+    yielded ``max(1, _JOIN_BYTES // width)`` rows at a time, ``width`` the sum
+    of each column's longest text and ``len(end)``: no row is wider, so only a
+    string of one row can be longer.
     """
-    count = next(len(column) for column in block.values() if column is not None)
-    grid = np.empty((count, len(cells) + 1), dtype=object)
-    width = len(end)
-    for j, cell in enumerate(cells):
-        texts, index = _texts(block[cell[0]], cell)
-        grid[:, j] = texts[index]
-        width += max(map(len, texts))
-    grid[:, -1] = end
+    grid, width = _grid(block, cells, end)
     step = max(1, _JOIN_BYTES // width)
-    for start in range(0, count, step):
+    for start in range(0, len(grid), step):
         yield "".join(grid[start : start + step].ravel().tolist())
+
+
+def _grid(block: Block, cells: Sequence[tuple], end: str) -> tuple[np.ndarray, int]:
+    """The block's rows as a (rows x columns) grid of texts, and the sum of the
+    columns' longest texts and ``len(end)``.
+
+    Float columns whose cells share ``head`` and ``spec`` share their texts:
+    each distinct value among them is formatted once.  Neighbouring columns,
+    ``end`` the last, are rendered as one grid column while the pairs of their
+    texts number at most ``_MERGED_TEXTS``.
+    """
+    rendered = [None] * len(cells)  # each column's texts, index and longest text
+    floats = {}  # the positions of the float columns of each (head, spec)
+    for j, cell in enumerate(cells):
+        column = block[cell[0]]
+        if isinstance(column, np.ndarray):
+            floats.setdefault(cell[1:3], []).append(j)
+            continue
+        texts, index = _texts(column, cell)
+        names = getattr(column, "names", None)
+        width = names.width if isinstance(names, _Texts) else max(map(len, texts))
+        rendered[j] = texts, index, width
+    for (head, spec), positions in floats.items():
+        texts, index, longest = _float_texts([block[cells[j][0]] for j in positions], head, spec)
+        for j, column_index, width in zip(positions, index, longest):
+            rendered[j] = texts, column_index, width
+    rendered.append((np.array([end], dtype=object), 0, len(end)))
+    merged = [rendered[0]]
+    for texts, index, width in rendered[1:]:
+        left, left_index, left_width = merged[-1]
+        if len(left) * len(texts) <= _MERGED_TEXTS:
+            pairs = (left[:, np.newaxis] + texts).ravel()
+            merged[-1] = pairs, left_index * len(texts) + index, left_width + width
+        else:
+            merged.append((texts, index, width))
+    count = next(len(column) for column in block.values() if column is not None)
+    grid = np.empty((count, len(merged)), dtype=object)
+    for j, (texts, index, _) in enumerate(merged):
+        grid[:, j] = texts[index]
+    return grid, sum(width for _, _, width in merged)
 
 
 def _block_rows(
@@ -436,10 +512,10 @@ _VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 def _branch_rows(mode: str, n: tuple, alpha_sq: tuple | None, p: tuple | None):
     """The ``mode``, ``n``, ``alpha_sq``, ``p``, ``bell`` and ``bob`` columns of
-    points given by the axes n and alpha_sq or p, each its values and one code
-    per point into them (see ``analysis._grid_table``), 8 rows per point in
-    ``BRANCH_ORDER``; the parameter ``mode`` does not take is None, an absent
-    column."""
+    points given by the axes n and alpha_sq or p, each its values (or their
+    ``_Texts``) and one code per point into them (see ``analysis._grid_table``),
+    8 rows per point in ``BRANCH_ORDER``; the parameter ``mode`` does not take
+    is None, an absent column."""
     branches, count = len(BRANCH_ORDER), len(n[1])
 
     def rows(axis: tuple | None) -> _Labels | None:
@@ -479,16 +555,16 @@ def _tally(table: SweepTable | None) -> dict:
     ``match`` and ``discrepant`` per family.  None, a Werner sweep that failed
     numerically, counts no rows."""
     match = np.zeros((0, len(BRANCH_ORDER)), dtype=bool) if table is None else table.match
-    per_branch = match.sum(axis=0)  # matching rows of each branch column
+    per_branch = match.sum(axis=0).tolist()  # matching rows of each branch column
 
-    def counts(matched: np.ndarray) -> dict[str, int]:
-        total = int(matched.sum())
-        return {"match": total, "discrepant": len(match) * matched.size - total}
+    def counts(columns: Sequence[int]) -> dict[str, int]:
+        total = sum(per_branch[column] for column in columns)
+        return {"match": total, "discrepant": len(match) * len(columns) - total}
 
     return {
         "rows": match.size,
-        **counts(per_branch),
-        "families": {family: counts(per_branch.take(cols)) for family, cols in _FAMILIES.items()},
+        **counts(range(len(BRANCH_ORDER))),
+        "families": {family: counts(columns) for family, columns in _FAMILIES.items()},
     }
 
 
@@ -592,6 +668,22 @@ class _Child:
             file.close()
 
 
+# The longest value axis (alpha^2 or p) a sweep renders once, before its first
+# block, rather than in every block: about 100 KiB of texts, kept for the
+# whole sweep.  It covers the benchmark's grids and the 10^5-point grids of
+# the README; a longer axis is rendered a block at a time.
+_AXIS_TEXTS = 1024
+
+
+def _axis_texts(values: np.ndarray, cell: tuple) -> _Texts | None:
+    """The ``_Texts`` by ``cell`` of the validated value axis ``values``, or
+    None for an axis longer than ``_AXIS_TEXTS``."""
+    if len(values) > _AXIS_TEXTS:
+        return None
+    texts, index = _texts(_Labels(values, np.arange(len(values))), cell)
+    return _Texts(texts[index], max(map(len, texts)))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Compute and write the sweep one grid block at a time.
 
@@ -605,7 +697,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values, p_grid = _mode_parameter(args, len(n_values))
     if not (n_grid or p_grid):
         raise InvalidInput("sweep needs at least one grid parameter (start:stop:count)")
-    starts, grid_tables = _grid_tables(args.mode, n_values, values)
+    starts, values, grid_tables = _grid_tables(args.mode, n_values, values)
+    cells, end = _row_cells(args.format, SWEEP_CSV_COLUMNS)
+    # rendered here, before any block, so that a forked child inherits it
+    axis = SWEEP_CSV_COLUMNS.index("alpha_sq" if args.mode == "pure" else "p")
+    names = _axis_texts(values, cells[axis])
     span = f"alpha_sq={args.alpha_sq}" if args.mode == "pure" else f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
     summary = {"rows": 0, "match": 0, "discrepant": 0}
@@ -622,10 +718,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return table
 
     half = (len(starts) + 1) // 2 if _forks() else len(starts)
-    rest = map(tallied, grid_tables(starts[half:]))
-    child = _Child(rest, *_row_cells(args.format, SWEEP_CSV_COLUMNS), summary, half < len(starts))
+    rest = map(tallied, grid_tables(starts[half:], names))
+    child = _Child(rest, cells, end, summary, half < len(starts))
     try:
-        first = map(tallied, grid_tables(starts[:half]))
+        first = map(tallied, grid_tables(starts[:half], names))
         # The first block, before any output; a list iterator, unlike a list,
         # lets go of it once the next block is asked for.
         first = itertools.chain(iter([next(first)]), first)

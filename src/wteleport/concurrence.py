@@ -129,21 +129,24 @@ def concurrence_x_batch(diagonal: np.ndarray, coherence: np.ndarray) -> np.ndarr
         bad |= np.abs(tr.imag) > NORM_TOL
     if bad.any():
         raise InvalidInput(f"density matrix trace must be 1, got {tr[bad].flat[0]}")
-    # the {1, 4} and {2, 3} blocks [[a, c], [c*, b]], a and b views of the
-    # diagonal: the smallest eigenvalue (a + b)/2 - hypot((a - b)/2, |c|) is
+    # the {1, 4} and {2, 3} blocks [[a, c], [c*, b]], one at a time on 1-D
+    # columns (a view with a negative stride is buffered by every ufunc that
+    # reads it): the smallest eigenvalue (a + b)/2 - hypot((a - b)/2, |c|) is
     # formed in place, and its buffer then takes the products a b
-    a, b = diagonal.real[:, :2], diagonal.real[:, :1:-1]
+    r11, r22, r33, r44 = (diagonal[:, j].real for j in range(4))
     magnitude = np.abs(coherence)
-    least = a + b
-    least /= 2.0
-    half = a - b
-    half /= 2.0
-    least -= np.hypot(half, magnitude, out=half)
-    if (least < -NORM_TOL).any():
-        raise InvalidInput("density matrix must be positive semidefinite")
-    del half
-    geometric = np.multiply(a, b, out=least)
+    for a, b, c in ((r11, r44, magnitude[:, 0]), (r22, r33, magnitude[:, 1])):
+        least = a + b
+        least /= 2.0
+        half = a - b
+        half /= 2.0
+        least -= np.hypot(half, c, out=half)
+        if (least < -NORM_TOL).any():
+            raise InvalidInput("density matrix must be positive semidefinite")
+        del half
     # |rho14| pairs with sqrt(rho22 rho33), |rho23| with sqrt(rho11 rho44)
-    np.sqrt(np.clip(geometric, 0.0, None, out=geometric), out=geometric)
-    magnitude -= geometric[:, ::-1]
+    for c, a, b in ((magnitude[:, 0], r22, r33), (magnitude[:, 1], r11, r44)):
+        geometric = np.multiply(a, b, out=least)
+        np.sqrt(np.clip(geometric, 0.0, None, out=geometric), out=geometric)
+        c -= geometric
     return _clip_to_unit(2.0 * magnitude.max(axis=-1, initial=0.0))

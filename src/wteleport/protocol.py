@@ -102,11 +102,12 @@ class ProtocolResult(NamedTuple):
 # Grid points per block of the batched engine and of a CLI sweep, which
 # computes and writes one block at a time; bounds their working memory, so a
 # sweep's peak memory does not grow with its grid.  That peak is set by one
-# block and its rendering, which grow with the block: 256-point blocks peak
-# about 0.6 MiB lower than 512-point ones on the benchmark's sweeps, at the
-# same wall time now that a block's fixed cost is lower; 128-point blocks
-# peak about 0.25 MiB lower again but ran up to 25% slower on 10^5-point grids.
-BLOCK_POINTS = 256
+# block and the rendering of its rows, which grow with the block: 128-point
+# blocks peak about 0.25 MiB lower than 256-point ones on the benchmark's pure
+# CSV sweep (fresh processes, warm bytecode caches), and now that a block's
+# fixed cost is lower they take no longer on the 10^5-point grids of the
+# README (BENCH_33.json).
+BLOCK_POINTS = 128
 
 
 def _validated(values, ok, message: str):
@@ -194,15 +195,25 @@ def _w_amplitudes(n: np.ndarray) -> np.ndarray:
 
 def werner(p: float) -> DensityMatrix:
     """Werner family p |Phi+><Phi+| + (1-p)/4 I on qubits (1, 2)."""
-    return DensityMatrix(INPUT_LABELS, _werner_entries(np.asarray(_scalar(_check_p(p)))))
+    r11, r22, r33, r44, r14 = _werner_entries(np.array([_scalar(_check_p(p))]))[:, 0]
+    entries = np.diag([r11, r22, r33, r44])
+    entries[0, 3] = entries[3, 0] = r14
+    return DensityMatrix(INPUT_LABELS, entries)
 
 
 def _werner_entries(p: np.ndarray) -> np.ndarray:
-    """Werner matrices, shape p.shape + (4, 4)."""
-    phi_plus = np.zeros(4)
-    phi_plus[0b00] = phi_plus[0b11] = 1.0 / sqrt(2.0)
-    p = p[..., np.newaxis, np.newaxis]
-    return p * np.outer(phi_plus, phi_plus) + (1.0 - p) / 4.0 * np.eye(4)
+    """The entries rho11, rho22, rho33, rho44 and rho14 (5, len(p)) of the
+    Werner matrices p P + (1-p)/4 I, P = |Phi+><Phi+|; every other entry is 0.
+    Each is formed as that sum forms it, to the bit: p h + (1-p)/4 where P's
+    entry is h = (1/sqrt(2))^2, (1-p)/4 on the rest of the diagonal, and
+    p h + 0.0 at rho14 (so p = -0.0 gives +0.0 there, as the sum does)."""
+    amplitude = 1.0 / sqrt(2.0)
+    mixed = (1.0 - p) / 4.0
+    rho = np.empty((5, len(p)))
+    np.add(p * (amplitude * amplitude), 0.0, out=rho[4])
+    rho[0] = rho[3] = rho[4] + mixed
+    rho[1] = rho[2] = mixed
+    return rho
 
 
 def compose_joint(pair: StateVector, channel: StateVector) -> StateVector:
@@ -332,17 +343,24 @@ def _branch_actions(n: np.ndarray) -> np.ndarray:
 
 
 def _in_blocks(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``_x_block`` over blocks of at most ``BLOCK_POINTS`` points and
-    check that every point's branch probabilities sum to 1."""
-    probability = np.empty((len(n), len(BRANCH_ORDER)))
-    concurrence = np.empty_like(probability)
-    for start in range(0, len(n), BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        probability[block], concurrence[block] = _x_block(rho[:, block], n[block])
+    """Run ``_x_block`` over blocks of at most ``BLOCK_POINTS`` points, the
+    results of one block as it returns them, and check that every point's
+    branch probabilities sum to 1.  Its callers ignore numpy's floating-point
+    warnings: where 2 + 2n overflows f(n)^2 is 0, and the check then raises
+    ``NumericalFailure`` instead."""
+    if len(n) <= BLOCK_POINTS:
+        probability, concurrence = _x_block(rho, n)
+    else:
+        probability = np.empty((len(n), len(BRANCH_ORDER)))
+        concurrence = np.empty_like(probability)
+        for start in range(0, len(n), BLOCK_POINTS):
+            block = slice(start, start + BLOCK_POINTS)
+            probability[block], concurrence[block] = _x_block(rho[:, block], n[block])
     _check_probability_sums(probability.sum(axis=-1), "branch")
     return probability, concurrence
 
 
+@np.errstate(all="ignore")
 def pure_branches(alpha_sq: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch probabilities and concurrences for pure inputs, batched over points.
 
@@ -352,24 +370,29 @@ def pure_branches(alpha_sq: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.n
     rho14 = sqrt(alpha^2 (1 - alpha^2)), evaluated at alpha^2 as given; see
     ``_x_block``.
     """
-    x = np.atleast_1d(_check_alpha_sq(alpha_sq))
+    return _pure_branches(np.atleast_1d(_check_alpha_sq(alpha_sq)), np.atleast_1d(_check_n(n)))
+
+
+def _pure_branches(x: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``pure_branches`` of validated 1-D alpha^2 ``x`` and ``n`` (see ``_in_blocks``)."""
     rho = np.zeros((5, len(x)))
     rho[0], rho[3] = x, 1.0 - x
     rho[4] = np.sqrt(rho[0] * rho[3])
-    return _in_blocks(rho, np.atleast_1d(_check_n(n)))
+    return _in_blocks(rho, n)
 
 
+@np.errstate(all="ignore")
 def werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Branch probabilities and concurrences for Werner inputs, batched over
     points; same shapes as ``pure_branches``, see ``_x_block``."""
-    r = _werner_entries(np.atleast_1d(_check_p(p)))
-    rho = np.stack([r[:, 0, 0], r[:, 1, 1], r[:, 2, 2], r[:, 3, 3], r[:, 0, 3]])
-    return _in_blocks(rho, np.atleast_1d(_check_n(n)))
+    return _werner_branches(np.atleast_1d(_check_p(p)), np.atleast_1d(_check_n(n)))
 
 
-# Where 2 + 2n overflows f(n)^2 is 0; the probability-sum check then raises
-# NumericalFailure instead of a warning.
-@np.errstate(all="ignore")
+def _werner_branches(p: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``werner_branches`` of validated 1-D ``p`` and ``n`` (see ``_in_blocks``)."""
+    return _in_blocks(_werner_entries(p), n)
+
+
 def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The eight branches of real X-state inputs with rho23 = 0, given by
     ``rho`` (5, points): rho11, rho22, rho33, rho44 and rho14 of each point.
@@ -388,12 +411,11 @@ def _x_block(rho: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     post-state A rho A' / weight and gives its concurrence in closed form,
     leaving the spin-flip and Wootters formulas to the scalar oracle.
 
-    A sweep's peak memory is set in here, so the block holds only the arrays
-    it still needs: it scales the action table in place, gathers the live
-    entries row by row into one (6, live) array, and lets go of the table
-    and the six full entries before the kernel runs.  One 256-point block traces 356 KiB at its peak for pure
-    inputs and 388 KiB for Werner (708 and 772 KiB at 512 points, where
-    every intermediate alive until the kernel returned took 1,125 and 1,189).
+    The block holds only the arrays it still needs: it scales the action
+    table in place, gathers the live entries row by row into one (6, live)
+    array, and lets go of the table and the six full entries before the
+    kernel runs.  One 128-point block traces 140 KiB at its peak for pure and
+    for Werner inputs, less than the rendering of its rows (see ``cli._grid``).
     """
     scale = np.where(n < 2.0**900, 2.0**40, 1.0)[:, np.newaxis]
     actions = _branch_actions(n)

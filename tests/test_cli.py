@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -726,26 +727,26 @@ class TestVerify:
     def test_wrong_engine_probability_fails(self, capsys, monkeypatch):
         # every verdict compares concurrences only, so a wrong probability in
         # the sweep engine is caught by the engine-vs-enumeration spot check
-        engine = wteleport.analysis.pure_branches
+        engine = wteleport.analysis._pure_branches
 
         def scaled(alpha_sq, n):
             probability, concurrence = engine(alpha_sq, n)
             return 0.9 * probability, concurrence
 
-        monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
+        monkeypatch.setattr(wteleport.analysis, "_pure_branches", scaled)
         code, out, _ = run_cli(capsys, "verify")
         assert code == 1
         assert failed_checks(out) == [ENGINE_CHECK]
         assert out.endswith("\n  exit_code: 1\n")
 
     def test_wrong_werner_engine_fails(self, capsys, monkeypatch):
-        engine = wteleport.analysis.werner_branches
+        engine = wteleport.analysis._werner_branches
 
         def scaled(p, n):
             probability, concurrence = engine(p, n)
             return probability, 0.9 * concurrence
 
-        monkeypatch.setattr(wteleport.analysis, "werner_branches", scaled)
+        monkeypatch.setattr(wteleport.analysis, "_werner_branches", scaled)
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 1
         checks = json.loads(out)["summary"]["spot_checks"]
@@ -860,14 +861,14 @@ class TestVerify:
         # one point's probabilities are scaled, after the engine's own
         # probability-sum check: the engine check must compare each
         # enumerated point with its own table row
-        engine = getattr(wteleport.analysis, f"{mode}_branches")
+        engine = getattr(wteleport.analysis, f"_{mode}_branches")
 
         def scaled(values, n_values):
             probability, concurrence = engine(values, n_values)
             point = (values == value) & (n_values == n)
             return np.where(point[:, None], 0.9 * probability, probability), concurrence
 
-        monkeypatch.setattr(wteleport.analysis, f"{mode}_branches", scaled)
+        monkeypatch.setattr(wteleport.analysis, f"_{mode}_branches", scaled)
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 1
         checks = json.loads(out)["summary"]["spot_checks"]
@@ -878,19 +879,19 @@ class TestVerify:
         raise NumericalFailure("werner engine failed")
 
     def test_werner_numerical_failure_exits_three(self, capsys, monkeypatch):
-        monkeypatch.setattr(wteleport.analysis, "werner_branches", self._failing_werner_engine)
+        monkeypatch.setattr(wteleport.analysis, "_werner_branches", self._failing_werner_engine)
         code, out, err = run_cli(capsys, "verify")
         assert (code, out, err) == (3, "", "numerical failure: werner engine failed\n")
 
     def test_pure_failure_outranks_a_werner_numerical_failure(self, capsys, monkeypatch):
-        engine = wteleport.analysis.pure_branches
+        engine = wteleport.analysis._pure_branches
 
         def scaled(alpha_sq, n):
             probability, concurrence = engine(alpha_sq, n)
             return 0.9 * probability, concurrence
 
-        monkeypatch.setattr(wteleport.analysis, "pure_branches", scaled)
-        monkeypatch.setattr(wteleport.analysis, "werner_branches", self._failing_werner_engine)
+        monkeypatch.setattr(wteleport.analysis, "_pure_branches", scaled)
+        monkeypatch.setattr(wteleport.analysis, "_werner_branches", self._failing_werner_engine)
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 1
         summary = json.loads(out)["summary"]
@@ -1173,6 +1174,86 @@ class TestOutput:
         assert cells(labels, "csv").tolist() == ["Zero", "One", "Zero"]
         assert cells(labels, "json").tolist() == ['"Zero"', '"One"', '"Zero"']
         assert (cells(None, "csv", ","), cells(None, "json")) == (",", "null")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_shared_float_texts_keep_the_sign_of_zero(self, fmt):
+        # CSV's four float columns, and the table's three .6g ones, share one
+        # text per distinct value, keyed on bits: -0.0 in one column and 0.0
+        # in another each keep their own text
+        columns = ("abs_diff", "probability", "oracle_concurrence", "formula_concurrence")
+        block = {
+            "abs_diff": np.array([1.0, 1.0, 1.0]),  # the first column, which has no head
+            "probability": np.array([-0.0, 0.0, 0.5]),
+            "oracle_concurrence": np.array([0.0, -0.0, 0.5]),
+            "formula_concurrence": np.array([0.5, 0.0, -0.0]),
+        }
+        cells, end = _row_cells(fmt, columns)
+        expected = "".join(
+            "".join(head + format(value, spec) for (_, head, spec, _, _), value in zip(cells, row)) + end
+            for row in zip(*block.values())
+        )
+        assert "".join(wteleport.cli._rows(block, cells, end)) == expected
+        assert expected.count("-0") == 3
+
+    @pytest.mark.parametrize("bound, formatted", [(1024, 40), (39, 120)], ids=["cached", "per-block"])
+    def test_value_axis_is_formatted_once_per_sweep_below_the_bound(
+        self, monkeypatch, tmp_path, bound, formatted
+    ):
+        # 120 points in 18 blocks of 7, each shorter than a row of 40 p values;
+        # the JSON head names the column whose texts are counted
+        made = []
+        format_ = wteleport.cli._format
+
+        def counted(values, head, spec):
+            if '"p"' in head:
+                made.extend(values)
+            return format_(values, head, spec)
+
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
+        monkeypatch.setattr(wteleport.cli, "_AXIS_TEXTS", bound)
+        monkeypatch.setattr(wteleport.cli, "_format", counted)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)  # every block rendered here
+        code = main([
+            "sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:40", "--format", "json",
+            "--output", str(tmp_path / "rows"),
+        ])
+        assert code == 0
+        assert len(made) == formatted
+
+    @pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+    @pytest.mark.parametrize("block_points", [7, 128])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sweep", "--mode", "werner", "--n", "0.1:10:3", "--p", "0:1:50"),
+            ("sweep", "--mode", "pure", "--n", "0.01:100:30", "--alpha-sq", "0:1:11"),
+        ],
+        ids=["werner", "pure"],
+    )
+    def test_value_axis_texts_per_block_write_the_same_bytes(
+        self, capsys, monkeypatch, argv, fmt, block_points, forks
+    ):
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: forks)
+        cached = run_cli(capsys, *argv, "--format", fmt)
+        monkeypatch.setattr(wteleport.cli, "_AXIS_TEXTS", 0)
+        assert run_cli(capsys, *argv, "--format", fmt) == cached
+        assert cached[0] == 0
+        assert_no_child()
+
+    @pytest.mark.parametrize("block_points", [7, 128])
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", ["sweep-pure", "sweep-werner"])
+    def test_golden_with_value_axis_texts_per_block(
+        self, capsys, monkeypatch, name, fmt, block_points
+    ):
+        monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.protocol, "BLOCK_POINTS", block_points)
+        monkeypatch.setattr(wteleport.cli, "_AXIS_TEXTS", 0)
+        golden = (GOLDEN / f"{name}.{fmt}").read_bytes().decode()
+        assert run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt) == (0, golden, "")
 
     @pytest.mark.parametrize("name", _TABLE_COLUMNS)
     def test_table_cell_is_one_format_call(self, name):
@@ -1505,6 +1586,47 @@ class TestEntry:
         # the value classes generate no code at import, so process start does not pay for it
         code, out, _ = run_child("import sys, wteleport.cli; print('dataclasses' in sys.modules)")
         assert (code, out) == (0, b"False\n")
+
+
+# The traced peak, in KiB per point, of the first block of each benchmark
+# sweep's seed-0 grid, computed and rendered as a sweep renders it.  The
+# rendering sets it: 2.45 KiB pure CSV and 2.05 KiB Werner JSON per point (313
+# and 262 KiB at 128 points); rendering each float column and each block's
+# value axis on its own, with a grid column per column, took 2.72 and 2.63.
+RENDER_PEAK_KIB_PER_POINT = 2.6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--mode", "pure", "--n", "0.01:100:1000", "--alpha-sq", "0.05:0.95:10", "--format", "csv"),
+        ("--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", "json"),
+    ],
+    ids=["pure-csv", "werner-json"],
+)
+def test_one_rendered_block_holds_only_what_it_still_needs(argv):
+    args = wteleport.cli.build_parser().parse_args(["sweep", *argv])
+    n_values, _ = _parse_values(args.n, "--n")
+    values, _ = wteleport.cli._mode_parameter(args, len(n_values))
+    starts, values, tables = wteleport.analysis._grid_tables(args.mode, n_values, values)
+    cells, end = _row_cells(args.format, SWEEP_CSV_COLUMNS)
+    axis = SWEEP_CSV_COLUMNS.index("alpha_sq" if args.mode == "pure" else "p")
+    names = wteleport.cli._axis_texts(values, cells[axis])
+
+    def first_block():
+        (table,) = tables(starts[:1], names)
+        for _ in wteleport.cli._rows(_sweep_block(table), cells, end):
+            pass
+
+    first_block()
+    tracemalloc.start()
+    try:
+        first_block()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = RENDER_PEAK_KIB_PER_POINT * wteleport.analysis.BLOCK_POINTS
+    assert peak < bound * 1024, f"{peak / 1024:.0f} KiB"
 
 
 @pytest.mark.parametrize(

@@ -216,9 +216,9 @@ def test_blocks_do_not_change_results(monkeypatch, engine):
 # The first block of each benchmark sweep's seed-0 grid, as the CLI parses it
 # (n-major), and the traced peak, in KiB per point, one engine block must stay
 # below.  numpy reports its array buffers to tracemalloc, so the figure repeats
-# exactly: 1.39 KiB pure and 1.52 KiB Werner per point (356 and 388 KiB at 256
-# points), against 2.20 and 2.32 (1,125 and 1,189 KiB at 512) while a block held
-# its action table, six full X entries and six masked copies through the kernel.
+# exactly: 1.09 KiB per point, pure and Werner (140 KiB at 128 points); a block
+# that held its action table, six full X entries and six masked copies through
+# the kernel took 2.20 and 2.32.
 BENCHMARK_GRIDS = {
     "pure": (pure_branches, np.linspace(0.01, 100.0, 1000), np.linspace(0.05, 0.95, 10)),
     "werner": (werner_branches, np.linspace(0.1, 10.0, 10), np.linspace(0.0, 1.0, 500)),

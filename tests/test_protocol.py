@@ -105,6 +105,15 @@ class TestWerner:
         assert rho.entries[0, 3] == pytest.approx(0.25)
         assert rho.entries[3, 0] == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("p", [-0.0, 0.0, 1 / 3, 0.37, 0.9, 1.0])
+    def test_entries_are_the_printed_sum_to_the_bit(self, p):
+        # the engine's Werner inputs are these entries: the sum's own rounding,
+        # and +0.0 off the X and at rho14 for p = -0.0, as the matrix sum gives
+        phi_plus = np.zeros(4)
+        phi_plus[0] = phi_plus[3] = 1.0 / np.sqrt(2.0)
+        expected = p * np.outer(phi_plus, phi_plus) + (1.0 - p) / 4.0 * np.eye(4)
+        assert werner(p).entries.tobytes() == expected.astype(complex).tobytes()
+
     def test_out_of_range(self):
         with pytest.raises(InvalidInput):
             werner(1.01)
