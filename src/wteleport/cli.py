@@ -238,14 +238,17 @@ def _float_texts(columns: list, head: str, spec: str):
     """The texts (see ``_texts``) of the distinct floats of all ``columns``,
     float arrays of one size, each formatted once; each column's index into
     them, one row per column; and each column's longest text.  Floats are keyed
-    on their bits, so -0.0 and 0.0 stay apart.  The columns are flattened for
-    ``np.unique`` first, since the shape of its inverse differs between numpy
-    releases."""
-    bits = [np.ravel(column).view(np.uint64) for column in columns]
-    distinct, inverse = np.unique(bits[0] if len(bits) == 1 else np.concatenate(bits),
-                                  return_inverse=True)
+    on their bits, so -0.0 and 0.0 stay apart.  A stable argsort of the bits
+    sets equal ones side by side for ``_runs``, so the distinct floats come in
+    the order of their bits, as ``np.unique`` gives them."""
+    bits = [column.view(np.uint64) for column in columns]
+    bits = bits[0] if len(bits) == 1 else np.concatenate(bits)
+    order = bits.argsort(kind="stable")
+    distinct, number = _runs(bits[order])
+    index = np.empty_like(number)
+    index[order] = number
     texts, strings = _format(distinct.view(np.float64).tolist(), head, spec)
-    index = inverse.reshape(len(columns), -1)
+    index = index.reshape(len(columns), -1)
     if len(columns) == 1:
         return texts, index, [max(map(len, strings))]
     lengths = np.fromiter(map(len, strings), np.intp, len(strings))
@@ -265,22 +268,29 @@ def _label_texts(names: tuple, cell: tuple) -> np.ndarray:
 
 def _distinct(column: _Labels) -> tuple[list, np.ndarray]:
     """The distinct float names of a ``_Labels`` column, as a list, and each
-    row's index into them.  Floats are keyed on their bits, so -0.0 and 0.0
-    stay apart.  The names are in grid order, where equal ones sit side by
-    side, so neighbours are compared instead of sorting."""
-    bits = column.names.view(np.uint64)
-    first = np.empty(len(bits), dtype=bool)  # whether each name differs from the one before
+    row's index into them.  The names are in grid order, where equal ones sit
+    side by side, so ``_runs`` needs no sort."""
+    distinct, number = _runs(column.names.view(np.uint64))
+    return distinct.view(np.float64).tolist(), number[column.codes]
+
+
+def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``bits``, a uint64 array in which equal values sit
+    side by side, in their order, and each value's index into them: equal
+    neighbours are merged and the runs numbered by ``cumsum``.  Floats viewed
+    as their bits keep -0.0 apart from 0.0."""
+    first = np.empty(len(bits), dtype=bool)  # whether each value differs from the one before
     first[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
-    if first.all():
-        return column.names.tolist(), column.codes
-    return column.names[first].tolist(), (np.cumsum(first) - 1)[column.codes]
+    return bits[first], np.cumsum(first) - 1
 
 
-# The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Below
-# glibc's default mmap threshold (128 KiB), so each string and its UTF-8 copy
-# come from the heap, not from mappings of their own.
-_JOIN_BYTES = 65536
+# The text, in (ASCII) bytes, that ``_rows`` joins into one string, and that
+# ``_Child.rows`` reads of the child's text at a time.  Each string and its
+# UTF-8 copy are heap transients of this size: at 16 KiB the benchmark's Werner
+# JSON sweep peaks about 0.16 MiB lower than at 64 KiB, at the cost of four
+# times the write calls on a large sweep (BENCH_34.json).
+_JOIN_BYTES = 16384
 
 
 # The most texts one grid column of neighbouring columns may have, one per
@@ -633,7 +643,7 @@ class _Child:
             self.text, self.counts, write = self.files
             with warnings.catch_warnings():
                 # Python 3.12 warns that forking with threads (OpenBLAS's) may deadlock;
-                # the child calls no BLAS or LAPACK, only ufuncs, np.unique and repr.
+                # the child calls no BLAS or LAPACK, only ufuncs, a stable argsort and repr.
                 warnings.simplefilter("ignore", DeprecationWarning)
                 self.pid = os.fork()
         except OSError:

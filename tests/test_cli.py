@@ -18,6 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import wteleport.analysis
 import wteleport.cli
@@ -53,6 +56,27 @@ from wteleport.cli import (
 from wteleport.protocol import BRANCH_ORDER
 
 GOLDEN = Path(__file__).parent / "golden"
+
+REPEATABLE = settings(derandomize=True, database=None, deadline=None)
+
+# Floats as a row may hold them, and more: both zeros, subnormals, infinities.
+FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.0]) | st.floats(
+    allow_nan=False
+)
+
+
+@st.composite
+def float_columns(draw) -> list:
+    """1 to 4 float columns of one size, 1 to 5,000 values in all, picked from
+    a pool of up to 20 floats, so that most repeat, or drawn each (hypothesis
+    fills most of such an array with one value)."""
+    count = draw(st.integers(1, 4))
+    shape = (count, draw(st.integers(1, 5000 // count)))
+    if draw(st.booleans()):
+        return list(draw(hnp.arrays(np.float64, shape, elements=FLOATS)))
+    pool = np.array(draw(st.lists(FLOATS, min_size=1, max_size=20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return list(pool[rng.integers(0, len(pool), shape)])
 
 
 def run_cli(capsys, *argv):
@@ -978,6 +1002,19 @@ GOLDEN_COMMANDS = {
 }
 
 
+# The benchmark's two sweeps at seed 0 (bench/run.py's pure-sweep-csv and
+# werner-sweep-json).
+BENCHMARK_SWEEPS = {
+    "werner-json": (
+        "sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", "json"
+    ),
+    "pure-csv": (
+        "sweep", "--mode", "pure", "--n", "0.01:100:1000", "--alpha-sq", "0.05:0.95:10",
+        "--format", "csv",
+    ),
+}
+
+
 def record_rows(monkeypatch) -> list:
     """Record, for each block ``cli._rows`` renders, the strings it yields, the
     block, its cells and the ``end`` that closes each row."""
@@ -1073,21 +1110,12 @@ class TestOutput:
         assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
         assert_strings_of_whole_rows(blocks, join_bytes)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", "json"),
-            (
-                "sweep", "--mode", "pure", "--n", "0.01:100:1000", "--alpha-sq", "0.05:0.95:10",
-                "--format", "csv",
-            ),
-        ],
-        ids=["werner-json", "pure-csv"],
-    )
-    def test_benchmark_sweeps_written_in_strings_of_at_most_128_kib(
+    @pytest.mark.parametrize("argv", BENCHMARK_SWEEPS.values(), ids=BENCHMARK_SWEEPS)
+    def test_benchmark_sweeps_written_in_strings_of_at_most_the_join_budget(
         self, monkeypatch, tmp_path, argv
     ):
-        # the two benchmark sweeps at seed 0, at the real byte budget
+        # the two benchmark sweeps at seed 0, at the real byte budget: no row of
+        # them is wider, and a forked child's text is read in pieces of that size
         fmt = argv[-1]
         writer = wteleport.cli._WRITERS[fmt]
         sizes = []
@@ -1101,8 +1129,34 @@ class TestOutput:
         monkeypatch.setitem(wteleport.cli._WRITERS, fmt, measured)
         assert main([*argv, "--output", str(tmp_path / "rows")]) == 0
         assert sum(sizes) == (tmp_path / "rows").stat().st_size
-        assert max(sizes) <= 128 * 1024
+        assert max(sizes) <= wteleport.cli._JOIN_BYTES
         assert_strings_of_whole_rows(blocks, wteleport.cli._JOIN_BYTES)
+
+    @pytest.mark.parametrize(
+        "argv, formatted",
+        [
+            (BENCHMARK_SWEEPS["werner-json"], 12282),
+            (BENCHMARK_SWEEPS["pure-csv"], 39860),
+        ],
+        ids=["werner-json", "pure-csv"],
+    )
+    def test_benchmark_sweeps_format_each_shared_float_once(
+        self, monkeypatch, tmp_path, argv, formatted
+    ):
+        # the floats a serial sweep of each seed-0 benchmark grid formats, value
+        # axis and n texts included: one per distinct value of a block's shared
+        # float columns, whatever finds them
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
+        format_ = wteleport.cli._format
+        counts = []
+
+        def counted(values, head, spec):
+            counts.append(len(values))
+            return format_(values, head, spec)
+
+        monkeypatch.setattr(wteleport.cli, "_format", counted)
+        assert main([*argv, "--output", str(tmp_path / "rows")]) == 0
+        assert sum(counts) == formatted
 
     def test_no_string_exceeds_the_join_budget(self, monkeypatch, tmp_path):
         # a block of this grid that starts at an n row opens with its shortest
@@ -1194,6 +1248,46 @@ class TestOutput:
         )
         assert "".join(wteleport.cli._rows(block, cells, end)) == expected
         assert expected.count("-0") == 3
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize("name", ["sweep-pure", "sweep-werner", "verify"])
+    def test_golden_without_np_unique(self, capsys, monkeypatch, name, fmt):
+        # np.unique's quicksort maps in more of numpy's sort code than the
+        # stable argsort the writers use, which raised every run's peak RSS
+        def unique(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", unique)
+        code, out, err = run_cli(capsys, *GOLDEN_COMMANDS[name], "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / f"{name}.{fmt}").read_bytes().decode("utf-8")
+
+    @REPEATABLE
+    @given(columns=float_columns())
+    def test_float_texts_are_np_unique_of_the_bits(self, columns):
+        # the distinct floats in np.unique's order, formatted once, and its inverse
+        bits = np.concatenate(columns).view(np.uint64)
+        distinct, inverse = np.unique(bits, return_inverse=True)
+        texts, index, longest = wteleport.cli._float_texts(columns, "", "")
+        assert texts.tolist() == list(map(repr, distinct.view(np.float64).tolist()))
+        assert np.array_equal(index, inverse.reshape(len(columns), -1))
+        assert longest == [max(len(repr(value)) for value in column.tolist()) for column in columns]
+
+    @REPEATABLE
+    @given(runs=st.lists(st.tuples(FLOATS, st.integers(1, 5)), min_size=1, max_size=50),
+           seed=st.integers(0, 2**32 - 1))
+    @example(runs=[(0.5, 2), (-0.0, 1), (0.0, 2), (1 / 3, 1)], seed=0)
+    def test_grid_values_merged_by_neighbours(self, runs, seed):
+        # a grid's values, where equal ones sit side by side; -0.0 next to 0.0
+        # stays apart, and runs of one value are merged whatever their order
+        names = np.repeat(*map(np.array, zip(*runs)))
+        codes = np.random.default_rng(seed).integers(0, len(names), 3 * len(names))
+        bits = names.view(np.uint64).tolist()
+        starts = [k for k in range(len(bits)) if k == 0 or bits[k] != bits[k - 1]]
+        number = np.searchsorted(starts, np.arange(len(bits)), side="right") - 1
+        distinct, index = wteleport.cli._distinct(_Labels(names, codes))
+        assert np.array(distinct).view(np.uint64).tolist() == [bits[k] for k in starts]
+        assert np.array_equal(index, number[codes])
 
     @pytest.mark.parametrize("bound, formatted", [(1024, 40), (39, 120)], ids=["cached", "per-block"])
     def test_value_axis_is_formatted_once_per_sweep_below_the_bound(
