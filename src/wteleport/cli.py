@@ -174,7 +174,8 @@ class Report(NamedTuple):
     ``blocks`` and ``document``.
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``, or
-    as text already rendered, a string or its UTF-8 bytes; it is consumed
+    as text already rendered, a string or a binary file of its UTF-8 bytes
+    (see ``_copy``); it is consumed
     once, as it is written, so a sweep computes its next block only after the
     last one is written and let go.  Each block is formatted in one pass and written as strings of whole
     rows (see ``_rows``).  An absent column is an empty CSV field, a JSON
@@ -187,7 +188,7 @@ class Report(NamedTuple):
 
     comment: str
     columns: tuple[str, ...]
-    blocks: Iterable[Block | str | bytes]
+    blocks: Iterable[Block | str | io.BufferedIOBase]
     document: dict
     exit_code: int = 0
 
@@ -286,11 +287,12 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The text, in (ASCII) bytes, that ``_rows`` joins into one string, and that
-# ``_Child.rows`` reads of the child's text at a time.  Each string and its
-# UTF-8 copy are heap transients of this size: at 16 KiB the benchmark's Werner
-# JSON sweep peaks about 0.16 MiB lower than at 64 KiB, at the cost of four
-# times the write calls on a large sweep (BENCH_34.json).
-_JOIN_BYTES = 16384
+# ``_copy`` reads of a child's text at a time where it cannot send it file to
+# file.  Each string and its UTF-8 copy are heap transients of this size, and
+# each string is one write: 32 KiB peaks as low as 16 KiB on the benchmark's
+# grids, and 64 KiB about 0.14 MiB higher on its Werner JSON sweep, with half
+# the writes of 16 KiB (BENCH_34.json).
+_JOIN_BYTES = 32768
 
 
 # The most texts one grid column of neighbouring columns may have, one per
@@ -355,15 +357,16 @@ def _grid(block: Block, cells: Sequence[tuple], end: str) -> tuple[np.ndarray, i
 
 
 def _block_rows(
-    blocks: Iterable[Block | str | bytes], cells: Sequence[tuple], end: str
-) -> Iterator[str | bytes]:
+    blocks: Iterable[Block | str | io.BufferedIOBase], cells: Sequence[tuple], end: str
+) -> Iterator[str | io.BufferedIOBase]:
     """``_rows`` of each block in turn, each block and its grid let go before the
     next block is asked for (a ``for`` loop would hold the last one).  A string,
-    or its UTF-8 bytes, is rows already rendered with ``cells`` and ``end``, and
-    passes as it is."""
+    or a binary file of its UTF-8 bytes, is rows already rendered with ``cells``
+    and ``end``, and passes as it is."""
+    rendered = (str, io.IOBase)
     return itertools.chain.from_iterable(
         map(
-            lambda block: (block,) if isinstance(block, (str, bytes)) else _rows(block, cells, end),
+            lambda block: (block,) if isinstance(block, rendered) else _rows(block, cells, end),
             blocks,
         )
     )
@@ -494,22 +497,44 @@ def _write(report: Report, args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _emit(chunks: Iterable[str | bytes], handle) -> None:
-    """Write ``chunks`` to the text stream ``handle``: a string as text, and
-    bytes, text already in UTF-8, straight to its binary buffer once the text
-    before them is flushed; decoded only where ``handle`` has no such buffer or
-    another encoding."""
-    encoding = getattr(handle, "encoding", None)
-    utf8 = encoding is not None and codecs.lookup(encoding).name == "utf-8"
-    buffer = getattr(handle, "buffer", None) if utf8 else None
+def _emit(chunks: Iterable[str | io.BufferedIOBase], handle) -> None:
+    """Write ``chunks`` to the text stream ``handle``: a string as text, and a
+    binary file, text already in UTF-8, by ``_copy``."""
     for chunk in chunks:
         if isinstance(chunk, str):
             handle.write(chunk)
-        elif buffer is None:
-            handle.write(chunk.decode("utf-8"))
         else:
-            handle.flush()
-            buffer.write(chunk)
+            _copy(chunk, handle)
+
+
+def _copy(source: io.BufferedIOBase, handle) -> None:
+    """Write the binary file ``source``, UTF-8 text, from its start to the text
+    stream ``handle``, once the text before it is flushed: by ``os.sendfile``,
+    file to file, where ``handle`` writes UTF-8 to a binary buffer with a file
+    descriptor that takes it; else read ``_JOIN_BYTES`` at a time, written to
+    that buffer or, where there is none (or ``handle`` has another encoding),
+    decoded."""
+    encoding = getattr(handle, "encoding", None)
+    utf8 = encoding is not None and codecs.lookup(encoding).name == "utf-8"
+    buffer = getattr(handle, "buffer", None) if utf8 else None
+    handle.flush()
+    offset = 0
+    try:
+        target = buffer.fileno()
+        while sent := os.sendfile(target, source.fileno(), offset, 1 << 30):
+            offset += sent
+        return
+    except (AttributeError, io.UnsupportedOperation):  # None, or no descriptor
+        pass
+    except OSError:
+        if offset:  # part of the text is out
+            raise
+    source.seek(0)
+    for piece in iter(lambda: source.read(_JOIN_BYTES), b""):
+        if buffer is None:
+            handle.write(piece.decode("utf-8"))
+        else:
+            buffer.write(piece)
 
 
 # The outcome names, and the codes of the branches into them in ``BRANCH_ORDER``.
@@ -628,8 +653,8 @@ class _Child:
     with ``cells`` and ``end`` into an unlinked temporary file, sends the counts
     its ``summary`` adds over a pipe, closes it and leaves by ``os._exit``,
     flushing no inherited buffer; it stops once this process has gone.  ``rows()``
-    yields its text if the counts came, as UTF-8 bytes read from the file, never
-    decoded, adding the counts to ``summary``, else the blocks of ``tables``
+    yields its text if the counts came, as the file of its UTF-8 bytes, for
+    ``_copy``, adding the counts to ``summary``, else the blocks of ``tables``
     computed here; ``close()`` kills and reaps the child."""
 
     def __init__(self, tables: Iterator[SweepTable], cells, end: str, summary: dict, fork: bool):
@@ -660,13 +685,12 @@ class _Child:
                 os._exit(0)  # the counts, not the exit status, tell the child's success
         write.close()
 
-    def rows(self) -> Iterator[Block | bytes]:
+    def rows(self) -> Iterator[Block | io.BufferedIOBase]:
         counts = self.counts.read() if self.pid else b""  # to EOF: the child has closed the pipe
         if counts:
             for key, count in json.loads(counts).items():
                 self.summary[key] += count
-            self.text.seek(0)
-            yield from iter(lambda: self.text.buffer.read(_JOIN_BYTES), b"")
+            yield self.text.buffer
         else:
             yield from map(_sweep_block, self.tables)
 

@@ -1115,22 +1115,87 @@ class TestOutput:
         self, monkeypatch, tmp_path, argv
     ):
         # the two benchmark sweeps at seed 0, at the real byte budget: no row of
-        # them is wider, and a forked child's text is read in pieces of that size
+        # them is wider; a forked child's text goes from its file to the output
+        # file by os.sendfile, never read into this process
         fmt = argv[-1]
         writer = wteleport.cli._WRITERS[fmt]
-        sizes = []
+        sendfile = os.sendfile
+        sizes, files, sent = [], [], []
 
-        def measured(report):  # a forked child's rows come as UTF-8 bytes
+        def measured(report):
             for chunk in writer(report):
-                sizes.append(len(chunk.encode("utf-8") if isinstance(chunk, str) else chunk))
+                if isinstance(chunk, str):
+                    sizes.append(len(chunk.encode("utf-8")))
+                else:
+                    files.append(os.fstat(chunk.fileno()).st_size)
                 yield chunk
 
+        def counted(*args):
+            sent.append(sendfile(*args))
+            return sent[-1]
+
         blocks = record_rows(monkeypatch)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
         monkeypatch.setitem(wteleport.cli._WRITERS, fmt, measured)
+        monkeypatch.setattr(os, "sendfile", counted)
         assert main([*argv, "--output", str(tmp_path / "rows")]) == 0
-        assert sum(sizes) == (tmp_path / "rows").stat().st_size
+        assert len(files) == 1
+        assert sum(sent) == files[0]
+        assert sum(sizes) + files[0] == (tmp_path / "rows").stat().st_size
         assert max(sizes) <= wteleport.cli._JOIN_BYTES
         assert_strings_of_whole_rows(blocks, wteleport.cli._JOIN_BYTES)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+    @pytest.mark.parametrize("output", ["stdout", "text-stream", "sendfile-fails"])
+    def test_child_text_read_in_pieces_without_sendfile(
+        self, capsys, monkeypatch, tmp_path, fmt, output
+    ):
+        # capsys's stdout has no file descriptor, a StringIO has no binary
+        # buffer either (the text is decoded), and a failing os.sendfile has
+        # sent nothing: the child's text is then read back _JOIN_BYTES at a time
+        argv = ("sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", fmt)
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
+        serial = run_cli(capsys, *argv)
+        assert serial[0] == 0
+        monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
+        monkeypatch.setattr(wteleport.cli, "_JOIN_BYTES", 1000)
+        copy, reads = wteleport.cli._copy, []
+
+        class Recorded:
+            """The child's file, its reads recorded."""
+
+            def __init__(self, file):
+                self.file = file
+
+            def read(self, size):
+                reads.append(self.file.read(size))
+                return reads[-1]
+
+            def __getattr__(self, name):
+                return getattr(self.file, name)
+
+        monkeypatch.setattr(
+            wteleport.cli, "_copy", lambda source, handle: copy(Recorded(source), handle)
+        )
+
+        def fails(*args):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        if output == "stdout":
+            assert run_cli(capsys, *argv) == serial
+        elif output == "text-stream":
+            stream = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", stream)
+            assert main(list(argv)) == 0
+            assert stream.getvalue() == serial[1]
+        else:
+            monkeypatch.setattr(os, "sendfile", fails)
+            path = tmp_path / "rows"
+            assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
+            assert path.read_bytes().decode("utf-8") == serial[1]
+        assert len(reads) > 1
+        assert max(map(len, reads)) <= 1000
+        assert_no_child()
 
     @pytest.mark.parametrize(
         "argv, formatted",
