@@ -271,21 +271,16 @@ class SweepTable(_Frozen):
 
     ``n`` and the mode's own parameter (``alpha_sq`` or ``p``; the other is
     None) have shape (points,).  The branch columns have shape (points, 8),
-    branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.  ``_axes``
-    gives n and the mode's parameter again, each as the grid values the
-    points touch, or the names given for the mode's, and every point's code
-    into them (see ``_grid_table``).
+    branches in ``BRANCH_ORDER``; ``match`` holds the verdicts.
     """
 
     __slots__ = (
-        "mode", "n", "alpha_sq", "p", "probability", "oracle", "formula", "abs_diff", "match", "_axes"
+        "mode", "n", "alpha_sq", "p", "probability", "oracle", "formula", "abs_diff", "match"
     )
 
-    def __init__(
-        self, mode, n, alpha_sq, p, probability, oracle, formula, abs_diff, match, axes
-    ) -> None:
+    def __init__(self, mode, n, alpha_sq, p, probability, oracle, formula, abs_diff, match) -> None:
         self._set(mode=mode, n=n, alpha_sq=alpha_sq, p=p, probability=probability,
-                  oracle=oracle, formula=formula, abs_diff=abs_diff, match=match, _axes=axes)
+                  oracle=oracle, formula=formula, abs_diff=abs_diff, match=match)
 
     def __len__(self) -> int:
         return self.probability.size
@@ -327,7 +322,7 @@ def sweep(
             raise InvalidInput("alpha^2 grid does not apply to a werner sweep")
         values = DEFAULT_P_GRID if p_values is None else p_values
     n_grid, values = _checked_grids(mode, DEFAULT_N_GRID if n_values is None else n_values, values)
-    return _grid_table(mode, n_grid, values, 0, n_grid.size * values.size)
+    return _table(mode, n_grid.repeat(len(values)), np.tile(values, len(n_grid)))
 
 
 def _checked_grids(mode: str, n_values, values) -> tuple[np.ndarray, np.ndarray]:
@@ -346,51 +341,25 @@ def _grid_tables(mode: str, n_values, values) -> tuple[range, np.ndarray, Callab
     """The first point of each block of ``BLOCK_POINTS`` consecutive points of
     the n-major grid ``n_values`` x ``values``, both validated whole; the
     validated ``values``; and a function that lazily computes the table of
-    each block at a slice of those starts, its value axis named by ``names``
-    (see ``_grid_table``)."""
+    each block at a slice of those starts.  Point i of the grid is
+    (n_values[i // m], values[i % m]), m = len(values)."""
     n_grid, values = _checked_grids(mode, n_values, values)
     points = len(n_grid) * len(values)
 
-    def tables(starts: range, names=None) -> Iterator[SweepTable]:
+    def tables(starts: range) -> Iterator[SweepTable]:
         for start in starts:
             stop = min(start + BLOCK_POINTS, points)
-            yield _grid_table(mode, n_grid, values, start, stop, names)
+            rows, columns = np.divmod(np.arange(start, stop), len(values))
+            yield _table(mode, n_grid[rows], values[columns])
 
     return range(0, points, BLOCK_POINTS), values, tables
 
 
-def _grid_table(mode: str, n_grid: np.ndarray, values: np.ndarray, start: int, stop: int,
-                names=None) -> SweepTable:
-    """The sweep table of points ``start`` to ``stop - 1`` of the n-major grid
-    ``n_grid`` x ``values``, both validated, and its axes.
-
-    Point i of the grid is (n_grid[i // m], values[i % m]), m = len(values).
-    Each axis holds the grid values the points touch, in grid order, and one
-    code per point into them: for n the rows from the first point's to the
-    last one's, a view of ``n_grid``; for the other, all of ``values`` when the
-    points fill a row or more, else the points' own values, which a range
-    shorter than a row touches once each.  ``names``, one per entry of
-    ``values``, replace all of ``values`` on the value axis whatever the
-    range, each point coded by its column.
-    """
-    rows, columns = np.divmod(np.arange(start, stop), len(values))
-    n, value = n_grid[rows], values[columns]
-    n_axis = n_grid[rows[0] : rows[-1] + 1], rows - rows[0]
-    if names is not None:
-        value_axis = names, columns
-    elif len(value) < len(values):
-        value_axis = value, np.arange(len(value))
-    else:
-        value_axis = values, columns
-    return _table(mode, n, value, (n_axis, value_axis))
-
-
 @np.errstate(all="ignore")
-def _table(mode: str, n: np.ndarray, value: np.ndarray, axes=None) -> SweepTable:
+def _table(mode: str, n: np.ndarray, value: np.ndarray) -> SweepTable:
     """The sweep table of validated points (n[i], value[i]), value being alpha^2
-    or p; ``axes`` as ``_grid_table`` gives them, by default each point its own
-    n and value.  Engine and closed forms run under one ``np.errstate``: a
-    non-finite value raises through ``_finite`` or the engine's checks."""
+    or p.  Engine and closed forms run under one ``np.errstate``: a non-finite
+    value raises through ``_finite`` or the engine's checks."""
     formula = np.zeros((len(n), len(BRANCH_ORDER)))
     if mode == "pure":
         probability, oracle = _pure_branches(value, n)
@@ -401,9 +370,6 @@ def _table(mode: str, n: np.ndarray, value: np.ndarray, axes=None) -> SweepTable
     else:
         probability, oracle = _werner_branches(value, n)
         formula[:, PHI_ZERO_COLUMNS + PSI_ZERO_COLUMNS] = _werner_form(value, n)[:, None]
-    if axes is None:
-        index = np.arange(len(n))
-        axes = (n, index), (value, index)
     _finite(formula)
     _finite(oracle, "oracle concurrence")
     abs_diff = np.abs(oracle - formula)
@@ -417,5 +383,4 @@ def _table(mode: str, n: np.ndarray, value: np.ndarray, axes=None) -> SweepTable
         formula=formula,
         abs_diff=abs_diff,
         match=abs_diff <= MATCH_TOL,
-        axes=axes,
     )

@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import sys
 import warnings
 from math import isfinite
@@ -150,7 +151,7 @@ def _config_dict(args: argparse.Namespace, **extra) -> dict:
 class _Labels(_Frozen):
     """A column as integer codes into its names: row i's cell is
     ``names[codes[i]]``.  The names are a small tuple of labels, a float
-    array of grid values in grid order (see ``analysis._grid_table``), or the
+    array of a block's points in grid order (their n, alpha^2 or p), or the
     ``_Texts`` of a value axis."""
 
     __slots__ = ("names", "codes")
@@ -174,12 +175,11 @@ class Report(NamedTuple):
     ``blocks`` and ``document``.
 
     ``blocks`` yields the rows a ``Block`` at a time, keyed by ``columns``, or
-    as text already rendered, a string or a binary file of its UTF-8 bytes
-    (see ``_copy``); it is consumed
-    once, as it is written, so a sweep computes its next block only after the
-    last one is written and let go.  Each block is formatted in one pass and written as strings of whole
-    rows (see ``_rows``).  An absent column is an empty CSV field, a JSON
-    ``null`` and a "-" table cell.
+    as text already rendered, a binary file of its UTF-8 bytes (see ``_copy``);
+    it is consumed once, as it is written, so a sweep computes its next block
+    only after the last one is written and let go.  Each block is formatted in
+    one pass and written as strings of whole rows (see ``_rows``).  An absent
+    column is an empty CSV field, a JSON ``null`` and a "-" table cell.
     ``document`` is the JSON output in key order; the rows are spliced in at
     its ``"rows"`` key, and the keys after it are rendered only once the rows
     are written, so a sweep's ``"summary"`` can count the rows as they go by.
@@ -188,17 +188,17 @@ class Report(NamedTuple):
 
     comment: str
     columns: tuple[str, ...]
-    blocks: Iterable[Block | str | io.BufferedIOBase]
+    blocks: Iterable[Block | io.BufferedIOBase]
     document: dict
     exit_code: int = 0
 
 
 class _Texts(NamedTuple):
-    """A value axis already rendered for one cell (see ``_row_cells``): the
-    text of each grid value, as ``_texts`` writes it, and the longest one's
-    length.  ``cmd_sweep`` renders an axis of at most ``_AXIS_TEXTS`` values
-    once and names it by these."""
+    """A value axis already rendered for one cell (see ``_row_cells``): its
+    distinct floats' bits, in order, the text of each, as ``_texts`` writes
+    it, and the longest one's length (see ``_axis_texts``)."""
 
+    bits: np.ndarray
     texts: np.ndarray
     width: int
 
@@ -270,7 +270,8 @@ def _label_texts(names: tuple, cell: tuple) -> np.ndarray:
 def _distinct(column: _Labels) -> tuple[list, np.ndarray]:
     """The distinct float names of a ``_Labels`` column, as a list, and each
     row's index into them.  The names are in grid order, where equal ones sit
-    side by side, so ``_runs`` needs no sort."""
+    side by side, so ``_runs`` needs no sort (a repeat elsewhere is only
+    formatted again)."""
     distinct, number = _runs(column.names.view(np.uint64))
     return distinct.view(np.float64).tolist(), number[column.codes]
 
@@ -286,12 +287,11 @@ def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bits[first], np.cumsum(first) - 1
 
 
-# The text, in (ASCII) bytes, that ``_rows`` joins into one string, and that
-# ``_copy`` reads of a child's text at a time where it cannot send it file to
-# file.  Each string and its UTF-8 copy are heap transients of this size, and
-# each string is one write: 32 KiB peaks as low as 16 KiB on the benchmark's
-# grids, and 64 KiB about 0.14 MiB higher on its Werner JSON sweep, with half
-# the writes of 16 KiB (BENCH_34.json).
+# The text, in (ASCII) bytes, that ``_rows`` joins into one string.  Each
+# string and its UTF-8 copy are heap transients of this size, and each string
+# is one write: 32 KiB peaks as low as 16 KiB on the benchmark's grids, and
+# 64 KiB about 0.14 MiB higher on its Werner JSON sweep, with half the writes
+# of 16 KiB (BENCH_34.json).
 _JOIN_BYTES = 32768
 
 
@@ -357,16 +357,15 @@ def _grid(block: Block, cells: Sequence[tuple], end: str) -> tuple[np.ndarray, i
 
 
 def _block_rows(
-    blocks: Iterable[Block | str | io.BufferedIOBase], cells: Sequence[tuple], end: str
+    blocks: Iterable[Block | io.BufferedIOBase], cells: Sequence[tuple], end: str
 ) -> Iterator[str | io.BufferedIOBase]:
     """``_rows`` of each block in turn, each block and its grid let go before the
-    next block is asked for (a ``for`` loop would hold the last one).  A string,
-    or a binary file of its UTF-8 bytes, is rows already rendered with ``cells``
-    and ``end``, and passes as it is."""
-    rendered = (str, io.IOBase)
+    next block is asked for (a ``for`` loop would hold the last one).  A binary
+    file of UTF-8 bytes is rows already rendered with ``cells`` and ``end``, and
+    passes as it is."""
     return itertools.chain.from_iterable(
         map(
-            lambda block: (block,) if isinstance(block, rendered) else _rows(block, cells, end),
+            lambda block: (block,) if isinstance(block, io.IOBase) else _rows(block, cells, end),
             blocks,
         )
     )
@@ -511,9 +510,8 @@ def _copy(source: io.BufferedIOBase, handle) -> None:
     """Write the binary file ``source``, UTF-8 text, from its start to the text
     stream ``handle``, once the text before it is flushed: by ``os.sendfile``,
     file to file, where ``handle`` writes UTF-8 to a binary buffer with a file
-    descriptor that takes it; else read ``_JOIN_BYTES`` at a time, written to
-    that buffer or, where there is none (or ``handle`` has another encoding),
-    decoded."""
+    descriptor that takes it; else by ``shutil.copyfileobj`` to that buffer or,
+    where there is none (or ``handle`` has another encoding), decoded."""
     encoding = getattr(handle, "encoding", None)
     utf8 = encoding is not None and codecs.lookup(encoding).name == "utf-8"
     buffer = getattr(handle, "buffer", None) if utf8 else None
@@ -530,11 +528,10 @@ def _copy(source: io.BufferedIOBase, handle) -> None:
         if offset:  # part of the text is out
             raise
     source.seek(0)
-    for piece in iter(lambda: source.read(_JOIN_BYTES), b""):
-        if buffer is None:
-            handle.write(piece.decode("utf-8"))
-        else:
-            buffer.write(piece)
+    if buffer is None:
+        shutil.copyfileobj(codecs.getreader("utf-8")(source), handle)
+    else:
+        shutil.copyfileobj(source, buffer)
 
 
 # The outcome names, and the codes of the branches into them in ``BRANCH_ORDER``.
@@ -547,10 +544,10 @@ _VERDICTS = ("DISCREPANT", "MATCH")  # indexed by the match flag
 
 def _branch_rows(mode: str, n: tuple, alpha_sq: tuple | None, p: tuple | None):
     """The ``mode``, ``n``, ``alpha_sq``, ``p``, ``bell`` and ``bob`` columns of
-    points given by the axes n and alpha_sq or p, each its values (or their
-    ``_Texts``) and one code per point into them (see ``analysis._grid_table``),
-    8 rows per point in ``BRANCH_ORDER``; the parameter ``mode`` does not take
-    is None, an absent column."""
+    points given by the axes n and alpha_sq or p, each the names of a
+    ``_Labels`` and one code per point into them, 8 rows per point in
+    ``BRANCH_ORDER``; the parameter ``mode`` does not take is None, an absent
+    column."""
     branches, count = len(BRANCH_ORDER), len(n[1])
 
     def rows(axis: tuple | None) -> _Labels | None:
@@ -566,10 +563,18 @@ def _branch_rows(mode: str, n: tuple, alpha_sq: tuple | None, p: tuple | None):
     }
 
 
-def _sweep_block(table: SweepTable) -> Block:
-    """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep order."""
-    n, value = table._axes
+def _sweep_block(table: SweepTable, axis: _Texts | None = None) -> Block:
+    """The table's rows in ``SWEEP_CSV_COLUMNS``, 8 per grid point, in sweep
+    order.  A point's alpha^2 or p is its text in ``axis``, found by its bits,
+    where ``axis`` is given, else its own value, as its n is."""
     pure = table.mode == "pure"
+    value = table.alpha_sq if pure else table.p
+    points = np.arange(len(value))
+    n = table.n, points
+    if axis is None:
+        value = value, points
+    else:
+        value = axis, np.searchsorted(axis.bits, value.view(np.uint64))
     return {
         **_branch_rows(table.mode, n, value if pure else None, None if pure else value),
         "probability": table.probability.ravel(),
@@ -649,16 +654,16 @@ def _forks() -> bool:
 
 
 class _Child:
-    """A child, forked before any block is counted, that renders ``tables``
+    """A child, forked before any block is counted, that renders ``blocks``
     with ``cells`` and ``end`` into an unlinked temporary file, sends the counts
     its ``summary`` adds over a pipe, closes it and leaves by ``os._exit``,
     flushing no inherited buffer; it stops once this process has gone.  ``rows()``
     yields its text if the counts came, as the file of its UTF-8 bytes, for
-    ``_copy``, adding the counts to ``summary``, else the blocks of ``tables``
-    computed here; ``close()`` kills and reaps the child."""
+    ``_copy``, adding the counts to ``summary``, else ``blocks`` computed here;
+    ``close()`` kills and reaps the child."""
 
-    def __init__(self, tables: Iterator[SweepTable], cells, end: str, summary: dict, fork: bool):
-        self.tables, self.summary, self.pid, self.files = tables, summary, 0, []
+    def __init__(self, blocks: Iterator[Block], cells, end: str, summary: dict, fork: bool):
+        self.blocks, self.summary, self.pid, self.files = blocks, summary, 0, []
         if not fork:
             return
         import tempfile
@@ -676,8 +681,8 @@ class _Child:
         if self.pid == 0:
             parent = os.getppid()
             try:
-                tables = itertools.takewhile(lambda _: os.getppid() == parent, tables)
-                self.text.writelines(_block_rows(map(_sweep_block, tables), cells, end))
+                blocks = itertools.takewhile(lambda _: os.getppid() == parent, blocks)
+                self.text.writelines(_block_rows(blocks, cells, end))
                 self.text.flush()
                 os.write(write.fileno(), json.dumps(summary).encode())
                 write.close()
@@ -692,7 +697,7 @@ class _Child:
                 self.summary[key] += count
             yield self.text.buffer
         else:
-            yield from map(_sweep_block, self.tables)
+            yield from self.blocks
 
     def close(self) -> None:
         if self.pid:
@@ -709,13 +714,19 @@ class _Child:
 _AXIS_TEXTS = 1024
 
 
-def _axis_texts(values: np.ndarray, cell: tuple) -> _Texts | None:
-    """The ``_Texts`` by ``cell`` of the validated value axis ``values``, or
-    None for an axis longer than ``_AXIS_TEXTS``."""
+def _axis_texts(mode: str, values: Sequence[float], cells: Sequence[tuple]) -> _Texts | None:
+    """The ``_Texts`` of the validated value axis ``values`` of a ``mode``
+    sweep, by its cell of the sweep's ``cells``, or None for an axis longer than
+    ``_AXIS_TEXTS``.  Its floats are keyed on their bits, so -0.0 and 0.0 stay
+    apart, and each distinct one is formatted once."""
     if len(values) > _AXIS_TEXTS:
         return None
-    texts, index = _texts(_Labels(values, np.arange(len(values))), cell)
-    return _Texts(texts[index], max(map(len, texts)))
+    _, head, spec, _, _ = cells[SWEEP_CSV_COLUMNS.index("alpha_sq" if mode == "pure" else "p")]
+    bits = np.asarray(values, dtype=np.float64).view(np.uint64)
+    # the stable argsort of ``_float_texts``: ``np.sort`` maps in more of numpy's code
+    bits, _ = _runs(bits[bits.argsort(kind="stable")])
+    texts, strings = _format(bits.view(np.float64).tolist(), head, spec)
+    return _Texts(bits, texts, max(map(len, strings)))
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -734,8 +745,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     starts, values, grid_tables = _grid_tables(args.mode, n_values, values)
     cells, end = _row_cells(args.format, SWEEP_CSV_COLUMNS)
     # rendered here, before any block, so that a forked child inherits it
-    axis = SWEEP_CSV_COLUMNS.index("alpha_sq" if args.mode == "pure" else "p")
-    names = _axis_texts(values, cells[axis])
+    block = functools.partial(_sweep_block, axis=_axis_texts(args.mode, values, cells))
     span = f"alpha_sq={args.alpha_sq}" if args.mode == "pure" else f"p={args.p}"
     comment = f"wteleport sweep mode={args.mode} n={args.n} {span}"
     summary = {"rows": 0, "match": 0, "discrepant": 0}
@@ -752,14 +762,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         return table
 
     half = (len(starts) + 1) // 2 if _forks() else len(starts)
-    rest = map(tallied, grid_tables(starts[half:], names))
+    rest = map(block, map(tallied, grid_tables(starts[half:])))
     child = _Child(rest, cells, end, summary, half < len(starts))
     try:
-        first = map(tallied, grid_tables(starts[:half], names))
+        first = map(tallied, grid_tables(starts[:half]))
         # The first block, before any output; a list iterator, unlike a list,
         # lets go of it once the next block is asked for.
         first = itertools.chain(iter([next(first)]), first)
-        blocks = itertools.chain(map(_sweep_block, first), child.rows())
+        blocks = itertools.chain(map(block, first), child.rows())
         return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document), args)
     finally:
         child.close()
@@ -847,7 +857,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     comment = "wteleport verify (pure + werner default grids)"
     document = {"config": _config_dict(args), "rows": None, "summary": summary}
-    blocks = map(_sweep_block, tables)
+    cells, _ = _row_cells(args.format, SWEEP_CSV_COLUMNS)
+    grids = {"pure": DEFAULT_ALPHA_SQ_GRID, "werner": DEFAULT_P_GRID}
+    blocks = (_sweep_block(t, _axis_texts(t.mode, grids[t.mode], cells)) for t in tables)
     return _write(Report(comment, SWEEP_CSV_COLUMNS, blocks, document, exit_code), args)
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -479,9 +480,9 @@ class TestSweep:
             refs.append(weakref.ref(result))
             return result
 
-        def formatted(block_table):
+        def formatted(block_table, axis=None):
             alive.append([ref() is not None for ref in refs])
-            return sweep_block(block_table)
+            return sweep_block(block_table, axis)
 
         monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 4)
         monkeypatch.setattr(wteleport.analysis, "_table", tracked)
@@ -615,11 +616,11 @@ class TestSweep:
         parent, sweep_block = os.getpid(), wteleport.cli._sweep_block
         formatted = []
 
-        def interrupted(table):
+        def interrupted(table, axis=None):
             if os.getpid() == parent and formatted:
                 raise KeyboardInterrupt
             formatted.append(table)
-            return sweep_block(table)
+            return sweep_block(table, axis)
 
         monkeypatch.setattr(wteleport.analysis, "BLOCK_POINTS", 7)
         monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
@@ -1152,13 +1153,12 @@ class TestOutput:
     ):
         # capsys's stdout has no file descriptor, a StringIO has no binary
         # buffer either (the text is decoded), and a failing os.sendfile has
-        # sent nothing: the child's text is then read back _JOIN_BYTES at a time
+        # sent nothing: the child's text is then read back by shutil.copyfileobj
         argv = ("sweep", "--mode", "werner", "--n", "0.1:10:10", "--p", "0:1:500", "--format", fmt)
         monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
         serial = run_cli(capsys, *argv)
         assert serial[0] == 0
         monkeypatch.setattr(wteleport.cli, "_forks", lambda: True)
-        monkeypatch.setattr(wteleport.cli, "_JOIN_BYTES", 1000)
         copy, reads = wteleport.cli._copy, []
 
         class Recorded:
@@ -1194,7 +1194,7 @@ class TestOutput:
             assert run_cli(capsys, *argv, "--output", str(path)) == (0, "", "")
             assert path.read_bytes().decode("utf-8") == serial[1]
         assert len(reads) > 1
-        assert max(map(len, reads)) <= 1000
+        assert max(map(len, reads)) <= shutil.COPY_BUFSIZE
         assert_no_child()
 
     @pytest.mark.parametrize(
@@ -1202,15 +1202,19 @@ class TestOutput:
         [
             (BENCHMARK_SWEEPS["werner-json"], 12282),
             (BENCHMARK_SWEEPS["pure-csv"], 39860),
+            (("verify", "--format", "json"), 610),
+            (("verify", "--format", "csv"), 509),
+            (("verify", "--format", "table"), 514),
         ],
-        ids=["werner-json", "pure-csv"],
+        ids=["werner-json", "pure-csv", "verify-json", "verify-csv", "verify-table"],
     )
     def test_benchmark_sweeps_format_each_shared_float_once(
         self, monkeypatch, tmp_path, argv, formatted
     ):
-        # the floats a serial sweep of each seed-0 benchmark grid formats, value
-        # axis and n texts included: one per distinct value of a block's shared
-        # float columns, whatever finds them
+        # the floats a serial sweep of each seed-0 benchmark grid, or verify,
+        # formats, value axis and n texts included: one per distinct value of a
+        # block's shared float columns, whatever finds them; verify formats each
+        # default grid's value axis once, not once per n
         monkeypatch.setattr(wteleport.cli, "_forks", lambda: False)
         format_ = wteleport.cli._format
         counts = []
@@ -1769,12 +1773,11 @@ def test_one_rendered_block_holds_only_what_it_still_needs(argv):
     values, _ = wteleport.cli._mode_parameter(args, len(n_values))
     starts, values, tables = wteleport.analysis._grid_tables(args.mode, n_values, values)
     cells, end = _row_cells(args.format, SWEEP_CSV_COLUMNS)
-    axis = SWEEP_CSV_COLUMNS.index("alpha_sq" if args.mode == "pure" else "p")
-    names = wteleport.cli._axis_texts(values, cells[axis])
+    axis = wteleport.cli._axis_texts(args.mode, values, cells)
 
     def first_block():
-        (table,) = tables(starts[:1], names)
-        for _ in wteleport.cli._rows(_sweep_block(table), cells, end):
+        (table,) = tables(starts[:1])
+        for _ in wteleport.cli._rows(_sweep_block(table, axis), cells, end):
             pass
 
     first_block()

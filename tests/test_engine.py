@@ -30,10 +30,12 @@ from wteleport import (
 from wteleport.cli import (
     SWEEP_CSV_COLUMNS,
     Report,
+    _axis_texts,
     _csv_chunks,
     _json_chunks,
     _Labels,
     _parse_values,
+    _row_cells,
     _sweep_block,
     _table_chunks,
     main,
@@ -433,9 +435,9 @@ def test_bulk_rendering_matches_row_by_row_rendering(tables):
     assert "".join(_json_chunks(report())) == _reference_json(config, rows, summary)
 
 
-def _whole_grid_outputs(mode: str, n_spec: str, value_spec: str) -> dict[str, str]:
-    """What ``wteleport sweep`` writes in each format for this grid, rendered
-    from the whole-grid ``sweep()`` as one block."""
+def _whole_grid(mode: str, n_spec: str, value_spec: str):
+    """The whole-grid ``sweep()`` of this grid, as ``wteleport sweep`` parses it,
+    and the comment, JSON config and summary the command writes for it."""
     key = "--alpha-sq" if mode == "pure" else "--p"
     grid = {"alpha_sq_values" if mode == "pure" else "p_values": _parse_values(value_spec, key)[0]}
     whole = sweep(mode, n_values=_parse_values(n_spec, "--n")[0], **grid)
@@ -450,6 +452,13 @@ def _whole_grid_outputs(mode: str, n_spec: str, value_spec: str) -> dict[str, st
     }
     match = int(whole.match.sum())
     summary = {"rows": len(whole), "match": match, "discrepant": len(whole) - match}
+    return whole, comment, config, summary
+
+
+def _whole_grid_outputs(mode: str, n_spec: str, value_spec: str) -> dict[str, str]:
+    """What ``wteleport sweep`` writes in each format for this grid, rendered
+    from the whole-grid ``sweep()`` as one block."""
+    whole, comment, config, summary = _whole_grid(mode, n_spec, value_spec)
 
     def report():  # its row blocks are consumed once
         document = {"config": config, "rows": None, "summary": summary}
@@ -460,6 +469,56 @@ def _whole_grid_outputs(mode: str, n_spec: str, value_spec: str) -> dict[str, st
         "json": "".join(_json_chunks(report())),
         "table": "".join(_table_chunks(report())),
     }
+
+
+@pytest.mark.parametrize(
+    "mode, n_spec, value_spec",
+    [
+        ("werner", "0.1:10:20", "-0.0"),  # a value axis of one value, -0.0
+        ("werner", "0.1:10:5", "0:1:11"),
+        ("pure", "0.1:10:3", "0:1:333"),  # a row longer than a block
+        ("werner", "2", "0:1:3000"),  # an axis longer than _AXIS_TEXTS
+        ("pure", "1:1:40", "0.5:0.5:30"),  # one point, 1,200 times
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("forks", [False, True], ids=["serial", "forked"])
+def test_sweep_output_matches_row_by_row_rendering(
+    monkeypatch, capsys, mode, n_spec, value_spec, fmt, forks
+):
+    # the CLI's rows, their value axis looked up in texts rendered once per
+    # sweep, against csv.writer and json.dumps of the table's own floats
+    whole, comment, config, summary = _whole_grid(mode, n_spec, value_spec)
+    rows = _rows([whole])
+    if fmt == "csv":
+        expected = _reference_csv(rows, comment)
+    else:
+        expected = _reference_json(config, rows, summary)
+    key = "--alpha-sq" if mode == "pure" else "--p"
+    monkeypatch.setattr(wteleport.cli, "_forks", lambda: forks)
+    code = main(["sweep", "--mode", mode, "--n", n_spec, f"{key}={value_spec}", "--format", fmt])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == expected.splitlines()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("looked_up", [False, True], ids=["own-values", "axis-texts"])
+def test_sweep_block_keeps_negative_zero_apart(fmt, looked_up):
+    # -0.0 and 0.0 are equal floats with different texts; each row's p is
+    # found by its bits, whether in the axis's texts or among its own values
+    p_values = (-0.0, 0.0, 0.5)
+    table = sweep("werner", n_values=(1.0,), p_values=p_values)
+    cells, _ = _row_cells(fmt, SWEEP_CSV_COLUMNS)
+    axis = _axis_texts("werner", p_values, cells) if looked_up else None
+    rows = _rows([table])
+    assert [repr(row["p"]) for row in rows[::8]] == ["-0.0", "0.0", "0.5"]
+    config, summary = {"subcommand": "sweep"}, {"rows": len(rows)}
+    document = {"config": config, "rows": None, "summary": summary}
+    report = Report("comment", SWEEP_CSV_COLUMNS, [_sweep_block(table, axis)], document)
+    if fmt == "csv":
+        assert "".join(_csv_chunks(report)) == _reference_csv(rows, "comment")
+    else:
+        assert "".join(_json_chunks(report)) == _reference_json(config, rows, summary)
 
 
 @pytest.mark.parametrize(
@@ -485,9 +544,9 @@ def test_sweep_streams_blocks_of_at_most_block_points(
     for fmt, text in expected.items():
         calls = []
 
-        def counted(mode, n, value, axes):
+        def counted(mode, n, value):
             calls.append(len(n))
-            return table(mode, n, value, axes)
+            return table(mode, n, value)
 
         monkeypatch.setattr(wteleport.analysis, "_table", counted)
         code = main(["sweep", "--mode", mode, "--n", n_spec, key, value_spec, "--format", fmt])
